@@ -63,6 +63,7 @@ from .sft import TransitionMatrix, cylinder_distance, enumerate_words, validate_
 from .transfer import (
     MarkovMeasure,
     RpfSolution,
+    TiltedFamily,
     TransferMatrix,
     build_transfer_matrix,
     cylinder_mass,
@@ -71,6 +72,7 @@ from .transfer import (
     normalize_potential,
     refine_measure,
     rpf_solve,
+    tilted_family,
     verify_rpf_bounds,
     verify_tilted_family,
 )

@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
 from .potentials import Potential, affine_combine, make_potential, require_not_constant
-from .rate import pressure, rate_function, tilt_eval
+from .rate import rate_function
 from .transfer import (
     equilibrium_measure,
     integrate,
     solve_potential,
     state_norms,
+    tilted_family,
     verify_rpf_bounds,
 )
 
@@ -338,15 +339,16 @@ def verify_bound(
     q0, bound, psi_tilde = report.q0, report.bound, report.psi_tilde
     lo, hi = psi_tilde - delta0, psi_tilde + delta0
 
+    family = tilted_family(phi, psi)
     direct = q0 >= Q0_DIRECT_MIN
     if direct:
-        base = pressure(phi)
-        dpr_plus = tilt_eval(phi, psi, q0)[0] - base
-        dpr_minus = tilt_eval(phi, psi, -q0)[0] - base
+        base = family.tilt(0.0)[0]
+        dpr_plus = family.tilt(q0)[0] - base
+        dpr_minus = family.tilt(-q0)[0] - base
     else:
         q_eval = max(q0, Q_BRACKET_EVAL)
-        mean_plus = tilt_eval(phi, psi, q_eval)[1]
-        mean_minus = tilt_eval(phi, psi, -q_eval)[1]
+        mean_plus = family.tilt(q_eval)[1]
+        mean_minus = family.tilt(-q_eval)[1]
 
     verdicts = []
     for p in p_grid:

@@ -7,9 +7,8 @@ integers); alphabets past 9 use comma-separated keys like "10,2".
 
 Outputs are CSV with fixed headers and floats printed to 17 significant
 digits, so identical inputs and seeds reproduce byte-identical files.  Sweep
-items run in a worker pool (THERMO_THREADS overrides the size, defaulting to
-the logical core count); results are buffered and written in input order, so
-the pool size never changes the output.
+items run one after another in input order; a pressure sweep solves every
+tilt on one shared tilted-family operator.
 
 Exit codes: 0 success, 2 validation error, 3 violated certified bound,
 4 solver non-convergence.
@@ -20,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import certificate_constants, constants_for, verify_bound
@@ -42,9 +39,9 @@ from .potentials import (
     require_not_constant,
     shift_nonnegative,
 )
-from .rate import rate_function, tilt_eval
+from .rate import rate_function
 from .sft import TransitionMatrix, validate_transitions
-from .transfer import equilibrium_measure, normalize_potential
+from .transfer import equilibrium_measure, normalize_potential, tilted_family
 
 SCHEMA_VERSION = 1
 
@@ -173,20 +170,6 @@ def _parse_range(text: str, integer: bool = False) -> list:
     return out
 
 
-def _pool():
-    raw = os.environ.get("THERMO_THREADS", "")
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValidationError(f"THERMO_THREADS must be an integer, got {raw!r}") from None
-        if workers < 1:
-            raise ValidationError("THERMO_THREADS must be >= 1")
-    else:
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def _word_key(word: tuple) -> str:
     if any(s > 9 for s in word):
         return ",".join(str(s) for s in word)
@@ -202,9 +185,8 @@ def _cmd_pressure(args) -> int:
     model = load_model(args.config)
     phi = normalize_potential(model.f)
     grid = _parse_range(f"{args.q_min}:{args.q_max}:{args.q_step}")
-    with _pool() as pool:
-        results = list(pool.map(lambda q: tilt_eval(phi, model.psi, q), grid))
-    rows = [(q, pr, mean) for q, (pr, mean) in zip(grid, results)]
+    family = tilted_family(phi, model.psi)
+    rows = [(q, *family.tilt(q)) for q in grid]
     _write_csv(args.out, CURVE_HEADER, rows)
     return 0
 
@@ -214,10 +196,7 @@ def _cmd_rate(args) -> int:
     phi = normalize_potential(model.f)
     grid = _parse_range(args.p_grid)
     spread = require_not_constant(model.psi)
-    with _pool() as pool:
-        results = list(
-            pool.map(lambda p: rate_function(phi, model.psi, p, spread=spread), grid)
-        )
+    results = [rate_function(phi, model.psi, p, spread=spread) for p in grid]
     rows = [
         (rv.p, rv.value, math.nan if rv.q_star is None else rv.q_star, rv.status)
         for rv in results
@@ -300,10 +279,7 @@ def _cmd_ldp(args) -> int:
 
     reference, _ = window_reference(mu, psi, rate_fn, args.p, args.delta)
     if args.method == "exact_dp":
-        with _pool() as pool:
-            entries = list(
-                pool.map(lambda n: exact_window_mass(mu, psi, n, args.p, args.delta), n_list)
-            )
+        entries = [exact_window_mass(mu, psi, n, args.p, args.delta) for n in n_list]
     else:
         # per-horizon seeds derive deterministically from the master seed
         entries = [

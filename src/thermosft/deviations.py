@@ -12,7 +12,9 @@ lies in [mass, mass + slack]).
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and states are drawn
 by inverse CDF against cumulative transition rows, so a fixed seed fixes the
-entire draw sequence.
+entire draw sequence.  On a value lattice it sums integer lattice steps and
+decides the window with the same exact edges as the DP, so both methods
+agree on which atoms the open window holds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ DP_BUDGET_BYTES = 2 * 1024**3
 LATTICE_MAX_DEN = 10**6
 #: bins per window half-width in the quantised fallback
 BINS_PER_DELTA = 100
+#: normal quantile of the 95% Wilson score interval behind Monte Carlo slack
+WILSON_Z = 1.96
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,9 @@ class WindowMass:
 
     ``log_rate`` is log(mass)/n (-inf for zero mass).  ``slack`` is 0 for the
     exact lattice method; for the binned method it is the mass that may fall
-    either side of the window edges, and for Monte Carlo the half-width of a
-    95% normal interval.
+    either side of the window edges, and for Monte Carlo the half-width of
+    the 95% Wilson score interval for the hit fraction, which stays positive
+    when no trial hits the window.
     """
 
     n: int
@@ -93,6 +98,40 @@ def _lattice_units(values):
     return ints, den
 
 
+def _lattice_steps(values):
+    """(steps, g, offset, den) with every value equal to
+    ``(g*step + offset)/den`` for an integer step >= 0, or None when the
+    values sit on no common rational lattice."""
+    lattice = _lattice_units(values)
+    if lattice is None:
+        return None
+    ints, den = lattice
+    offset = min(ints)
+    rel = [i - offset for i in ints]
+    g = 0
+    for r_val in rel:
+        g = math.gcd(g, r_val)
+    g = g or 1
+    return [r_val // g for r_val in rel], g, offset, den
+
+
+def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
+    """(lo, hi) with -1 <= lo and hi <= n*max(steps) + 1 such that n lattice
+    values totalling ``key`` steps average inside the open window
+    (p - delta, p + delta) exactly when lo < key < hi.
+
+    Window edges are reconstructed like the values: an edge within float
+    noise of a simple rational is treated as exactly on it, so the open
+    window excludes that lattice atom.  The total is (g*key + n*offset)/den.
+    """
+    steps, g, offset, den = lattice
+    lo = (Fraction(p) - Fraction(delta)).limit_denominator(LATTICE_MAX_DEN) * n
+    hi = (Fraction(p) + Fraction(delta)).limit_denominator(LATTICE_MAX_DEN) * n
+    key_lo = math.floor((lo * den - n * offset) / g)
+    key_hi = math.ceil((hi * den - n * offset) / g)
+    return max(key_lo, -1), min(key_hi, n * max(steps) + 1)
+
+
 def _dp_masses(size: int, edges_int, pi: np.ndarray, n: int, n_keys: int) -> np.ndarray:
     """Mass per (final aggregate key), summing over end states; key axis is
     the integer-valued running total of edge steps."""
@@ -126,16 +165,9 @@ def exact_window_mass(
     mu, edges = _edge_data(mu, psi)
     values = [e[2] for e in edges]
 
-    lattice = _lattice_units(values)
+    lattice = _lattice_steps(values)
     if lattice is not None:
-        ints, den = lattice
-        offset = min(ints)
-        rel = [i - offset for i in ints]
-        g = 0
-        for r_val in rel:
-            g = math.gcd(g, r_val)
-        g = g or 1
-        steps = [r_val // g for r_val in rel]
+        steps = lattice[0]
         n_keys = n * max(steps) + 1
         try:
             masses = _dp_masses(
@@ -148,18 +180,10 @@ def exact_window_mass(
         except Infeasible:
             lattice = None
         if lattice is not None:
-            # window edges are reconstructed like the values: an edge within
-            # float noise of a simple rational is treated as exactly on it,
-            # so the open window excludes that lattice atom
-            lo = (Fraction(p) - Fraction(delta)).limit_denominator(LATTICE_MAX_DEN) * n
-            hi = (Fraction(p) + Fraction(delta)).limit_denominator(LATTICE_MAX_DEN) * n
+            lo, hi = _window_keys(n, p, delta, lattice)
             mass = 0.0
-            for key in range(n_keys):
-                if masses[key] == 0.0:
-                    continue
-                total = Fraction(g * key + n * offset, den)
-                if lo < total < hi:  # open window decided exactly
-                    mass += float(masses[key])
+            for key in range(lo + 1, hi):
+                mass += float(masses[key])
             return WindowMass(
                 n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
                 method="exact_dp", slack=0.0,
@@ -257,7 +281,9 @@ def sample_paths(
     Paths start from the stationary vector and step through the transition
     rows; all draws are uniform doubles from ``numpy.random.default_rng``
     (PCG64) consumed in a fixed order, so identical seeds give bit-identical
-    results.  ``slack`` is the 95% normal half-width.
+    results.  When psi has a value lattice each path sums integer lattice
+    steps and the window is decided exactly, as in ``exact_window_mass``.
+    ``slack`` is the half-width of the 95% Wilson score interval.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -265,25 +291,35 @@ def sample_paths(
         raise ValidationError(f"n must be >= 1, got {n}")
     mu, edges = _edge_data(mu, psi)
     size = mu.size
-    value_matrix = np.zeros((size, size))
-    for u, v, val, _ in edges:
-        value_matrix[u, v] = val
+    values = [e[2] for e in edges]
+    lattice = _lattice_steps(values)
+    # on a lattice each path sums integer steps, so the window test is exact
+    steps = values if lattice is None else lattice[0]
+    value_matrix = np.zeros((size, size), dtype=float if lattice is None else np.int64)
+    for (u, v, _, _), step in zip(edges, steps):
+        value_matrix[u, v] = step
 
     rng = np.random.default_rng(seed)
     cum_pi = np.cumsum(mu.pi)
     cum_P = np.cumsum(mu.P, axis=1)
     states = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), size - 1)
-    sums = np.zeros(trials)
+    sums = np.zeros(trials, dtype=value_matrix.dtype)
     for _ in range(n):
         draws = rng.random(trials)
         rows = cum_P[states]
         nxt = np.minimum((rows <= draws[:, None]).sum(axis=1), size - 1)
         sums += value_matrix[states, nxt]
         states = nxt
-    avgs = sums / n
-    hits = int(np.count_nonzero((avgs > p - delta) & (avgs < p + delta)))
+    if lattice is None:
+        avgs = sums / n
+        inside = (avgs > p - delta) & (avgs < p + delta)
+    else:
+        lo, hi = _window_keys(n, p, delta, lattice)
+        inside = (sums > lo) & (sums < hi)
+    hits = int(np.count_nonzero(inside))
     mass = hits / trials
-    slack = 1.96 * math.sqrt(mass * (1.0 - mass) / trials)
+    z2 = WILSON_Z**2 / trials
+    slack = WILSON_Z / (1.0 + z2) * math.sqrt(mass * (1.0 - mass) / trials + z2 / (4.0 * trials))
     return WindowMass(
         n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
         method="monte_carlo", slack=slack,

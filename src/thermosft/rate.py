@@ -8,6 +8,10 @@ the ~1e-13 residual a normalised potential carries in floats.  The objective
 is concave with monotone derivative, so a sign-change bracket plus bisection
 is sound; a finite-difference Newton polish sharpens the maximiser at the
 end (robustness first, speed second).
+
+Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
+once per call; within a rate evaluation each tilt is solved once and reused
+for both the objective and its derivative.
 """
 
 from __future__ import annotations
@@ -18,8 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatch, NoConvergence, ValidationError
-from .potentials import Potential, affine_combine, require_not_constant
-from .transfer import build_transfer_matrix, equilibrium_measure, integrate, solve_potential
+from .potentials import Potential, require_not_constant
+from .transfer import (
+    TransferMatrix,
+    equilibrium_measure,
+    integrate,
+    solve_potential,
+    tilted_family,
+)
 
 #: |dGamma/dq| at which the maximiser is accepted
 TOL_GRAD = 1e-10
@@ -37,17 +47,10 @@ BOUNDARY_Q_CAP = 20.0
 def tilt_eval(phi: Potential, psi: Potential, q: float) -> tuple:
     """(log pressure, mean of psi under the tilted equilibrium state) for the
     potential phi + q*psi."""
-    f_q = affine_combine(phi, psi, q)
-    k = max(1, f_q.r - 1, psi.r)
-    T, sol = solve_potential(f_q, k_min=k)
-    pi = sol.h * sol.nu
-    pi = pi / pi.sum()
-    mean = float(sum(pi[i] * psi.table[w[: psi.r]] for i, w in enumerate(T.state_words)))
-    return sol.log_lambda, mean
+    return tilted_family(phi, psi).tilt(q)
 
 
-def _check_normalized(phi: Potential, tol: float = 1e-6) -> None:
-    T = build_transfer_matrix(phi)
+def _check_normalized(T: TransferMatrix, tol: float = 1e-6) -> None:
     err = float(np.max(np.abs(T.apply(np.ones(T.size)) - 1.0)))
     if err > tol:
         raise ModelMismatch(
@@ -92,17 +95,17 @@ class PressureCurve:
 def pressure_curve(phi: Potential, psi: Potential, q_grid) -> PressureCurve:
     """Pressure of phi + q*psi along a sorted grid together with the exact
     derivative (the mean of psi under the tilted equilibrium state)."""
-    _check_normalized(phi)
+    family = tilted_family(phi, psi)
+    _check_normalized(family.base)
     grid = tuple(float(q) for q in q_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError("q grid must be sorted ascending")
-    pressures = []
-    derivatives = []
-    for q in grid:
-        pr, mean = tilt_eval(phi, psi, q)
-        pressures.append(pr)
-        derivatives.append(mean)
-    return PressureCurve(q_grid=grid, pressures=tuple(pressures), derivatives=tuple(derivatives))
+    tilts = [family.tilt(q) for q in grid]
+    return PressureCurve(
+        q_grid=grid,
+        pressures=tuple(pr for pr, _ in tilts),
+        derivatives=tuple(mean for _, mean in tilts),
+    )
 
 
 def gamma(phi: Potential, psi: Potential, p: float, q: float) -> tuple:
@@ -111,11 +114,11 @@ def gamma(phi: Potential, psi: Potential, p: float, q: float) -> tuple:
     The objective is p*q minus the pressure increment from q = 0, so it is 0
     at q = 0 by construction; the derivative is p minus the tilted mean.
     """
-    base = pressure(phi)
+    family = tilted_family(phi, psi)
+    base, mean = family.tilt(0.0)
     if q == 0.0:
-        _, mean = tilt_eval(phi, psi, 0.0)
         return 0.0, p - mean
-    pr, mean = tilt_eval(phi, psi, q)
+    pr, mean = family.tilt(q)
     return p * q - (pr - base), p - mean
 
 
@@ -126,7 +129,8 @@ class RateValue:
     status: interior (finite value, vanishing derivative at q_star),
     mean_zero (p is the typical mean, value 0), boundary (p at a domain
     endpoint within tolerance; value is a certified lower bound), outside
-    (p outside the domain; value is +inf).
+    (p outside the domain; value is +inf).  ``iterations`` counts the
+    distinct tilts solved, q = 0 included.
     """
 
     p: float
@@ -144,7 +148,8 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     bound.  Inside, the derivative is bracketed by doubling, bisected to
     TOL_GRAD and polished with finite-difference Newton steps.
     """
-    _check_normalized(phi)
+    family = tilted_family(phi, psi)
+    _check_normalized(family.base)
     if spread is None:
         spread = require_not_constant(psi)
     if p < spread.min_mean - TOL_END or p > spread.max_mean + TOL_END:
@@ -153,24 +158,26 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
         abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
     )
 
-    base = pressure(phi)
-    evals = [1]
+    solved: dict = {}
+
+    def tilt(q: float) -> tuple:
+        if q not in solved:
+            solved[q] = family.tilt(q)
+        return solved[q]
+
+    base = tilt(0.0)[0]
 
     def dgamma(q: float) -> float:
-        evals[0] += 1
-        _, mean = tilt_eval(phi, psi, q)
-        return p - mean
+        return p - tilt(q)[1]
 
     def gamma_at(q: float) -> float:
         if q == 0.0:
             return 0.0
-        evals[0] += 1
-        pr, _ = tilt_eval(phi, psi, q)
-        return p * q - (pr - base)
+        return p * q - (tilt(q)[0] - base)
 
     d0 = dgamma(0.0)
     if abs(d0) <= TOL_GRAD:
-        return RateValue(p=p, value=0.0, q_star=0.0, status="mean_zero", iterations=evals[0])
+        return RateValue(p=p, value=0.0, q_star=0.0, status="mean_zero", iterations=len(solved))
 
     direction = 1.0 if d0 > 0.0 else -1.0
     if at_boundary:
@@ -185,7 +192,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
                 break
             q_hi *= 2.0
         return RateValue(
-            p=p, value=best_gamma, q_star=None, status="boundary", iterations=evals[0]
+            p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
         )
 
     q_cap = 700.0 / max(psi.sup_norm, 1e-12)
@@ -198,7 +205,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             # numerically p sits at the edge of the reachable means
             value = max(best_gamma, gamma_at(math.copysign(q_cap, direction)))
             return RateValue(
-                p=p, value=value, q_star=None, status="boundary", iterations=evals[0]
+                p=p, value=value, q_star=None, status="boundary", iterations=len(solved)
             )
         try:
             d_hi = dgamma(q_hi)
@@ -206,7 +213,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             # tilt drove the matrix into its periodic limit before the sign
             # change: numerically indistinguishable from a boundary level
             return RateValue(
-                p=p, value=best_gamma, q_star=None, status="boundary", iterations=evals[0]
+                p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
             )
         if (d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0):
             break
@@ -245,7 +252,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
         q_star, d_star = q_next, d_next
 
     value = gamma_at(q_star)
-    return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=evals[0])
+    return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
 
 
 def entropy(f: Potential) -> float:

@@ -6,12 +6,20 @@ data (leading eigenvalue, eigenfunction, eigenmeasure) is computed exactly up
 to solver tolerance rather than by discretising anything.  The Perron triple
 feeds pressure, equilibrium Markov measures, potential normalisation and the
 numerical verification of the spectral convergence bounds.
+
+A matrix is held as its edge arrays: one entry per admissible overlap of two
+states, at most s0 per row, so a mat-vec is a single ``np.bincount``; the
+dense n x n view is built only when something reads it.  The tilted family
+``phi + q*psi`` behind pressure curves and rate functions is one
+``TiltedFamily``: the state graph and both edge tables are built once per
+(phi, psi), and each tilt only re-exponentiates ``phi_e + q*psi_e``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,44 +38,73 @@ GAP_MEASURE = 100
 CHECK_SLACK = 1e-10
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Weight matrix over k-word states.
+    """Weight matrix over k-word states, held as edge arrays.
 
-    ``weights[u, v]`` is ``exp(f(w))`` for the (k+1)-word w overlapping state
-    u into state v, and 0 when the overlap is inadmissible.  Applying the
-    operator to a state vector g is ``weights.T @ g`` (preimages of a point
-    sit in the column of its state).
+    Edge j runs from state ``src[j]`` to state ``dst[j]`` (v extends u by one
+    symbol) and carries ``edge_weights[j] = exp(f(w))`` for the (k+1)-word w
+    the two states overlap in.  Applying the operator to a state vector g sums
+    over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
+    the edges into v; ``adjoint`` is the transposed action.  ``weights`` is
+    the dense view (``weights[u, v]`` is the weight of edge u -> v, 0 where
+    there is none), built on first read.
     """
 
     tm: TransitionMatrix
-    potential: Potential
     k: int
     state_words: tuple
     index: dict
-    weights: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    edge_weights: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.state_words)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        dense = np.zeros((self.size, self.size))
+        dense[self.src, self.dst] = self.edge_weights
+        return _frozen(dense)
+
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.weights.T @ g
+        return np.bincount(self.dst, weights=self.edge_weights * g[self.src], minlength=self.size)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.src, weights=self.edge_weights * x[self.dst], minlength=self.size)
+
+
+def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
+    """(transfer matrix of f on k-word states, f on its edges, [each
+    observable on its edges]); a potential is read on the edge's overlap
+    word."""
+    words, index, edges = state_graph(f.tm, k)
+    f_e, *obs_e = (
+        _frozen(np.array([g.table[w[: g.r]] for _, _, w in edges])) for g in (f, *observables)
+    )
+    T = TransferMatrix(
+        tm=f.tm,
+        k=k,
+        state_words=tuple(words),
+        index=index,
+        src=_frozen(np.array([u for u, _, _ in edges], dtype=np.intp)),
+        dst=_frozen(np.array([v for _, v, _ in edges], dtype=np.intp)),
+        edge_weights=_frozen(np.exp(f_e)),
+    )
+    return T, f_e, obs_e
 
 
 def build_transfer_matrix(f: Potential, k_min: int = 1) -> TransferMatrix:
     """Matrix realisation of the transfer operator of f on k-word states,
     k = max(k_min, r-1, 1)."""
-    k = max(k_min, f.r - 1, 1)
-    words, index, edges = state_graph(f.tm, k)
-    size = len(words)
-    weights = np.zeros((size, size))
-    for u, v, overlap in edges:
-        weights[u, v] = math.exp(f.table[overlap[: f.r]])
-    weights.flags.writeable = False
-    return TransferMatrix(
-        tm=f.tm, potential=f, k=k, state_words=tuple(words), index=index, weights=weights
-    )
+    return _edge_matrix(f, max(k_min, f.r - 1, 1))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +117,8 @@ class RpfSolution:
     Rayleigh quotient and log1p, which keeps pressure differences meaningful
     even when the eigenvalue is within 1e-13 of 1.  ``gap_ratio`` is the
     measured per-step contraction of the non-dominant component relative to
-    the eigenvalue -- an estimate, not a certificate.
+    the eigenvalue -- an estimate, not a certificate.  It costs 200 extra
+    mat-vecs, so it is computed on first read only.
     """
 
     state_words: tuple
@@ -88,17 +126,20 @@ class RpfSolution:
     log_lambda: float
     h: np.ndarray
     nu: np.ndarray
-    gap_ratio: float
     iterations: int
+    transfer: TransferMatrix = field(repr=False)
+
+    @cached_property
+    def gap_ratio(self) -> float:
+        return _gap_estimate(self.transfer, self.lam, self.h, self.nu)
 
 
-def _power_iterate(mat: np.ndarray) -> tuple:
+def _power_iterate(matvec, size: int) -> tuple:
     """Deterministic power iteration from the all-ones start; returns the
     l1-normalised positive eigenvector and the step count."""
-    size = mat.shape[0]
     x = np.full(size, 1.0 / size)
     for it in range(1, MAX_ITERATIONS + 1):
-        y = mat @ x
+        y = matvec(x)
         total = y.sum()
         if total <= 0.0 or not np.isfinite(total):
             raise NoConvergence("power iteration lost positivity")
@@ -112,11 +153,10 @@ def _power_iterate(mat: np.ndarray) -> tuple:
     )
 
 
-def _gap_estimate(weights: np.ndarray, lam: float, h: np.ndarray, nu: np.ndarray) -> float:
+def _gap_estimate(T: TransferMatrix, lam: float, h: np.ndarray, nu: np.ndarray) -> float:
     """Deflated power iteration: average log growth of the component
     complementary to the Perron direction, divided by the eigenvalue."""
-    size = weights.shape[0]
-    start = np.ones(size)
+    start = np.ones(T.size)
     start[1::2] = -1.0
     w = start - h * float(nu @ start)
     norm = np.linalg.norm(w)
@@ -129,7 +169,7 @@ def _gap_estimate(weights: np.ndarray, lam: float, h: np.ndarray, nu: np.ndarray
     w = w / norm
     logs = []
     for step in range(GAP_WARMUP + GAP_MEASURE):
-        y = weights.T @ w - lam * h * float(nu @ w)
+        y = T.apply(w) - lam * h * float(nu @ w)
         norm = np.linalg.norm(y)
         if norm < 1e-280:
             return 0.0
@@ -144,25 +184,22 @@ def _gap_estimate(weights: np.ndarray, lam: float, h: np.ndarray, nu: np.ndarray
 
 def rpf_solve(T: TransferMatrix) -> RpfSolution:
     """Perron data of a transfer matrix with deterministic iteration."""
-    h_raw, it_h = _power_iterate(T.weights.T)
-    nu_raw, it_nu = _power_iterate(T.weights)
+    h_raw, it_h = _power_iterate(T.apply, T.size)
+    nu_raw, it_nu = _power_iterate(T.adjoint, T.size)
     nu = nu_raw / nu_raw.sum()
     h = h_raw / float(h_raw @ nu)
-    z = T.weights.T @ h
+    z = T.apply(h)
     denom = float(nu @ h)
     lam = float(nu @ z) / denom
     delta = float(nu @ (z - h)) / denom
-    nu.flags.writeable = False
-    h.flags.writeable = False
-    gap = _gap_estimate(T.weights, lam, h, nu)
     return RpfSolution(
         state_words=T.state_words,
         lam=lam,
         log_lambda=math.log1p(delta),
-        h=h,
-        nu=nu,
-        gap_ratio=gap,
+        h=_frozen(h),
+        nu=_frozen(nu),
         iterations=max(it_h, it_nu),
+        transfer=T,
     )
 
 
@@ -170,6 +207,52 @@ def solve_potential(f: Potential, k_min: int = 1):
     """Convenience: (transfer_matrix, rpf_solution) for a potential."""
     T = build_transfer_matrix(f, k_min)
     return T, rpf_solve(T)
+
+
+# ---------------------------------------------------------------------------
+# the tilted family phi + q*psi
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TiltedFamily:
+    """The potentials ``phi + q*psi`` on one graph of k-word states,
+    k = max(1, phi.r - 1, psi.r - 1).
+
+    Both potentials are read on the (k+1)-word edges (``phi_e``, ``psi_e``),
+    so psi need not be a function of the state.  ``base`` is the transfer
+    matrix of phi; ``at(q)`` shares its graph and only re-exponentiates the
+    edge log-weights, so no potential, state graph or dense matrix is built
+    per tilt.
+    """
+
+    base: TransferMatrix
+    phi_e: np.ndarray
+    psi_e: np.ndarray
+
+    def at(self, q: float) -> TransferMatrix:
+        return replace(self.base, edge_weights=_frozen(np.exp(self.phi_e + q * self.psi_e)))
+
+    def solve(self, q: float) -> RpfSolution:
+        return rpf_solve(self.at(q))
+
+    def tilt(self, q: float) -> tuple:
+        """(log pressure, mean of psi under the tilted equilibrium state).
+
+        The equilibrium mass of edge u -> v is ``h[u] * w * nu[v]``
+        normalised, so the mean is one weighted sum over the edges."""
+        sol = self.solve(q)
+        T = sol.transfer
+        flow = sol.h[T.src] * T.edge_weights * sol.nu[T.dst]
+        return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum())
+
+
+def tilted_family(phi: Potential, psi: Potential) -> TiltedFamily:
+    """Build the tilted family of phi along the observable psi."""
+    if not phi.tm.same_space(psi.tm) or phi.theta != psi.theta:
+        raise ModelMismatch("potentials live over different shift spaces")
+    base, phi_e, (psi_e,) = _edge_matrix(phi, max(1, phi.r - 1, psi.r - 1), psi)
+    return TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +412,22 @@ def state_norms(words, vec: np.ndarray, theta: float) -> tuple:
 @dataclass(frozen=True, eq=False)
 class RpfBoundReport:
     """Per-step deviation norms of the normalised iterates against their
-    limit, with the geometric-decay fit and the checks performed."""
+    limit, with the geometric-decay fit and the checks performed.
+    ``gap_ratio`` is the solution's contraction estimate, computed when read."""
 
     n_values: tuple
     deviation_sup: tuple
     deviation_semi: tuple
     deviation_norm: tuple
     test_norm: float
-    gap_ratio: float
     fitted_ratio: float | None
     paper_bound_checked: bool
     sandwich_checked: bool
+    solution: RpfSolution = field(repr=False)
+
+    @property
+    def gap_ratio(self) -> float:
+        return self.solution.gap_ratio
 
 
 def _fit_ratio(n_values, norms, n_from: int = 5):
@@ -407,10 +495,10 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
         deviation_semi=tuple(semi_list),
         deviation_norm=tuple(norm_list),
         test_norm=g_norm,
-        gap_ratio=sol.gap_ratio,
         fitted_ratio=_fit_ratio(n_values, norm_list),
         paper_bound_checked=consts is not None,
         sandwich_checked=True,
+        solution=sol,
     )
 
 
@@ -429,13 +517,11 @@ def verify_tilted_family(
     """For q in {-q0, 0, q0} check the eigenvalue pinch |log lambda_q| <= q0*c0
     and the two-sided eigenfunction envelope built from the supplied geometric
     constants.  Raises BoundViolated on failure (implementation bug signal)."""
-    from .potentials import affine_combine
-
+    family = tilted_family(phi, psi)
     qs = (-q0, 0.0, q0)
     log_lams, mins, maxs = [], [], []
     for q in qs:
-        f_q = affine_combine(phi, psi, q)
-        _, sol = solve_potential(f_q)
+        sol = family.solve(q)
         log_lams.append(sol.log_lambda)
         mins.append(float(np.min(sol.h)))
         maxs.append(float(np.max(sol.h)))

@@ -188,18 +188,6 @@ def test_reruns_are_byte_identical(tmp_path):
         assert len(hashes) == 1, f"{name} output varies between runs"
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("THERMO_THREADS", threads)
-        out = tmp_path / f"curve_{threads}.csv"
-        code = run(["pressure", "--config", FIXTURES / "bernoulli.json",
-                    "--q-min", -1, "--q-max", 1, "--q-step", 0.1, "--out", out])
-        assert code == 0
-        outputs.append(digest(out))
-    assert outputs[0] == outputs[1]
-
-
 def test_comma_separated_word_keys(tmp_path):
     cfg = tmp_path / "commas.json"
     cfg.write_text(json.dumps({

@@ -179,3 +179,28 @@ def test_monte_carlo_respects_golden_structure(golden):
     assert wm.mass == 0.0
     dp = exact_window_mass(mu, psi, 12, 0.75, 0.2)
     assert dp.mass == 0.0
+
+
+def test_monte_carlo_decides_lattice_window_exactly(bernoulli_model):
+    phi = normalize_potential(bernoulli_model.f)
+    psi = bernoulli_model.psi
+    mu = equilibrium_measure(phi, k=1)
+    # 0.3 - 0.1 is 0.19999999999999998 in floats: a float test would admit
+    # the atom 2/10 that the open window (1/5, 2/5) excludes
+    exact = exact_window_mass(mu, psi, 10, 0.3, 0.1).mass
+    assert exact == pytest.approx(120 / 1024, abs=1e-15)
+    trials = 20000
+    wm = sample_paths(mu, psi, 10, trials, 5, 0.3, 0.1)
+    assert abs(wm.mass - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def test_monte_carlo_zero_hits_keep_positive_slack(bernoulli_model):
+    phi = normalize_potential(bernoulli_model.f)
+    psi = bernoulli_model.psi
+    mu = equilibrium_measure(phi, k=1)
+    trials = 50000
+    wm = sample_paths(mu, psi, 200, trials, 11, 0.95, 0.02)
+    assert wm.mass == 0.0 and wm.log_rate == -math.inf
+    # at zero hits the Wilson interval is [0, z^2 / (trials + z^2)]
+    assert wm.slack > 0.0
+    assert wm.slack == pytest.approx(0.5 * 1.96**2 / (trials + 1.96**2), rel=1e-12)

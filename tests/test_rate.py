@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from thermosft import (
     CohomologousConstant,
     affine_combine,
+    build_transfer_matrix,
+    cohomology_spread,
     entropy,
     gamma,
     make_potential,
@@ -15,6 +18,8 @@ from thermosft import (
     rate_function,
     tilt_eval,
 )
+from thermosft import sft, transfer
+from thermosft.transfer import tilted_family
 
 from conftest import make_pot, random_aperiodic, random_potential
 
@@ -200,3 +205,77 @@ def test_entropy(full2, golden):
     expected = math.log(1 + math.e) - math.e / (1 + math.e)
     assert entropy(f) == pytest.approx(expected, abs=1e-10)
     assert entropy(f) >= -1e-10
+
+
+def _dense_tilt(phi, psi, q):
+    """Reference for tilt_eval built the long way: the tilted potential as a
+    table, its transfer matrix on psi.r-word states (psi is then a function
+    of the state), eigvals for the pressure and the dense left/right Perron
+    vectors for the mean."""
+    f_q = affine_combine(phi, psi, q)
+    T = build_transfer_matrix(f_q, k_min=psi.r)
+    lam = max(np.linalg.eigvals(T.weights).real)
+    vals_h, vecs_h = np.linalg.eig(T.weights.T)
+    vals_nu, vecs_nu = np.linalg.eig(T.weights)
+    h = np.abs(vecs_h[:, np.argmax(vals_h.real)].real)
+    nu = np.abs(vecs_nu[:, np.argmax(vals_nu.real)].real)
+    pi = h * nu / float(h @ nu)
+    psi_state = np.array([psi.table[w[: psi.r]] for w in T.state_words])
+    return math.log(lam), float(pi @ psi_state)
+
+
+@pytest.mark.parametrize("r_phi, r_psi", [(3, 1), (2, 2), (1, 3), (3, 2), (2, 3)])
+def test_tilt_eval_matches_dense_reference(golden, r_phi, r_psi):
+    rng = np.random.default_rng(100 * r_phi + r_psi)
+    models = [golden] + [random_aperiodic(rng, int(rng.integers(2, 4))) for _ in range(3)]
+    for tm in models:
+        phi = random_potential(rng, tm, r_phi, lo=-0.5, hi=0.5)
+        psi = random_potential(rng, tm, r_psi, lo=0.0, hi=1.0)
+        for q in (-5.0, -0.3, 0.0, 0.7, 5.0):
+            pr, mean = tilt_eval(phi, psi, q)
+            ref_pr, ref_mean = _dense_tilt(phi, psi, q)
+            assert abs(pr - ref_pr) <= 1e-12, (q, pr, ref_pr)
+            assert abs(mean - ref_mean) <= 1e-12, (q, mean, ref_mean)
+
+
+def test_rate_function_reuses_one_state_graph(monkeypatch, random_model):
+    phi = normalize_potential(random_model.f)
+    psi = random_model.psi
+    spread = cohomology_spread(psi)
+    calls = {"state_graph": 0, "affine_combine": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "thermosft"]
+    for name, fn in (("state_graph", sft.state_graph), ("affine_combine", affine_combine)):
+        wrapper = counted(name, fn)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    rv = rate_function(phi, psi, 0.55, spread=spread)
+    assert rv.status == "interior"
+    assert calls["state_graph"] <= 1
+    assert calls["affine_combine"] == 0
+
+
+def test_gap_ratio_is_computed_only_when_read(monkeypatch, bernoulli):
+    phi, psi = bernoulli
+    calls = []
+    original = transfer._gap_estimate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transfer, "_gap_estimate", counted)
+    rate_function(phi, psi, 0.8)
+    assert calls == []
+    sol = tilted_family(phi, psi).solve(1.0)
+    assert calls == []
+    first = sol.gap_ratio
+    assert sol.gap_ratio == first and len(calls) == 1
