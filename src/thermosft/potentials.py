@@ -11,8 +11,9 @@ not propagate it into certificates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BadTheta,
@@ -185,125 +186,75 @@ class CohomologySpread:
         return self.width <= self.tol
 
 
-def _karp_min_mean(n_states: int, edges: list, source: int = 0):
+def _walk_table(n: int, src, dst, w, source: int, length: int):
+    """Least walk weights on the edge arrays ``src, dst, w``: row k holds,
+    for every state, the least weight of a walk of exactly k edges from
+    ``source`` (inf where there is none)."""
+    d = np.full((length + 1, n), np.inf)
+    d[0, source] = 0.0
+    for k in range(1, length + 1):
+        np.minimum.at(d[k], dst, d[k - 1, src] + w)
+    return d
+
+
+def _walk_back(d, src, dst, w, end: int):
+    """Edge indices of a least walk of len(d) - 1 edges ending at ``end``,
+    taking at each step the first edge, in edge order, that attains the
+    table value."""
+    walk = []
+    for k in range(len(d) - 1, 0, -1):
+        e = int(np.argmax((dst == end) & (d[k - 1, src] + w == d[k, end])))
+        walk.append(e)
+        end = src[e]
+    return np.array(walk[::-1], dtype=np.int64)
+
+
+def _karp_min_mean(n: int, src, dst, w):
     """Karp's minimum mean cycle on a strongly connected digraph.
 
-    Returns (mean, cycle_states).  d_k(v) is the least weight of a walk of
-    exactly k edges from the source; the classical min-max over
-    (d_n - d_k)/(n - k) gives the optimum, and the length-n walk to the
-    optimising vertex contains a critical cycle, which we extract and verify.
+    Returns (mean, cycle edge indices).  The walk table from state 0 gives
+    the classical min-max over (d_n - d_k)/(n - k); the least n-walk to the
+    optimising state contains a critical cycle.  Of the closed segments of
+    that walk, the one of least mean (the first by end, then start) is the
+    witness; row i of ``sums`` adds the walk's edge weights from step i on,
+    left to right from 0, so its mean is bit for bit the plain sum's.  If
+    that mean misses Karp's value by more than ``1e-9 * (1 + |value|)`` --
+    cancellation in a large coboundary part can cause this -- the repair
+    path decides instead.
     """
-    n = n_states
-    inf = math.inf
-    d = [[inf] * n for _ in range(n + 1)]
-    parent = [[-1] * n for _ in range(n + 1)]
-    d[0][source] = 0.0
-    for k in range(1, n + 1):
-        dk, dk1, pk = d[k], d[k - 1], parent[k]
-        for u, v, w in edges:
-            if dk1[u] < inf and dk1[u] + w < dk[v]:
-                dk[v] = dk1[u] + w
-                pk[v] = u
-    best_val = inf
-    best_v = -1
-    for v in range(n):
-        if d[n][v] == inf:
-            continue
-        worst = -inf
-        for k in range(n):
-            if d[k][v] == inf:
-                continue
-            worst = max(worst, (d[n][v] - d[k][v]) / (n - k))
-        if worst < best_val:
-            best_val = worst
-            best_v = v
-
-    weight = {(u, v): w for u, v, w in edges}
-    walk = [best_v]
-    cur = best_v
-    for k in range(n, 0, -1):
-        cur = parent[k][cur]
-        walk.append(cur)
-    walk.reverse()  # source ... best_v, length n+1
-
-    best_cycle = None
-    best_cycle_mean = inf
-    seen: dict = {}
-    for j, s in enumerate(walk):
-        for i in seen.get(s, ()):
-            seg = walk[i : j + 1]
-            total = sum(weight[(seg[t], seg[t + 1])] for t in range(len(seg) - 1))
-            mean = total / (len(seg) - 1)
-            if mean < best_cycle_mean:
-                best_cycle_mean = mean
-                best_cycle = seg
-        seen.setdefault(s, []).append(j)
-
-    scale = 1.0 + abs(best_val)
-    if best_cycle is None or abs(best_cycle_mean - best_val) > 1e-9 * scale:
-        return _minplus_min_mean(n, edges)
-    return best_cycle_mean, best_cycle
+    d = _walk_table(n, src, dst, w, 0, n)
+    with np.errstate(invalid="ignore"):
+        ratios = (d[n] - d[:n]) / (n - np.arange(n))[:, None]
+    ratios[np.isinf(d[:n])] = -np.inf
+    worst = ratios.max(axis=0)
+    worst[np.isinf(d[n])] = np.inf
+    end = int(np.argmin(worst))
+    walk = _walk_back(d, src, dst, w, end)
+    states = np.append(src[walk], end)
+    ends, starts = np.nonzero(np.tril(states[:, None] == states, -1))
+    tails = np.concatenate((w[walk], np.zeros(n)))[np.arange(n)[:, None] + np.arange(n)]
+    sums = np.cumsum(np.hstack((np.zeros((n, 1)), tails)), axis=1)
+    means = sums[starts, ends - starts] / (ends - starts)
+    best = int(np.argmin(means))
+    if abs(means[best] - worst[end]) > 1e-9 * (1.0 + abs(worst[end])):
+        return _closed_walk_min_mean(n, src, dst, w)
+    return float(means[best]), walk[starts[best] : ends[best]]
 
 
-def _minplus_min_mean(n_states: int, edges: list):
-    """Fallback: min over L of (cheapest closed L-walk)/L via min-plus powers.
+def _closed_walk_min_mean(n: int, src, dst, w):
+    """Repair path: the least (cheapest closed L-walk)/L over L <= n.
 
     A cheapest closed walk decomposes into cycles of mean at least the
-    optimum, and the critical cycle itself realises it, so the minimum over
-    L <= n_states is exact.
+    optimum, and the critical cycle itself realises it, so the minimum is
+    exact.  The closed L-walks at v are read from the walk table from v; the
+    first minimum in L-major, then state, order wins, and its walk is the
+    witness.
     """
-    inf = math.inf
-    n = n_states
-    w0 = [[inf] * n for _ in range(n)]
-    for u, v, w in edges:
-        w0[u][v] = min(w0[u][v], w)
-    power = [row[:] for row in w0]
-    best = (inf, 1, -1)  # (mean, length, vertex)
-    for length in range(1, n + 1):
-        if length > 1:
-            nxt = [[inf] * n for _ in range(n)]
-            for a in range(n):
-                pa = power[a]
-                for b in range(n):
-                    if pa[b] == inf:
-                        continue
-                    wb = w0[b]
-                    for c in range(n):
-                        cand = pa[b] + wb[c]
-                        if cand < nxt[a][c]:
-                            nxt[a][c] = cand
-            power = nxt
-        for v in range(n):
-            if power[v][v] < inf:
-                mean = power[v][v] / length
-                if mean < best[0]:
-                    best = (mean, length, v)
-    mean, length, v0 = best
-    # reconstruct one cheapest closed walk of that length from v0
-    dist = [inf] * n
-    dist[v0] = 0.0
-    pred = [[-1] * n for _ in range(length + 1)]
-    cur = dist
-    for t in range(1, length + 1):
-        nxt = [inf] * n
-        for u, v, w in edges:
-            if cur[u] < inf and cur[u] + w < nxt[v]:
-                nxt[v] = cur[u] + w
-                pred[t][v] = u
-        cur = nxt
-    cycle = [v0]
-    node = v0
-    for t in range(length, 0, -1):
-        node = pred[t][node]
-        cycle.append(node)
-    cycle.reverse()
-    return mean, cycle
-
-
-def _cycle_symbols(states: list, cycle_states: list) -> tuple:
-    """Periodic symbol sequence of a closed state path (states overlap by one
-    shift per step, so the first symbols spell the orbit)."""
-    return tuple(states[s][0] for s in cycle_states[:-1])
+    closed = np.array([_walk_table(n, src, dst, w, v, n)[1:, v] for v in range(n)]).T
+    means = closed / np.arange(1, n + 1)[:, None]
+    length, v = divmod(int(np.argmin(means)), n)
+    d = _walk_table(n, src, dst, w, v, length + 1)
+    return float(means[length, v]), _walk_back(d, src, dst, w, v)
 
 
 def potential_graph(psi: Potential):
@@ -317,17 +268,19 @@ def potential_graph(psi: Potential):
 
 
 def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
-    """Extreme cycle means of psi, computed by Karp's method run on psi and
-    on -psi (one well-tested primitive, used twice)."""
+    """Extreme cycle means of psi: Karp's method on the edge arrays of its
+    word graph, run on psi and on -psi.  Each witness is the periodic symbol
+    sequence of its cycle (states overlap by one shift per step, so their
+    first symbols spell the orbit)."""
     words, _, edges = potential_graph(psi)
-    lo, cyc_lo = _karp_min_mean(len(words), edges)
-    neg_edges = [(u, v, -w) for u, v, w in edges]
-    hi_neg, cyc_hi = _karp_min_mean(len(words), neg_edges)
+    src, dst, w = (np.array(col) for col in zip(*edges))
+    lo, cyc_lo = _karp_min_mean(len(words), src, dst, w)
+    hi_neg, cyc_hi = _karp_min_mean(len(words), src, dst, -w)
     return CohomologySpread(
         min_mean=lo,
         max_mean=-hi_neg,
-        witness_min=_cycle_symbols(words, cyc_lo),
-        witness_max=_cycle_symbols(words, cyc_hi),
+        witness_min=tuple(words[s][0] for s in src[cyc_lo]),
+        witness_max=tuple(words[s][0] for s in src[cyc_hi]),
         tol=tol,
     )
 

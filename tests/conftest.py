@@ -96,7 +96,9 @@ def brute_variations(tm, r, table):
 
 
 def simple_cycles(num_states, edges):
-    """All simple cycles of a digraph, each anchored at its smallest state."""
+    """All simple cycles of a digraph as (total weight, length), each anchored
+    at its smallest state.  Totals start from the integer 0, so Fraction
+    weights give exact totals."""
     adj = {}
     for u, v, w in edges:
         adj.setdefault(u, []).append((v, w))
@@ -110,7 +112,7 @@ def simple_cycles(num_states, edges):
                 extend(anchor, nxt, path_nodes | {nxt}, path_weight + w)
 
     for a in range(num_states):
-        extend(a, a, {a}, 0.0)
+        extend(a, a, {a}, 0)
     return cycles
 
 

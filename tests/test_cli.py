@@ -132,15 +132,26 @@ def test_ldp_command_monte_carlo(tmp_path):
     assert mass_rate == pytest.approx(math.log(45 / 1024) / 10, abs=0.05)
 
 
-def test_spread_command(tmp_path):
+#: spread CSV fields per fixture: min_mean, max_mean, witness_min, witness_max
+SPREADS = {
+    "bernoulli": (0.0, 1.0, "2", "1"),
+    "golden_mean": (0.0, 0.5, "2", "1-2"),
+    "random_range3": (0.0902, 0.7362, "1", "2"),
+}
+
+
+@pytest.mark.parametrize("fixture", list(SPREADS))
+def test_spread_command(tmp_path, fixture):
+    min_mean, max_mean, witness_min, witness_max = SPREADS[fixture]
     out = tmp_path / "spread.csv"
-    code = run(["spread", "--config", FIXTURES / "golden_mean.json", "--out", out])
+    code = run(["spread", "--config", FIXTURES / f"{fixture}.json", "--out", out])
     assert code == 0
     lines = out.read_text().splitlines()
     header, row = lines[0].split(","), lines[1].split(",")
     record = dict(zip(header, row))
-    assert float(record["min_mean"]) == 0.0
-    assert float(record["max_mean"]) == 0.5
+    assert float(record["min_mean"]) == min_mean
+    assert float(record["max_mean"]) == max_mean
+    assert (record["witness_min"], record["witness_max"]) == (witness_min, witness_max)
     assert record["cohomologous_to_constant"] == "false"
 
 

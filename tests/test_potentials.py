@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +14,23 @@ from thermosft import (
     affine_combine,
     birkhoff_sum,
     cohomology_spread,
+    enumerate_words,
     indicator_example,
     make_potential,
     shift_nonnegative,
+    validate_transitions,
 )
-from thermosft.potentials import variations
+from thermosft import potentials
+from thermosft.potentials import potential_graph, variations
 
-from conftest import brute_cycle_means, brute_variations, make_pot, random_aperiodic, random_potential
+from conftest import (
+    brute_cycle_means,
+    brute_variations,
+    make_pot,
+    random_aperiodic,
+    random_potential,
+    simple_cycles,
+)
 
 
 def test_zero_potential_norms(full2):
@@ -171,6 +183,99 @@ def test_spread_shift_invariance(golden):
     sps = cohomology_spread(shifted)
     assert sps.min_mean == pytest.approx(sp.min_mean + 0.35, abs=1e-12)
     assert sps.max_mean == pytest.approx(sp.max_mean + 0.35, abs=1e-12)
+
+
+def _loop_karp(n, edges):
+    """Karp's method as plain loops over (u, v, w) edges from state 0: the
+    reference the walk table must match bit for bit.  Returns (cycle mean,
+    Karp's value, cycle edge indices)."""
+    d = [[math.inf] * n for _ in range(n + 1)]
+    parent = [[-1] * n for _ in range(n + 1)]
+    d[0][0] = 0.0
+    for k in range(1, n + 1):
+        for e, (u, v, w) in enumerate(edges):
+            if d[k - 1][u] + w < d[k][v]:
+                d[k][v] = d[k - 1][u] + w
+                parent[k][v] = e
+    value, end = math.inf, -1
+    for v in range(n):
+        if d[n][v] < math.inf:
+            worst = max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] < math.inf)
+            if worst < value:
+                value, end = worst, v
+    walk = []
+    for k in range(n, 0, -1):
+        walk.append(parent[k][end])
+        end = edges[walk[-1]][0]
+    walk.reverse()
+    states = [edges[e][0] for e in walk] + [edges[walk[-1]][1]]
+    mean, cycle = math.inf, None
+    for j in range(n + 1):
+        for i in range(j):
+            if states[i] == states[j]:
+                m = sum(edges[e][2] for e in walk[i:j]) / (j - i)
+                if m < mean:
+                    mean, cycle = m, walk[i:j]
+    return mean, value, cycle
+
+
+def test_karp_walk_table_matches_loop_reference():
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        s0 = int(rng.integers(2, 5))
+        r = int(rng.integers(1, 3)) if s0 == 4 else int(rng.integers(1, 4))
+        tm = random_aperiodic(rng, s0)
+        psi = random_potential(rng, tm, r, lattice=4 if case % 2 else None)
+        words, _, edges = potential_graph(psi)
+        src, dst, w = (np.array(col) for col in zip(*edges))
+        for sign in (1.0, -1.0):
+            mean, value, cycle = _loop_karp(len(words), [(u, v, sign * x) for u, v, x in edges])
+            assert abs(mean - value) <= 1e-9 * (1.0 + abs(value))
+            got_mean, got_cycle = potentials._karp_min_mean(len(words), src, dst, sign * w)
+            assert got_mean.hex() == mean.hex()
+            assert got_cycle.tolist() == cycle
+
+
+def test_spread_repair_path_on_large_coboundary(full2, monkeypatch):
+    """psi = g(bc) - g(ab) + u(abc) with g near 1e8: the coboundary cancels
+    around every cycle exactly, but not in floating point, so Karp's witness
+    check fails and the closed-walk repair decides both endpoints."""
+    rng = np.random.default_rng(0)
+    g = {w: rng.uniform(-1e8, 1e8) for w in enumerate_words(full2, 2)}
+    table = {w: g[w[1:]] - g[w[:2]] + rng.uniform(0.0, 1.0) for w in enumerate_words(full2, 3)}
+    psi = make_potential(full2, 3, table, 0.5)
+    repairs = []
+    repair = potentials._closed_walk_min_mean
+
+    def spy(*args):
+        repairs.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(potentials, "_closed_walk_min_mean", spy)
+    sp = cohomology_spread(psi)
+    assert repairs
+    words, _, edges = potential_graph(psi)
+    exact = [(u, v, Fraction(w)) for u, v, w in edges]
+    means = [total / length for total, length in simple_cycles(len(words), exact)]
+    assert abs(sp.min_mean - float(min(means))) <= 1e-7
+    assert abs(sp.max_mean - float(max(means))) <= 1e-7
+
+
+def test_spread_729_states_within_budget():
+    """Full 3-shift, range-7 psi: 0 on the orbit 123, 1 on the orbit 1122,
+    in [0.25, 0.75] elsewhere, so the spread is exactly [0, 1]."""
+    tm = validate_transitions(np.ones((3, 3), dtype=int))
+    rng = np.random.default_rng(0)
+    table = {w: rng.uniform(0.25, 0.75) for w in enumerate_words(tm, 7)}
+    table.update({((1, 2, 3) * 3)[j : j + 7]: 0.0 for j in range(3)})
+    table.update({((1, 1, 2, 2) * 3)[j : j + 7]: 1.0 for j in range(4)})
+    psi = make_potential(tm, 7, table, 0.5)
+    start = time.perf_counter()
+    sp = cohomology_spread(psi)
+    elapsed = time.perf_counter() - start
+    assert (sp.min_mean, sp.max_mean) == (0.0, 1.0)
+    assert (sp.witness_min, sp.witness_max) == ((1, 2, 3), (1, 1, 2, 2))
+    assert elapsed < 1.5, f"cohomology_spread took {elapsed:.2f}s on 729 states"
 
 
 def test_shift_nonnegative(full2):
