@@ -10,11 +10,15 @@ mass near the window edges is reported as slack (the true open-window mass
 lies in [mass, mass + slack]).
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
-bit-reproducible: the generator is numpy's default PCG64 and states are drawn
-by inverse CDF against cumulative transition rows, so a fixed seed fixes the
+bit-reproducible: the generator is numpy's default PCG64 and each step draws
+the next edge by inverse CDF against the cumulative probabilities of the
+current state's out-edges (at most s0 of them), so a fixed seed fixes the
 entire draw sequence.  On a value lattice it sums integer lattice steps and
 decides the window with the same exact edges as the DP, so both methods
 agree on which atoms the open window holds.
+
+Both methods run on the edge arrays of the measure's ``chain``, refined so
+that every edge carries one value of the observable.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import numpy as np
 
 from .errors import Infeasible, ModelMismatch, ValidationError
 from .potentials import Potential
-from .sft import state_graph
 from .transfer import MarkovMeasure, integrate, refine_measure
 
 #: memory budget for the DP mass table
@@ -66,18 +69,16 @@ def _log_rate(mass: float, n: int) -> float:
 
 def _edge_data(mu: MarkovMeasure, psi: Potential):
     """Markov chain refined so every edge determines one observable value;
-    returns (measure, edges) with edges as (u, v, value, probability)."""
-    if not mu.tm.same_space(psi.tm) or mu.theta != psi.theta:
+    returns (measure, value of psi on each edge of its chain)."""
+    if not mu.chain.tm.same_space(psi.tm) or mu.theta != psi.theta:
         raise ModelMismatch("measure and observable live over different shift spaces")
-    k = max(mu.k, psi.r - 1, 1)
-    mu = refine_measure(mu, k)
-    _, _, raw = state_graph(mu.tm, k)
-    edges = []
-    for u, v, overlap in raw:
-        p_uv = float(mu.P[u, v])
-        if p_uv > 0.0:
-            edges.append((u, v, psi.table[overlap[: psi.r]], p_uv))
-    return mu, edges
+    mu = refine_measure(mu, psi.r - 1)
+    words = mu.chain.state_words
+    values = [
+        psi.table[(words[u] + words[v][-1:])[: psi.r]]
+        for u, v in zip(mu.chain.src.tolist(), mu.chain.dst.tolist())
+    ]
+    return mu, values
 
 
 def _lattice_units(values):
@@ -132,19 +133,22 @@ def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
     return max(key_lo, -1), min(key_hi, n * max(steps) + 1)
 
 
-def _dp_masses(size: int, edges_int, pi: np.ndarray, n: int, n_keys: int) -> np.ndarray:
+def _dp_masses(mu: MarkovMeasure, steps, n: int, n_keys: int) -> np.ndarray:
     """Mass per (final aggregate key), summing over end states; key axis is
-    the integer-valued running total of edge steps."""
+    the integer-valued running total of the chain's edge ``steps``."""
+    chain = mu.chain
+    size = chain.size
     if size * n_keys * 8 > DP_BUDGET_BYTES:
         raise Infeasible(
             f"DP table of {size} states x {n_keys} keys exceeds the 2 GiB budget; "
             "use the Monte Carlo estimator"
         )
+    edges = list(zip(chain.src.tolist(), chain.dst.tolist(), steps, chain.edge_weights.tolist()))
     cur = np.zeros((size, n_keys))
-    cur[:, 0] = pi
+    cur[:, 0] = mu.pi
     for _ in range(n):
         nxt = np.zeros((size, n_keys))
-        for u, v, step, p_uv in edges_int:
+        for u, v, step, p_uv in edges:
             if step == 0:
                 nxt[v, :] += p_uv * cur[u, :]
             else:
@@ -162,21 +166,14 @@ def exact_window_mass(
         raise ValidationError(f"n must be >= 1, got {n}")
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    mu, edges = _edge_data(mu, psi)
-    values = [e[2] for e in edges]
+    mu, values = _edge_data(mu, psi)
 
     lattice = _lattice_steps(values)
     if lattice is not None:
         steps = lattice[0]
         n_keys = n * max(steps) + 1
         try:
-            masses = _dp_masses(
-                mu.size,
-                [(u, v, s, pr) for (u, v, _, pr), s in zip(edges, steps)],
-                mu.pi,
-                n,
-                n_keys,
-            )
+            masses = _dp_masses(mu, steps, n, n_keys)
         except Infeasible:
             lattice = None
         if lattice is not None:
@@ -196,13 +193,7 @@ def exact_window_mass(
     offset = min(quant)
     rel = [qv - offset for qv in quant]
     n_keys = n * max(rel) + 1 if rel else 1
-    masses = _dp_masses(
-        mu.size,
-        [(u, v, s, pr) for (u, v, _, pr), s in zip(edges, rel)],
-        mu.pi,
-        n,
-        n_keys,
-    )
+    masses = _dp_masses(mu, rel, n, n_keys)
     half = width / 2.0
     mass = 0.0
     slack = 0.0
@@ -278,8 +269,8 @@ def sample_paths(
 ) -> WindowMass:
     """Monte Carlo estimate of the window mass.
 
-    Paths start from the stationary vector and step through the transition
-    rows; all draws are uniform doubles from ``numpy.random.default_rng``
+    Paths start from the stationary vector and step along the chain's
+    out-edges; all draws are uniform doubles from ``numpy.random.default_rng``
     (PCG64) consumed in a fixed order, so identical seeds give bit-identical
     results.  When psi has a value lattice each path sums integer lattice
     steps and the window is decided exactly, as in ``exact_window_mass``.
@@ -289,27 +280,38 @@ def sample_paths(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    mu, edges = _edge_data(mu, psi)
-    size = mu.size
-    values = [e[2] for e in edges]
+    mu, values = _edge_data(mu, psi)
+    chain = mu.chain
     lattice = _lattice_steps(values)
     # on a lattice each path sums integer steps, so the window test is exact
-    steps = values if lattice is None else lattice[0]
-    value_matrix = np.zeros((size, size), dtype=float if lattice is None else np.int64)
-    for (u, v, _, _), step in zip(edges, steps):
-        value_matrix[u, v] = step
+    steps = np.array(values if lattice is None else lattice[0])
+
+    # successor tables, states x largest out-degree: cell (u, j) holds the
+    # j-th edge out of u.  Cumulative probabilities read +inf from each row's
+    # last edge on, so a draw at or above a row's float total (rows miss 1 by
+    # rounding) takes the last edge and paths never leave the graph
+    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
+    degree = np.bincount(chain.src, minlength=chain.size)
+    width = int(degree.max())
+    cum_P = np.zeros((chain.size, width))
+    cum_P[chain.src, slot] = chain.edge_weights
+    cum_P = np.cumsum(cum_P, axis=1)
+    cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
+    cell = chain.src * width + slot
+    succ = np.zeros(chain.size * width, dtype=np.intp)
+    succ[cell] = chain.dst
+    step_of = np.zeros(chain.size * width, dtype=steps.dtype)
+    step_of[cell] = steps
 
     rng = np.random.default_rng(seed)
     cum_pi = np.cumsum(mu.pi)
-    cum_P = np.cumsum(mu.P, axis=1)
-    states = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), size - 1)
-    sums = np.zeros(trials, dtype=value_matrix.dtype)
+    states = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), chain.size - 1)
+    sums = np.zeros(trials, dtype=steps.dtype)
     for _ in range(n):
         draws = rng.random(trials)
-        rows = cum_P[states]
-        nxt = np.minimum((rows <= draws[:, None]).sum(axis=1), size - 1)
-        sums += value_matrix[states, nxt]
-        states = nxt
+        cells = states * width + (cum_P[states] <= draws[:, None]).sum(axis=1)
+        sums += step_of[cells]
+        states = succ[cells]
     if lattice is None:
         avgs = sums / n
         inside = (avgs > p - delta) & (avgs < p + delta)

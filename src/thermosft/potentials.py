@@ -261,10 +261,9 @@ def potential_graph(psi: Potential):
     """Weighted digraph whose cycles carry the Birkhoff averages of psi:
     states are (r-1)-words (symbols when r = 1), the weight of an edge is the
     value of psi on the overlap word."""
-    k = max(1, psi.r - 1)
-    words, index, raw_edges = state_graph(psi.tm, k)
-    edges = [(u, v, psi.table[ow[: psi.r]]) for u, v, ow in raw_edges]
-    return words, index, edges
+    words, index, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
+    weights = (psi.table[ow[: psi.r]] for ow in overlaps)
+    return words, index, list(zip(src.tolist(), dst.tolist(), weights))
 
 
 def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
@@ -278,7 +277,8 @@ def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
     hi_neg, cyc_hi = _karp_min_mean(len(words), src, dst, -w)
     return CohomologySpread(
         min_mean=lo,
-        max_mean=-hi_neg,
+        # 0.0 - x is x negated, except that it maps +0.0 to +0.0, not -0.0
+        max_mean=0.0 - hi_neg,
         witness_min=tuple(words[s][0] for s in src[cyc_lo]),
         witness_max=tuple(words[s][0] for s in src[cyc_hi]),
         tol=tol,

@@ -6,8 +6,9 @@ difference rather than assuming the base pressure is exactly zero makes the
 objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
 is concave with monotone derivative, so a sign-change bracket plus bisection
-is sound; a finite-difference Newton polish sharpens the maximiser at the
-end (robustness first, speed second).
+is sound.  The maximisation runs on psi centred on its cycle-mean spread
+(and p shifted alike), which leaves the rate unchanged and keeps the tilts
+that overflow far from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
 once per call; within a rate evaluation each tilt is solved once and reused
@@ -17,7 +18,7 @@ for both the objective and its derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,8 +38,6 @@ TOL_GRAD = 1e-10
 TOL_END = 1e-9
 #: bisection step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
-#: Newton polish steps after bisection
-NEWTON_STEPS = 8
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
 #: tilted matrices approach a periodic structure the solver cannot handle
 BOUNDARY_Q_CAP = 20.0
@@ -145,8 +144,8 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
 
     Refuses observables whose cycle-mean spread is below tolerance; p outside
     the open spread interval reports +inf, p at an endpoint reports a lower
-    bound.  Inside, the derivative is bracketed by doubling, bisected to
-    TOL_GRAD and polished with finite-difference Newton steps.
+    bound.  Inside, the derivative is bracketed by doubling and bisected to
+    TOL_GRAD.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family.base)
@@ -157,6 +156,12 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     at_boundary = (
         abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
     )
+    # the rate is unchanged when psi and p shift by one constant; centring
+    # psi on its spread makes the overflow cap on q scale with the spread,
+    # not with psi's distance from 0
+    centre = 0.5 * (spread.min_mean + spread.max_mean)
+    family = replace(family, psi_e=family.psi_e - centre)
+    level = p - centre
 
     solved: dict = {}
 
@@ -168,12 +173,12 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     base = tilt(0.0)[0]
 
     def dgamma(q: float) -> float:
-        return p - tilt(q)[1]
+        return level - tilt(q)[1]
 
     def gamma_at(q: float) -> float:
         if q == 0.0:
             return 0.0
-        return p * q - (tilt(q)[0] - base)
+        return level * q - (tilt(q)[0] - base)
 
     d0 = dgamma(0.0)
     if abs(d0) <= TOL_GRAD:
@@ -195,7 +200,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
         )
 
-    q_cap = 700.0 / max(psi.sup_norm, 1e-12)
+    q_cap = 700.0 / max(float(np.max(np.abs(family.psi_e))), 1e-12)
     q_lo = 0.0
     q_hi = direction
     best_gamma = 0.0
@@ -234,22 +239,6 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             b = q_star
         q_star = 0.5 * (a + b)
         d_star = dgamma(q_star)
-
-    # Newton polish with finite-difference curvature
-    for _ in range(NEWTON_STEPS):
-        if abs(d_star) <= TOL_GRAD:
-            break
-        h = 1e-6 * max(1.0, abs(q_star))
-        curv = (dgamma(q_star + h) - dgamma(q_star - h)) / (2.0 * h)
-        if curv >= 0.0:
-            break
-        q_next = q_star - d_star / curv
-        if not a <= q_next <= b:
-            break
-        d_next = dgamma(q_next)
-        if abs(d_next) >= abs(d_star):
-            break
-        q_star, d_star = q_next, d_next
 
     value = gamma_at(q_star)
     return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))

@@ -10,6 +10,7 @@ emits is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,12 @@ class TransitionMatrix:
     def allows(self, a: int, b: int) -> bool:
         return self.entries[a - 1, b - 1] != 0
 
+    @cached_property
+    def _successors(self) -> tuple:
+        return tuple(tuple(int(j) + 1 for j in np.nonzero(row)[0]) for row in self.entries)
+
     def successors(self, a: int) -> tuple:
-        row = self.entries[a - 1]
-        return tuple(int(j) + 1 for j in np.nonzero(row)[0])
+        return self._successors[a - 1]
 
     def is_admissible(self, word: Word) -> bool:
         if len(word) == 0:
@@ -133,27 +137,17 @@ def cylinder_distance(w: Word, v: Word, theta: float) -> float:
 
 
 def state_graph(tm: TransitionMatrix, k: int):
-    """State words of length k plus the overlap edges between them.
+    """State words of length k plus the overlap edges between them, as arrays.
 
-    Returns (words, index, edges) where edges is a list of
-    (u_index, v_index, overlap_word); the overlap word has length k+1 and is
-    admissible exactly when the edge exists.  Edge order is fixed by the
-    lexicographic state enumeration.
+    Returns (words, index, src, dst, overlaps).  Edge j is the admissible
+    (k+1)-word ``overlaps[j]``; it runs from state ``src[j]`` (its first k
+    symbols) to state ``dst[j]`` (its last k).  Edges are the (k+1)-words in
+    lexicographic order, so ``src`` is nondecreasing and, within one source,
+    ``dst`` increases.
     """
     words = enumerate_words(tm, k)
     index = {w: i for i, w in enumerate(words)}
-    edges = []
-    if k == 1:
-        for ui, u in enumerate(words):
-            for b in tm.successors(u[0]):
-                edges.append((ui, index[(b,)], u + (b,)))
-        return words, index, edges
-    by_prefix: dict = {}
-    for vi, v in enumerate(words):
-        by_prefix.setdefault(v[:-1], []).append(vi)
-    for ui, u in enumerate(words):
-        for vi in by_prefix.get(u[1:], ()):
-            v = words[vi]
-            if tm.allows(u[-1], v[-1]):
-                edges.append((ui, vi, u + (v[-1],)))
-    return words, index, edges
+    overlaps = [w + (b,) for w in words for b in tm.successors(w[-1])]
+    src = np.repeat(np.arange(len(words)), [len(tm.successors(w[-1])) for w in words])
+    dst = np.array([index[w[1:]] for w in overlaps], dtype=np.intp)
+    return words, index, src, dst, overlaps

@@ -12,7 +12,10 @@ states, at most s0 per row, so a mat-vec is a single ``np.bincount``; the
 dense n x n view is built only when something reads it.  The tilted family
 ``phi + q*psi`` behind pressure curves and rate functions is one
 ``TiltedFamily``: the state graph and both edge tables are built once per
-(phi, psi), and each tilt only re-exponentiates ``phi_e + q*psi_e``.
+(phi, psi), and each tilt only re-exponentiates ``phi_e + q*psi_e``.  An
+equilibrium Markov chain is a ``TransferMatrix`` too, its edge weights the
+transition probabilities, so the deviation DP and the sampler walk the same
+edge arrays.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ class TransferMatrix:
     """Weight matrix over k-word states, held as edge arrays.
 
     Edge j runs from state ``src[j]`` to state ``dst[j]`` (v extends u by one
-    symbol) and carries ``edge_weights[j] = exp(f(w))`` for the (k+1)-word w
-    the two states overlap in.  Applying the operator to a state vector g sums
+    symbol), the edges in the order of ``sft.state_graph``.  For the
+    transfer operator of f it carries ``edge_weights[j] = exp(f(w))`` for
+    the (k+1)-word w the two states overlap in; for an equilibrium chain,
+    the transition probability.  Applying the operator to a state vector g sums
     over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
     the edges into v; ``adjoint`` is the transposed action.  ``weights`` is
     the dense view (``weights[u, v]`` is the weight of edge u -> v, 0 where
@@ -85,17 +90,17 @@ def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
     """(transfer matrix of f on k-word states, f on its edges, [each
     observable on its edges]); a potential is read on the edge's overlap
     word."""
-    words, index, edges = state_graph(f.tm, k)
+    words, index, src, dst, overlaps = state_graph(f.tm, k)
     f_e, *obs_e = (
-        _frozen(np.array([g.table[w[: g.r]] for _, _, w in edges])) for g in (f, *observables)
+        _frozen(np.array([g.table[w[: g.r]] for w in overlaps])) for g in (f, *observables)
     )
     T = TransferMatrix(
         tm=f.tm,
         k=k,
         state_words=tuple(words),
         index=index,
-        src=_frozen(np.array([u for u, _, _ in edges], dtype=np.intp)),
-        dst=_frozen(np.array([v for _, v, _ in edges], dtype=np.intp)),
+        src=_frozen(src),
+        dst=_frozen(dst),
         edge_weights=_frozen(np.exp(f_e)),
     )
     return T, f_e, obs_e
@@ -158,15 +163,9 @@ def _gap_estimate(T: TransferMatrix, lam: float, h: np.ndarray, nu: np.ndarray) 
     complementary to the Perron direction, divided by the eigenvalue."""
     start = np.ones(T.size)
     start[1::2] = -1.0
+    # h > 0, so one parity class of w has entries of size >= 1: w is never 0
     w = start - h * float(nu @ start)
-    norm = np.linalg.norm(w)
-    if norm < 1e-200:
-        w = -h.copy()
-        w[0] += 1.0
-        norm = np.linalg.norm(w)
-        if norm < 1e-200:
-            return 0.0
-    w = w / norm
+    w = w / np.linalg.norm(w)
     logs = []
     for step in range(GAP_WARMUP + GAP_MEASURE):
         y = T.apply(w) - lam * h * float(nu @ w)
@@ -302,61 +301,56 @@ def normalize_potential(f: Potential) -> Potential:
 class MarkovMeasure:
     """Stationary Markov measure on k-word states.
 
-    ``pi`` is the stationary vector proportional to h * nu; the transition
-    matrix sends state u to state v with probability
-    ``weights[u, v] * nu[v] / (lam * nu[u])``, which is row stochastic because
-    nu is the right eigenvector of the forward weight matrix.
+    ``chain`` holds the transition probabilities on the edges of the state
+    graph: edge u -> v of weight w gets ``w * nu[v] / (lam * nu[u])``, which
+    sums to 1 over each row because nu is the right eigenvector of the
+    forward weight matrix.  ``pi`` is the stationary vector proportional to
+    h * nu.  The state graph (``tm``, ``k``, ``state_words``, ``index``,
+    ``size``) is read from ``chain``; ``P`` is its dense view, built on first
+    read.
     """
 
-    tm: TransitionMatrix
     theta: float
-    k: int
-    state_words: tuple
-    index: dict
     pi: np.ndarray
-    P: np.ndarray
+    chain: TransferMatrix
 
     @property
-    def size(self) -> int:
-        return len(self.state_words)
+    def P(self) -> np.ndarray:
+        return self.chain.weights
 
 
 def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
     """Equilibrium state of f as a Markov measure on k-word states."""
     T, sol = solve_potential(f, k_min=k)
     pi = sol.h * sol.nu
-    pi = pi / pi.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = T.weights * sol.nu[None, :] / (sol.lam * sol.nu[:, None])
-    P = np.where(T.weights > 0.0, P, 0.0)
-    pi.flags.writeable = False
-    P.flags.writeable = False
+    probs = T.edge_weights * sol.nu[T.dst] / (sol.lam * sol.nu[T.src])
     return MarkovMeasure(
-        tm=f.tm,
         theta=f.theta,
-        k=T.k,
-        state_words=T.state_words,
-        index=T.index,
-        pi=pi,
-        P=P,
+        pi=_frozen(pi / pi.sum()),
+        chain=replace(T, edge_weights=_frozen(probs)),
     )
 
 
 def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
-    """Exact refinement to longer word states via transition products."""
-    if k_new <= mu.k:
+    """Exact refinement to longer word states via transition products: a
+    fine edge moves with the probability of the coarse edge between the
+    last ``mu.chain.k`` symbols of its two states."""
+    coarse = mu.chain
+    if k_new <= coarse.k:
         return mu
-    words, index, edges = state_graph(mu.tm, k_new)
-    pi = np.array([cylinder_mass(mu, w) for w in words])
-    size = len(words)
-    P = np.zeros((size, size))
-    for u, v, _ in edges:
-        P[u, v] = mu.P[mu.index[words[u][-mu.k :]], mu.index[words[v][-mu.k :]]]
-    pi.flags.writeable = False
-    P.flags.writeable = False
-    return MarkovMeasure(
-        tm=mu.tm, theta=mu.theta, k=k_new, state_words=tuple(words), index=index, pi=pi, P=P
+    words, index, src, dst, _ = state_graph(coarse.tm, k_new)
+    tail = np.array([coarse.index[w[-coarse.k :]] for w in words], dtype=np.intp)
+    chain = TransferMatrix(
+        tm=coarse.tm,
+        k=k_new,
+        state_words=tuple(words),
+        index=index,
+        src=_frozen(src),
+        dst=_frozen(dst),
+        edge_weights=_frozen(coarse.weights[tail[src], tail[dst]]),
     )
+    pi = np.array([cylinder_mass(mu, w) for w in words])
+    return MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
 
 
 def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
@@ -364,16 +358,15 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
     (that keeps window sums free of special cases).  Long products are summed
     in log space to survive hundreds of factors."""
     w = tuple(w)
-    if not mu.tm.is_admissible(w):
+    chain = mu.chain
+    k = chain.k
+    if not chain.tm.is_admissible(w):
         return 0.0
-    if len(w) < mu.k:
-        return float(sum(mu.pi[i] for i, sw in enumerate(mu.state_words) if sw[: len(w)] == w))
-    first = mu.index[w[: mu.k]]
-    log_mass = math.log(mu.pi[first])
-    for t in range(len(w) - mu.k):
-        u = mu.index[w[t : t + mu.k]]
-        v = mu.index[w[t + 1 : t + 1 + mu.k]]
-        p = mu.P[u, v]
+    if len(w) < k:
+        return float(sum(mu.pi[i] for i, sw in enumerate(chain.state_words) if sw[: len(w)] == w))
+    log_mass = math.log(mu.pi[chain.index[w[:k]]])
+    for t in range(len(w) - k):
+        p = mu.P[chain.index[w[t : t + k]], chain.index[w[t + 1 : t + 1 + k]]]
         if p <= 0.0:
             return 0.0
         log_mass += math.log(p)
@@ -382,10 +375,12 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
 
 def integrate(mu: MarkovMeasure, g: Potential) -> float:
     """Exact integral of a finite-range potential against the measure."""
-    if not mu.tm.same_space(g.tm) or mu.theta != g.theta:
+    if not mu.chain.tm.same_space(g.tm) or mu.theta != g.theta:
         raise ModelMismatch("measure and potential live over different shift spaces")
-    if g.r <= mu.k:
-        return float(sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.state_words)))
+    if g.r <= mu.chain.k:
+        return float(
+            sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.chain.state_words))
+        )
     return float(sum(g.table[w] * cylinder_mass(mu, w) for w in enumerate_words(g.tm, g.r)))
 
 

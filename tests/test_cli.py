@@ -155,6 +155,16 @@ def test_spread_command(tmp_path, fixture):
     assert record["cohomologous_to_constant"] == "false"
 
 
+def test_spread_command_writes_no_negative_zero(tmp_path):
+    model = json.loads((FIXTURES / "bernoulli.json").read_text())
+    model["observable_psi"]["values"] = {"1": 0.0, "2": -1.0}
+    cfg = tmp_path / "nonpositive.json"
+    cfg.write_text(json.dumps(model))
+    out = tmp_path / "spread.csv"
+    assert run(["spread", "--config", cfg, "--out", out]) == 0
+    assert out.read_text().splitlines()[1] == "-1,0,2,1,false"
+
+
 def test_normalize_round_trip(tmp_path):
     out = tmp_path / "norm.json"
     code = run(["normalize", "--config", FIXTURES / "golden_mean.json", "--out", out])

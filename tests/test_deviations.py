@@ -12,6 +12,7 @@ from thermosft import (
     normalize_potential,
     rate_function,
     sample_paths,
+    validate_transitions,
 )
 
 from conftest import (
@@ -204,3 +205,31 @@ def test_monte_carlo_zero_hits_keep_positive_slack(bernoulli_model):
     # at zero hits the Wilson interval is [0, z^2 / (trials + z^2)]
     assert wm.slack > 0.0
     assert wm.slack == pytest.approx(0.5 * 1.96**2 / (trials + 1.96**2), rel=1e-12)
+
+
+def test_monte_carlo_never_leaves_the_graph(monkeypatch):
+    # golden mean without 2 -> 2: power iteration leaves the only edge out of
+    # symbol 2 with probability 0.9999999999999304, below the largest draw
+    tm = validate_transitions([[1, 1], [1, 0]])
+    f = make_pot(tm, 1, {"1": 0.21327155153435973, "2": 0.4589931219679968})
+    psi = make_pot(tm, 1, {"1": 1.0, "2": 0.0})
+    mu = equilibrium_measure(f, k=1)
+    top = 1.0 - 2.0**-53
+    assert mu.P[1, 0] < top
+
+    class TopDraws:
+        def random(self, size):
+            return np.full(size, top)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+    # every path alternates 2, 1, 2, ...: half of its steps read symbol 1
+    wm = sample_paths(mu, psi, 10, 4, 0, 0.5, 0.05)
+    assert wm.mass == 1.0
+
+
+def test_window_masses_build_no_dense_chain(coin):
+    phi, psi, _ = coin
+    mu = equilibrium_measure(phi, k=1)
+    exact_window_mass(mu, psi, 12, 0.5, 0.1)
+    sample_paths(mu, psi, 12, 100, 0, 0.5, 0.1)
+    assert "weights" not in vars(mu.chain)

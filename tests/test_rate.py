@@ -116,6 +116,20 @@ def test_rate_function_bernoulli_closed_form(bernoulli):
     assert out.status == "outside" and math.isinf(out.value)
 
 
+def test_rate_interior_when_psi_sits_far_from_zero(bernoulli, full2):
+    # psi's spread is 1e-6 and its values sit near 1: the overflow cap on q
+    # must follow the spread, or the bracket stops short of the maximiser
+    phi, _ = bernoulli
+    psi = make_pot(full2, 1, {"1": 1.0, "2": 0.999999})
+    p = 0.9999999
+    rv = rate_function(phi, psi, p)
+    x = (p - 0.999999) / (1.0 - 0.999999)
+    assert rv.status == "interior"
+    assert rv.value == pytest.approx(
+        x * math.log(2 * x) + (1 - x) * math.log(2 * (1 - x)), abs=1e-7
+    )
+
+
 def test_rate_local_maximality(bernoulli):
     phi, psi = bernoulli
     for p in (0.2, 0.35, 0.65, 0.9):

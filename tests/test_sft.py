@@ -11,6 +11,7 @@ from thermosft import (
     validate_transitions,
 )
 from thermosft.errors import BadTheta
+from thermosft.sft import state_graph
 
 from conftest import random_aperiodic
 
@@ -91,6 +92,19 @@ def test_enumerated_words_are_admissible():
             for w in enumerate_words(tm, k):
                 for a, b in zip(w, w[1:]):
                     assert tm.entries[a - 1, b - 1] == 1
+
+
+def test_state_graph_edges_are_the_longer_words_in_order():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        tm = random_aperiodic(rng, int(rng.integers(2, 5)))
+        for k in (1, 2, 3):
+            words, index, src, dst, overlaps = state_graph(tm, k)
+            assert words == enumerate_words(tm, k)
+            assert overlaps == enumerate_words(tm, k + 1)
+            assert [words[u] for u in src] == [w[:k] for w in overlaps]
+            assert [words[v] for v in dst] == [w[1:] for w in overlaps]
+            assert all(index[w] == i for i, w in enumerate(words))
 
 
 def test_cylinder_distance_examples():
