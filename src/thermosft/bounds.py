@@ -24,12 +24,12 @@ from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
 from .potentials import Potential, affine_combine, make_potential, require_not_constant
 from .rate import rate_function
 from .transfer import (
+    _rpf_bound_report,
     equilibrium_measure,
     integrate,
     solve_potential,
     state_norms,
     tilted_family,
-    verify_rpf_bounds,
 )
 
 #: safety margin added to a measured contraction ratio
@@ -149,6 +149,8 @@ def measured_rpf_constants(
     gap_max = 0.0
     h_norm_max = 0.0
     h_min_min = math.inf
+    # one Perron solve per (tilt, state length): the probe's own solve serves
+    # every battery entry whose range fits its states
     tilts = []
     for q in qs:
         f_q = affine_combine(phi, psi, q)
@@ -157,7 +159,7 @@ def measured_rpf_constants(
         sup, semi = state_norms(T.state_words, sol.h, theta)
         h_norm_max = max(h_norm_max, sup + semi)
         h_min_min = min(h_min_min, float(np.min(sol.h)))
-        tilts.append(f_q)
+        tilts.append((f_q, {T.k: sol}))
 
     rho = min(max(gap_max, theta) + RHO_MARGIN, 1.0 - 1e-9)
     log_rho = math.log(rho)
@@ -167,9 +169,12 @@ def measured_rpf_constants(
     battery[2] = make_potential(phi.tm, 1, ones_table, theta)
 
     log_D_req = -math.inf
-    for f_q in tilts:
+    for f_q, sols in tilts:
         for g in battery:
-            report = verify_rpf_bounds(f_q, n_max, g)
+            k = max(1, f_q.r - 1, g.r)
+            if k not in sols:
+                sols[k] = solve_potential(f_q, k_min=k)[1]
+            report = _rpf_bound_report(sols[k], n_max, g)
             if report.test_norm <= 0.0:
                 continue
             for n, dev in zip(report.n_values, report.deviation_norm):

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .bounds import certificate_constants, constants_for, verify_bound
-from .deviations import exact_window_mass, sample_paths, window_reference
+from .deviations import ldp_scan, sample_paths, window_reference
 from .errors import (
     BoundViolated,
     NoConvergence,
@@ -277,10 +277,11 @@ def _cmd_ldp(args) -> int:
     def rate_fn(level):
         return rate_function(phi, psi, level)
 
-    reference, _ = window_reference(mu, psi, rate_fn, args.p, args.delta)
     if args.method == "exact_dp":
-        entries = [exact_window_mass(mu, psi, n, args.p, args.delta) for n in n_list]
+        scan = ldp_scan(mu, psi, rate_fn, n_list, args.p, args.delta)
+        reference, entries = scan.reference, scan.entries
     else:
+        reference, _ = window_reference(mu, psi, rate_fn, args.p, args.delta)
         # per-horizon seeds derive deterministically from the master seed
         entries = [
             sample_paths(mu, psi, n, args.trials, args.seed + i, args.p, args.delta)

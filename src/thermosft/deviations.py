@@ -7,7 +7,8 @@ values sit on a common rational lattice the sums are binned exactly and the
 window test is decided in exact rational arithmetic, so the result carries
 zero slack; otherwise values are quantised to bins of width delta/100 and the
 mass near the window edges is reported as slack (the true open-window mass
-lies in [mass, mass + slack]).
+lies in [mass, mass + slack]).  ``ldp_scan`` reads all its horizons off one
+DP pass per method, each horizon taking the method a single call would.
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
@@ -81,39 +82,23 @@ def _edge_data(mu: MarkovMeasure, psi: Potential):
     return mu, values
 
 
-def _lattice_units(values):
-    """Integer representation (ints, common_denominator) of the values when
-    they reconstruct to rationals with denominator <= LATTICE_MAX_DEN."""
+def _lattice_steps(values):
+    """(steps, g, offset, den) with every value ``(g*step + offset)/den`` for
+    an integer step >= 0, or None off a common rational lattice (value
+    denominators up to LATTICE_MAX_DEN, their lcm up to 10**9)."""
     fracs = []
     for v in values:
         fr = Fraction(v).limit_denominator(LATTICE_MAX_DEN)
         if abs(v - float(fr)) > 1e-12 * max(1.0, abs(v)):
             return None
         fracs.append(fr)
-    den = 1
-    for fr in fracs:
-        den = den * fr.denominator // math.gcd(den, fr.denominator)
-        if den > 10**9:
-            return None
-    ints = [int(fr.numerator * (den // fr.denominator)) for fr in fracs]
-    return ints, den
-
-
-def _lattice_steps(values):
-    """(steps, g, offset, den) with every value equal to
-    ``(g*step + offset)/den`` for an integer step >= 0, or None when the
-    values sit on no common rational lattice."""
-    lattice = _lattice_units(values)
-    if lattice is None:
+    den = math.lcm(*(fr.denominator for fr in fracs))
+    if den > 10**9:
         return None
-    ints, den = lattice
+    ints = [fr.numerator * (den // fr.denominator) for fr in fracs]
     offset = min(ints)
-    rel = [i - offset for i in ints]
-    g = 0
-    for r_val in rel:
-        g = math.gcd(g, r_val)
-    g = g or 1
-    return [r_val // g for r_val in rel], g, offset, den
+    g = math.gcd(*(i - offset for i in ints)) or 1
+    return [(i - offset) // g for i in ints], g, offset, den
 
 
 def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
@@ -133,11 +118,16 @@ def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
     return max(key_lo, -1), min(key_hi, n * max(steps) + 1)
 
 
-def _dp_masses(mu: MarkovMeasure, steps, n: int, n_keys: int) -> np.ndarray:
-    """Mass per (final aggregate key), summing over end states; key axis is
-    the integer-valued running total of the chain's edge ``steps``."""
+def _dp_masses(mu: MarkovMeasure, steps, horizons):
+    """Yields (n, mass per final aggregate key, summed over end states) at
+    each horizon n in increasing order; the key is the integer running total
+    of the chain's edge ``steps``.  One pass to the longest horizon serves
+    all, as keys t steps cannot reach stay exactly 0.  Callers drop each row
+    before resuming, so it does not add to the peak of the two tables."""
     chain = mu.chain
     size = chain.size
+    top = max(steps)
+    n_keys = max(horizons) * top + 1
     if size * n_keys * 8 > DP_BUDGET_BYTES:
         raise Infeasible(
             f"DP table of {size} states x {n_keys} keys exceeds the 2 GiB budget; "
@@ -146,15 +136,70 @@ def _dp_masses(mu: MarkovMeasure, steps, n: int, n_keys: int) -> np.ndarray:
     edges = list(zip(chain.src.tolist(), chain.dst.tolist(), steps, chain.edge_weights.tolist()))
     cur = np.zeros((size, n_keys))
     cur[:, 0] = mu.pi
-    for _ in range(n):
+    for t in range(1, max(horizons) + 1):
         nxt = np.zeros((size, n_keys))
         for u, v, step, p_uv in edges:
-            if step == 0:
-                nxt[v, :] += p_uv * cur[u, :]
-            else:
-                nxt[v, step:] += p_uv * cur[u, : n_keys - step]
+            nxt[v, step:] += p_uv * cur[u, : n_keys - step]
         cur = nxt
-    return cur.sum(axis=0)
+        if t in horizons:
+            yield t, cur.sum(axis=0)[: t * top + 1]
+
+
+def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta: float) -> tuple:
+    """Window mass per horizon, in input order, from at most one DP pass per
+    method: lattice keys for each horizon whose table fits ``DP_BUDGET_BYTES``,
+    bins of width delta/BINS_PER_DELTA (the same at every n) for the rest."""
+    horizons = [int(n) for n in horizons]
+    if any(n < 1 for n in horizons):
+        raise ValidationError(f"n must be >= 1, got {min(horizons)}")
+    if delta <= 0.0:
+        raise ValidationError(f"delta must be positive, got {delta}")
+    mu, values = _edge_data(mu, psi)
+
+    found = {}
+    lattice = _lattice_steps(values)
+    exact = set()
+    if lattice is not None:
+        top = max(lattice[0])
+        exact = {n for n in horizons if mu.chain.size * (n * top + 1) * 8 <= DP_BUDGET_BYTES}
+    if exact:
+        for n, masses in _dp_masses(mu, lattice[0], exact):
+            lo, hi = _window_keys(n, p, delta, lattice)
+            mass = 0.0
+            for key in range(lo + 1, hi):
+                mass += float(masses[key])
+            del masses
+            found[n] = WindowMass(
+                n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
+                method="exact_dp", slack=0.0,
+            )
+
+    # quantised fallback: per-step rounding drifts the average by at most
+    # half a bin, so edge bands of that width are reported as slack
+    binned = set(horizons) - exact
+    if binned:
+        width = delta / BINS_PER_DELTA
+        quant = [round(v / width) for v in values]
+        offset = min(quant)
+        left, right, half = p - delta, p + delta, width / 2.0
+        for n, masses in _dp_masses(mu, [qv - offset for qv in quant], binned):
+            mass = 0.0
+            slack = 0.0
+            for key in range(len(masses)):
+                m = float(masses[key])
+                if m == 0.0:
+                    continue
+                avg = (key + n * offset) * width / n
+                if left + half < avg < right - half:
+                    mass += m
+                elif left - half <= avg <= left + half or right - half <= avg <= right + half:
+                    slack += m
+            del masses
+            found[n] = WindowMass(
+                n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
+                method="binned_dp", slack=slack,
+            )
+    return tuple(found[n] for n in horizons)
 
 
 def exact_window_mass(
@@ -162,54 +207,7 @@ def exact_window_mass(
 ) -> WindowMass:
     """Measure of the set of points whose n-step running average of psi lies
     in the open window (p - delta, p + delta)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta}")
-    mu, values = _edge_data(mu, psi)
-
-    lattice = _lattice_steps(values)
-    if lattice is not None:
-        steps = lattice[0]
-        n_keys = n * max(steps) + 1
-        try:
-            masses = _dp_masses(mu, steps, n, n_keys)
-        except Infeasible:
-            lattice = None
-        if lattice is not None:
-            lo, hi = _window_keys(n, p, delta, lattice)
-            mass = 0.0
-            for key in range(lo + 1, hi):
-                mass += float(masses[key])
-            return WindowMass(
-                n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
-                method="exact_dp", slack=0.0,
-            )
-
-    # quantised fallback: per-step rounding drifts the average by at most
-    # half a bin, so edge bands of that width are reported as slack
-    width = delta / BINS_PER_DELTA
-    quant = [round(v / width) for v in values]
-    offset = min(quant)
-    rel = [qv - offset for qv in quant]
-    n_keys = n * max(rel) + 1 if rel else 1
-    masses = _dp_masses(mu, rel, n, n_keys)
-    half = width / 2.0
-    mass = 0.0
-    slack = 0.0
-    for key in range(n_keys):
-        m = float(masses[key])
-        if m == 0.0:
-            continue
-        avg = (key + n * offset) * width / n
-        if p - delta + half < avg < p + delta - half:
-            mass += m
-        elif p - delta - half <= avg <= p - delta + half or p + delta - half <= avg <= p + delta + half:
-            slack += m
-    return WindowMass(
-        n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
-        method="binned_dp", slack=slack,
-    )
+    return _window_masses(mu, psi, (n,), p, delta)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +250,10 @@ def ldp_scan(
     mu: MarkovMeasure, psi: Potential, rate_fn, n_list, p: float, delta: float
 ) -> LdpScan:
     """Exact window masses over a horizon list against -min(rate) on the
-    window.  ``rate_fn`` maps a level to a rate-function evaluation."""
-    entries = tuple(exact_window_mass(mu, psi, int(n), p, delta) for n in n_list)
+    window.  ``rate_fn`` maps a level to a rate-function evaluation.  One DP
+    pass per method serves every horizon."""
     reference, psi_mean = window_reference(mu, psi, rate_fn, p, delta)
+    entries = _window_masses(mu, psi, n_list, p, delta)
     return LdpScan(entries=entries, reference=reference, psi_mean=psi_mean)
 
 

@@ -89,11 +89,21 @@ class TransferMatrix:
 def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
     """(transfer matrix of f on k-word states, f on its edges, [each
     observable on its edges]); a potential is read on the edge's overlap
-    word."""
+    word.  A value whose exp is 0 or infinite is refused: the Perron solve
+    needs every edge weight positive and finite."""
     words, index, src, dst, overlaps = state_graph(f.tm, k)
     f_e, *obs_e = (
         _frozen(np.array([g.table[w[: g.r]] for w in overlaps])) for g in (f, *observables)
     )
+    with np.errstate(over="ignore"):
+        weights = np.exp(f_e)
+    bad = np.flatnonzero((weights == 0.0) | ~np.isfinite(weights))
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(
+            f"exp of potential value {float(f_e[j])!r} on word {overlaps[j]} is "
+            f"{float(weights[j])!r}: outside the float range"
+        )
     T = TransferMatrix(
         tm=f.tm,
         k=k,
@@ -101,7 +111,7 @@ def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
         index=index,
         src=_frozen(src),
         dst=_frozen(dst),
-        edge_weights=_frozen(np.exp(f_e)),
+        edge_weights=_frozen(weights),
     )
     return T, f_e, obs_e
 
@@ -415,7 +425,6 @@ class RpfBoundReport:
     deviation_semi: tuple
     deviation_norm: tuple
     test_norm: float
-    fitted_ratio: float | None
     paper_bound_checked: bool
     sandwich_checked: bool
     solution: RpfSolution = field(repr=False)
@@ -423,6 +432,10 @@ class RpfBoundReport:
     @property
     def gap_ratio(self) -> float:
         return self.solution.gap_ratio
+
+    @cached_property
+    def fitted_ratio(self) -> float | None:
+        return _fit_ratio(self.n_values, self.deviation_norm)
 
 
 def _fit_ratio(n_values, norms, n_from: int = 5):
@@ -447,13 +460,21 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if not f.tm.same_space(test_g.tm) or f.theta != test_g.theta:
         raise ModelMismatch("potential and test function live over different shift spaces")
-    k = max(1, f.r - 1, test_g.r)
-    T = build_transfer_matrix(f, k_min=k)
-    sol = rpf_solve(T)
+    _, sol = solve_potential(f, k_min=max(1, f.r - 1, test_g.r))
+    return _rpf_bound_report(sol, n_max, test_g, consts)
+
+
+def _rpf_bound_report(
+    sol: RpfSolution, n_max: int, test_g: Potential, consts=None
+) -> RpfBoundReport:
+    """``verify_rpf_bounds`` on a solved transfer matrix whose states are at
+    least ``test_g.r`` symbols long."""
+    T = sol.transfer
     words = T.state_words
+    theta = test_g.theta
 
     g_vec = np.array([test_g.table[w[: test_g.r]] for w in words])
-    g_sup, g_semi = state_norms(words, g_vec, f.theta)
+    g_sup, g_semi = state_norms(words, g_vec, theta)
     g_norm = g_sup + g_semi
     target = sol.h * float(sol.nu @ g_vec)
 
@@ -467,7 +488,7 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
     for n in n_values:
         v = T.apply(v) / sol.lam
         dev = v - target
-        sup, semi = state_norms(words, dev, f.theta)
+        sup, semi = state_norms(words, dev, theta)
         norm = sup + semi
         sup_list.append(sup)
         semi_list.append(semi)
@@ -490,7 +511,6 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
         deviation_semi=tuple(semi_list),
         deviation_norm=tuple(norm_list),
         test_norm=g_norm,
-        fitted_ratio=_fit_ratio(n_values, norm_list),
         paper_bound_checked=consts is not None,
         sandwich_checked=True,
         solution=sol,

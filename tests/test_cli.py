@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError
+from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError, transfer
 from thermosft.cli import load_model, run_command
 
 from conftest import FIXTURES
@@ -188,6 +188,29 @@ def test_validation_exit_code(tmp_path):
                 "--constants", "measured", "--p-grid", "0.1:0.9:0.1", "--out", out])
     assert code == 2  # delta0 over the admissible limit
 
+
+
+@pytest.mark.parametrize("command", [
+    ["rate", "--p-grid", "0.2:0.8:0.2"],
+    ["ldp", "--p", 0.8, "--delta", 0.05, "--n", "8:16:4"],
+    ["constants", "--delta0", 0.1],
+])
+def test_potential_outside_the_float_range_exits_2(tmp_path, capsys, command):
+    model = json.loads((FIXTURES / "bernoulli.json").read_text())
+    model["potential_f"]["values"] = {"1": 0.0, "2": -800.0}  # exp underflows to 0
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps(model))
+    out = tmp_path / "out.csv"
+    assert run(command + ["--config", cfg, "--out", out]) == 2
+    assert "-800.0 on word (2, 1) is 0.0: outside the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_power_iteration_budget_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(transfer, "MAX_ITERATIONS", 3)
+    out = tmp_path / "norm.json"
+    assert run(["normalize", "--config", FIXTURES / "random_range3.json", "--out", out]) == 4
+    assert capsys.readouterr().err.startswith("error: power iteration ")
 
 def test_reruns_are_byte_identical(tmp_path):
     jobs = [

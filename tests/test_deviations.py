@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermosft import deviations
 from thermosft import (
     Infeasible,
     equilibrium_measure,
@@ -233,3 +234,39 @@ def test_window_masses_build_no_dense_chain(coin):
     exact_window_mass(mu, psi, 12, 0.5, 0.1)
     sample_paths(mu, psi, 12, 100, 0, 0.5, 0.1)
     assert "weights" not in vars(mu.chain)
+
+
+def test_scan_splits_horizons_at_the_memory_budget(random_model, monkeypatch):
+    phi = normalize_potential(random_model.f)
+    psi = random_model.psi
+    mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+    n_list, p, delta = [16, 8, 24, 12, 8], 0.55, 0.05
+    # the lattice table fits up to n=8; bins of delta/100 are coarser than
+    # the 1e-4 value lattice, so every binned table up to n=24 fits
+    fine, values = deviations._edge_data(mu, psi)
+    top = max(deviations._lattice_steps(values)[0])
+    monkeypatch.setattr(deviations, "DP_BUDGET_BYTES", fine.chain.size * 8 * (8 * top + 1))
+    singles = [exact_window_mass(mu, psi, n, p, delta) for n in n_list]
+    assert [wm.method for wm in singles] == [
+        "binned_dp", "exact_dp", "binned_dp", "binned_dp", "exact_dp"
+    ]
+
+    passes = []
+    dp_masses = deviations._dp_masses
+
+    def spy(mu, steps, horizons):
+        passes.append(sorted(horizons))
+        return dp_masses(mu, steps, horizons)
+
+    monkeypatch.setattr(deviations, "_dp_masses", spy)
+    scan = ldp_scan(mu, psi, lambda level: rate_function(phi, psi, level), n_list, p, delta)
+    assert passes == [[8], [12, 16, 24]]
+    assert [(e.n, e.method, e.mass.hex(), e.slack.hex()) for e in scan.entries] == [
+        (wm.n, wm.method, wm.mass.hex(), wm.slack.hex()) for wm in singles
+    ]
+
+    passes.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(deviations, "_dp_masses", spy)
+    ldp_scan(mu, psi, lambda level: rate_function(phi, psi, level), n_list, p, delta)
+    assert passes == [[8, 12, 16, 24]]
