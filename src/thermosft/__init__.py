@@ -57,6 +57,7 @@ from .rate import (
     pressure,
     pressure_curve,
     rate_function,
+    rate_levels,
     tilt_eval,
 )
 from .sft import TransitionMatrix, cylinder_distance, enumerate_words, validate_transitions

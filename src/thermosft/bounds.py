@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
 from .potentials import Potential, affine_combine, make_potential, require_not_constant
-from .rate import rate_function
+from .rate import rate_levels
 from .transfer import (
     _rpf_bound_report,
     equilibrium_measure,
@@ -355,12 +355,9 @@ def verify_bound(
         mean_plus = family.tilt(q_eval)[1]
         mean_minus = family.tilt(-q_eval)[1]
 
+    levels = [p for p in map(float, p_grid) if not lo <= p <= hi]
     verdicts = []
-    for p in p_grid:
-        p = float(p)
-        if lo <= p <= hi:
-            continue
-        rv = rate_function(phi, psi, p, spread=spread)
+    for p, rv in zip(levels, rate_levels(phi, psi, levels, spread=spread)):
         rate_ok = rv.value >= bound
         if direct:
             gam = (p * q0 - dpr_plus) if p > hi else (-p * q0 - dpr_minus)

@@ -36,10 +36,9 @@ from .potentials import (
     Potential,
     cohomology_spread,
     make_potential,
-    require_not_constant,
     shift_nonnegative,
 )
-from .rate import rate_function
+from .rate import rate_function, rate_levels
 from .sft import TransitionMatrix, validate_transitions
 from .transfer import equilibrium_measure, normalize_potential, tilted_family
 
@@ -194,9 +193,7 @@ def _cmd_pressure(args) -> int:
 def _cmd_rate(args) -> int:
     model = load_model(args.config)
     phi = normalize_potential(model.f)
-    grid = _parse_range(args.p_grid)
-    spread = require_not_constant(model.psi)
-    results = [rate_function(phi, model.psi, p, spread=spread) for p in grid]
+    results = rate_levels(phi, model.psi, _parse_range(args.p_grid))
     rows = [
         (rv.p, rv.value, math.nan if rv.q_star is None else rv.q_star, rv.status)
         for rv in results

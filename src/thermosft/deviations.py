@@ -122,7 +122,8 @@ def _dp_masses(mu: MarkovMeasure, steps, horizons):
     """Yields (n, mass per final aggregate key, summed over end states) at
     each horizon n in increasing order; the key is the integer running total
     of the chain's edge ``steps``.  One pass to the longest horizon serves
-    all, as keys t steps cannot reach stay exactly 0.  Callers drop each row
+    all, as keys t steps cannot reach stay exactly 0; for the same reason
+    step t updates only the keys up to t*max(steps).  Callers drop each row
     before resuming, so it does not add to the peak of the two tables."""
     chain = mu.chain
     size = chain.size
@@ -137,9 +138,10 @@ def _dp_masses(mu: MarkovMeasure, steps, horizons):
     cur = np.zeros((size, n_keys))
     cur[:, 0] = mu.pi
     for t in range(1, max(horizons) + 1):
+        w = min(n_keys, t * top + 1)
         nxt = np.zeros((size, n_keys))
         for u, v, step, p_uv in edges:
-            nxt[v, step:] += p_uv * cur[u, : n_keys - step]
+            nxt[v, step:w] += p_uv * cur[u, : w - step]
         cur = nxt
         if t in horizons:
             yield t, cur.sum(axis=0)[: t * top + 1]

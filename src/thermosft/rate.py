@@ -5,14 +5,16 @@ The rate function at p is the supremum over q of
 difference rather than assuming the base pressure is exactly zero makes the
 objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
-is concave with monotone derivative, so a sign-change bracket plus bisection
-is sound.  The maximisation runs on psi centred on its cycle-mean spread
-(and p shifted alike), which leaves the rate unchanged and keeps the tilts
-that overflow far from the ones a level needs.
+is concave with monotone derivative, so a sign-change bracket plus Illinois
+regula falsi on the derivative (Dowell & Jarratt, BIT 11, 1971), which never
+leaves the bracket, is sound.  The maximisation runs on psi centred on its
+cycle-mean spread (and p shifted alike), which leaves the rate unchanged and
+keeps the tilts that overflow far from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
-once per call; within a rate evaluation each tilt is solved once and reused
-for both the objective and its derivative.
+once per call of ``rate_levels`` (``rate_function`` is its one-level form);
+within a level each tilt is solved once and reused for both the objective and
+its derivative.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .transfer import (
 TOL_GRAD = 1e-10
 #: distance to a domain endpoint treated as "at the boundary"
 TOL_END = 1e-9
-#: bisection step cap (each step is one eigen-solve)
+#: regula-falsi step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
 #: tilted matrices approach a periodic structure the solver cannot handle
@@ -139,38 +141,58 @@ class RateValue:
     iterations: int
 
 
-def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> RateValue:
-    """Deviation rate at p via safeguarded concave maximisation.
+def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
+    """Deviation rate at each level of p_grid, in input order.
 
-    Refuses observables whose cycle-mean spread is below tolerance; p outside
-    the open spread interval reports +inf, p at an endpoint reports a lower
-    bound.  Inside, the derivative is bracketed by doubling and bisected to
-    TOL_GRAD.
+    Refuses observables whose cycle-mean spread is below tolerance; a level
+    outside the open spread interval reports +inf, a level at an endpoint
+    reports a lower bound.  Inside, the slope of the objective is bracketed
+    by doubling and its root found by Illinois regula falsi to TOL_GRAD.
+    The tilted family, the normalisation check, the spread, the centring and
+    the base solve are done once for the whole grid; each level keeps its own
+    tilt memo, so every result equals ``rate_function`` at that level.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family.base)
     if spread is None:
         spread = require_not_constant(psi)
-    if p < spread.min_mean - TOL_END or p > spread.max_mean + TOL_END:
-        return RateValue(p=p, value=math.inf, q_star=None, status="outside", iterations=0)
-    at_boundary = (
-        abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
-    )
     # the rate is unchanged when psi and p shift by one constant; centring
     # psi on its spread makes the overflow cap on q scale with the spread,
     # not with psi's distance from 0
     centre = 0.5 * (spread.min_mean + spread.max_mean)
     family = replace(family, psi_e=family.psi_e - centre)
-    level = p - centre
+    q_cap = 700.0 / max(float(np.max(np.abs(family.psi_e))), 1e-12)
+    base = None
+    results = []
+    for p in p_grid:
+        if p < spread.min_mean - TOL_END or p > spread.max_mean + TOL_END:
+            results.append(
+                RateValue(p=p, value=math.inf, q_star=None, status="outside", iterations=0)
+            )
+            continue
+        if base is None:
+            base = family.tilt(0.0)
+        at_boundary = (
+            abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
+        )
+        results.append(_maximise(family, base, p, p - centre, at_boundary, q_cap))
+    return tuple(results)
 
-    solved: dict = {}
+
+def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> RateValue:
+    """Deviation rate at p: ``rate_levels`` on the one-level grid ``[p]``."""
+    return rate_levels(phi, psi, (p,), spread)[0]
+
+
+def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_cap: float):
+    """sup over q of ``level*q - (P(q) - P(0))`` on the centred family, whose
+    tilt at q = 0 is ``base``."""
+    solved = {0.0: base}
 
     def tilt(q: float) -> tuple:
         if q not in solved:
             solved[q] = family.tilt(q)
         return solved[q]
-
-    base = tilt(0.0)[0]
 
     def dgamma(q: float) -> float:
         return level - tilt(q)[1]
@@ -178,7 +200,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     def gamma_at(q: float) -> float:
         if q == 0.0:
             return 0.0
-        return level * q - (tilt(q)[0] - base)
+        return level * q - (tilt(q)[0] - base[0])
 
     d0 = dgamma(0.0)
     if abs(d0) <= TOL_GRAD:
@@ -200,8 +222,7 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
         )
 
-    q_cap = 700.0 / max(float(np.max(np.abs(family.psi_e))), 1e-12)
-    q_lo = 0.0
+    q_lo, d_lo = 0.0, d0
     q_hi = direction
     best_gamma = 0.0
     while True:
@@ -212,36 +233,45 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
             return RateValue(
                 p=p, value=value, q_star=None, status="boundary", iterations=len(solved)
             )
-        try:
-            d_hi = dgamma(q_hi)
-        except NoConvergence:
-            # tilt drove the matrix into its periodic limit before the sign
-            # change: numerically indistinguishable from a boundary level
-            return RateValue(
-                p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
-            )
+        d_hi = dgamma(q_hi)
         if (d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0):
             break
         best_gamma = max(best_gamma, gamma_at(q_hi))
-        q_lo = q_hi
+        q_lo, d_lo = q_hi, d_hi
         q_hi *= 2.0
 
-    # bisection on the monotone (decreasing) derivative: positive at a, negative at b
-    a, b = (q_lo, q_hi) if q_lo < q_hi else (q_hi, q_lo)
-    q_star = 0.5 * (a + b)
+    # Illinois regula falsi on the monotone (decreasing) derivative: positive
+    # at a, negative at b.  The end kept twice in a row has its slope value
+    # halved, which pulls the next secant point across the root
+    (a, fa), (b, fb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
+    kept = None
+    q_star = _secant(a, fa, b, fb)
     d_star = dgamma(q_star)
     for _ in range(MAX_BISECTIONS):
         if abs(d_star) <= TOL_GRAD or (b - a) <= 1e-14 * max(1.0, abs(b)):
             break
         if d_star > 0.0:
-            a = q_star
+            a, fa = q_star, d_star
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
         else:
-            b = q_star
-        q_star = 0.5 * (a + b)
+            b, fb = q_star, d_star
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        q_star = _secant(a, fa, b, fb)
         d_star = dgamma(q_star)
 
     value = gamma_at(q_star)
     return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
+
+
+def _secant(a: float, fa: float, b: float, fb: float) -> float:
+    """Root of the line through (a, fa) and (b, fb), where fa >= 0 > fb; the
+    midpoint when rounding puts it outside the open bracket."""
+    q = a + fa * (b - a) / (fa - fb)
+    return q if a < q < b else 0.5 * (a + b)
 
 
 def entropy(f: Potential) -> float:

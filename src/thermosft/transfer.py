@@ -34,6 +34,12 @@ from .sft import TransitionMatrix, Word, enumerate_words, state_graph
 RESIDUAL_TOL = 1e-13
 #: hard cap on power-iteration steps
 MAX_ITERATIONS = 10**6
+#: consecutive oscillating, slowly contracting steps after which the power
+#: iteration switches to the shifted operator
+_SHIFT_AFTER = 4
+#: step of the first contraction check of the fail-fast rule; the checks
+#: double from there, so a transient rise in the residual is outlived
+_FIRST_CHECK = 256
 #: deflated-iteration schedule for the contraction estimate
 GAP_WARMUP = 100
 GAP_MEASURE = 100
@@ -151,18 +157,70 @@ class RpfSolution:
 
 def _power_iterate(matvec, size: int) -> tuple:
     """Deterministic power iteration from the all-ones start; returns the
-    l1-normalised positive eigenvector and the step count."""
+    l1-normalised positive eigenvector and the step count.
+
+    Plain steps ``x -> Tx / sum(Tx)`` contract the error by |lambda2/lambda1|
+    per step, which tends to 1 on nearly periodic matrices (lambda2 near
+    -lambda1).  Once ``_SHIFT_AFTER`` consecutive steps each point against
+    the previous step and shrink the residual by less than half, the rest of
+    the solve iterates ``T + s*I`` with s the running Perron estimate
+    ``sum(Tx)`` (Wilkinson's origin shift): same Perron vector, and the
+    component at -lambda1 is damped to about 0.  The residual is that of T in
+    both modes.
+
+    Besides the hard cap ``MAX_ITERATIONS``, the solve fails fast: at steps
+    ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
+    window since the last check is compared with that of the window before,
+    and when that contraction, kept up for every step left under the cap,
+    cannot bring the residual to ``RESIDUAL_TOL``, ``NoConvergence`` is
+    raised at once.  Window peaks, not single residuals, keep an oscillating
+    residual from reading as stagnation.
+    """
     x = np.full(size, 1.0 / size)
+    x_prev = None
+    shifted = False
+    streak = 0
+    res_prev = math.inf
+    check_at = _FIRST_CHECK
+    start, peak = 1, 0.0
+    last_start, last_peak = 0, None
     for it in range(1, MAX_ITERATIONS + 1):
         y = matvec(x)
         total = y.sum()
         if total <= 0.0 or not np.isfinite(total):
             raise NoConvergence("power iteration lost positivity")
-        x_new = y / total
         residual = np.max(np.abs(y - total * x)) / total
-        x = x_new
+        if shifted:
+            y = y + total * x
+            x_new = y / y.sum()
+        else:
+            x_new = y / total
+            if residual > 0.5 * res_prev and float((x_new - x) @ (x - x_prev)) < 0.0:
+                streak += 1
+                if streak == _SHIFT_AFTER:
+                    shifted = True
+                    last_peak = None
+            else:
+                streak = 0
+        res_prev = residual
+        x_prev, x = x, x_new
         if residual <= RESIDUAL_TOL:
             return x, it
+        peak = max(peak, residual)
+        if it == check_at:
+            if last_peak is not None:
+                # log contraction per step between the two windows' peaks;
+                # a decaying residual peaks where its window starts
+                rate = math.log(peak / last_peak) / (start - last_start)
+                if math.log(peak / RESIDUAL_TOL) + (MAX_ITERATIONS - it) * rate > 0.0:
+                    raise NoConvergence(
+                        f"power iteration residual {residual:.3e} after {it} steps cannot "
+                        f"reach {RESIDUAL_TOL} within {MAX_ITERATIONS} steps at its "
+                        f"measured contraction {math.exp(rate):.12g} per step"
+                    )
+            last_start, last_peak = start, peak
+            start, peak = it + 1, 0.0
+            check_at *= 2
     raise NoConvergence(
         f"power iteration residual above {RESIDUAL_TOL} after {MAX_ITERATIONS} steps"
     )

@@ -270,3 +270,35 @@ def test_scan_splits_horizons_at_the_memory_budget(random_model, monkeypatch):
     monkeypatch.setattr(deviations, "_dp_masses", spy)
     ldp_scan(mu, psi, lambda level: rate_function(phi, psi, level), n_list, p, delta)
     assert passes == [[8, 12, 16, 24]]
+
+
+def _full_width_dp(mu, steps, horizons):
+    """Reference: the window-mass DP updating every key at every step."""
+    chain = mu.chain
+    n_keys = max(horizons) * max(steps) + 1
+    edges = list(zip(chain.src.tolist(), chain.dst.tolist(), steps, chain.edge_weights.tolist()))
+    cur = np.zeros((chain.size, n_keys))
+    cur[:, 0] = mu.pi
+    out = {}
+    for t in range(1, max(horizons) + 1):
+        nxt = np.zeros((chain.size, n_keys))
+        for u, v, step, p_uv in edges:
+            nxt[v, step:] += p_uv * cur[u, : n_keys - step]
+        cur = nxt
+        if t in horizons:
+            out[t] = cur.sum(axis=0)[: t * max(steps) + 1]
+    return out
+
+
+def test_dp_on_reachable_keys_matches_full_width_update():
+    rng = np.random.default_rng(61)
+    for lattice in (4, 10, 4, 10, 64, 64):
+        tm = random_aperiodic(rng, int(rng.integers(2, 4)))
+        phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
+        psi = random_potential(rng, tm, int(rng.integers(1, 4)), lo=0.0, hi=1.0, lattice=lattice)
+        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        steps = deviations._lattice_steps(values)[0]
+        horizons = {1, 3, 7, 12}
+        want = _full_width_dp(mu, steps, horizons)
+        for n, masses in deviations._dp_masses(mu, steps, horizons):
+            assert [m.hex() for m in masses.tolist()] == [m.hex() for m in want[n].tolist()]

@@ -1,11 +1,13 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from thermosft import (
     CohomologousConstant,
+    NoConvergence,
     affine_combine,
     build_transfer_matrix,
     cohomology_spread,
@@ -16,12 +18,14 @@ from thermosft import (
     pressure,
     pressure_curve,
     rate_function,
+    rate_levels,
     tilt_eval,
 )
 from thermosft import sft, transfer
+from thermosft.cli import load_model
 from thermosft.transfer import tilted_family
 
-from conftest import make_pot, random_aperiodic, random_potential
+from conftest import FIXTURES, make_pot, random_aperiodic, random_potential
 
 
 def binary_kl(p):
@@ -293,3 +297,106 @@ def test_gap_ratio_is_computed_only_when_read(monkeypatch, bernoulli):
     assert calls == []
     first = sol.gap_ratio
     assert sol.gap_ratio == first and len(calls) == 1
+
+
+def _golden_legendre(p):
+    """Rate of the golden-mean fixture by its own 2x2 algebra: the tilted
+    matrix [[0, e^q], [1, e^0.2]] (f on 2-words, psi the first-symbol
+    indicator), P(q) the log of its largest eigenvalue by numpy eigvals, the
+    slope by central difference and the maximiser by bisection on it."""
+
+    def P(q):
+        M = np.array([[0.0, math.exp(q)], [1.0, math.exp(0.2)]])
+        return math.log(max(abs(np.linalg.eigvals(M))))
+
+    def slope(q, h=1e-5):
+        return (P(q + h) - P(q - h)) / (2 * h)
+
+    lo, hi = 0.0, 1.0
+    while slope(hi) < p:
+        lo, hi = hi, 2 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    q = 0.5 * (lo + hi)
+    return p * q - (P(q) - P(0.0))
+
+
+@pytest.mark.parametrize("p", [0.4999, 0.499999])
+def test_golden_mean_near_the_endpoint_matches_legendre_oracle(golden_model, p):
+    # the tilts near q* ~ 16-25 are nearly period 2 (eigenvalues near +-lambda)
+    phi = normalize_potential(golden_model.f)
+    start = time.perf_counter()
+    rv = rate_function(phi, golden_model.psi, p)
+    assert time.perf_counter() - start < 1.0
+    assert rv.status == "interior"
+    assert abs(rv.value - _golden_legendre(p)) <= 1e-9
+
+
+#: the benchmark's interior fixture grids
+FIXTURE_LEVELS = {
+    "bernoulli": (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9),
+    "golden_mean": (0.05, 0.15, 0.25, 0.35, 0.45),
+    "random_range3": (0.15, 0.25, 0.35, 0.45, 0.55, 0.65),
+}
+
+
+def test_interior_fixture_levels_take_at_most_12_solves():
+    for name, levels in FIXTURE_LEVELS.items():
+        model = load_model(FIXTURES / f"{name}.json")
+        phi = normalize_potential(model.f)
+        for rv in rate_levels(phi, model.psi, levels):
+            assert rv.status == "interior", (name, rv)
+            assert rv.iterations <= 12, (name, rv)
+
+
+def test_rate_levels_equal_rate_function_bit_for_bit():
+    grids = {
+        "bernoulli": (-0.1, 0.0, 0.1, 0.5, 0.8, 0.95, 1.0, 1.2),
+        "golden_mean": (0.0, 0.01, 0.2, 0.3819660112501051, 0.4999, 0.5, 0.7),
+        "random_range3": (0.9, 0.15, 0.65, 0.3, 0.15),
+    }
+    for name, grid in grids.items():
+        model = load_model(FIXTURES / f"{name}.json")
+        phi = normalize_potential(model.f)
+        swept = rate_levels(phi, model.psi, grid)
+        assert [rv.p for rv in swept] == list(grid)
+        for rv in swept:
+            one = rate_function(phi, model.psi, rv.p)
+            assert (rv.status, rv.iterations) == (one.status, one.iterations)
+            assert rv.value.hex() == one.value.hex()
+            assert (rv.q_star is None and one.q_star is None) or (
+                rv.q_star.hex() == one.q_star.hex()
+            )
+
+
+def test_interior_level_raises_when_a_tilt_fails(monkeypatch, bernoulli):
+    # a solver failure inside the spread is an error, not a boundary value
+    phi, psi = bernoulli
+    tilt = transfer.TiltedFamily.tilt
+
+    def failing(self, q):
+        if q != 0.0:
+            raise NoConvergence("forced")
+        return tilt(self, q)
+
+    monkeypatch.setattr(transfer.TiltedFamily, "tilt", failing)
+    with pytest.raises(NoConvergence):
+        rate_function(phi, psi, 0.8)
+    assert rate_function(phi, psi, 1.0).status == "boundary"
+
+
+def test_tilt_eval_on_a_nearly_periodic_golden_mean_tilt(golden):
+    # psi in [-1, 1] makes the tilt at q = 5 nearly period 2; plain power
+    # iteration ran into its 10**6-step cap here
+    rng = np.random.default_rng(202)
+    phi = random_potential(rng, golden, 2, lo=-0.5, hi=0.5)
+    psi = random_potential(rng, golden, 2, lo=-1.0, hi=1.0)
+    start = time.perf_counter()
+    pr, mean = tilt_eval(phi, psi, 5.0)
+    assert time.perf_counter() - start < 1.0
+    ref_pr, ref_mean = _dense_tilt(phi, psi, 5.0)
+    assert abs(pr - ref_pr) <= 1e-12 and abs(mean - ref_mean) <= 1e-12

@@ -1,20 +1,27 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from thermosft import (
+    NoConvergence,
     build_transfer_matrix,
     cylinder_mass,
     enumerate_words,
     equilibrium_measure,
     integrate,
+    make_potential,
     normalize_potential,
     refine_measure,
     rpf_solve,
+    tilted_family,
+    validate_transitions,
     verify_rpf_bounds,
     verify_tilted_family,
 )
+from thermosft import transfer
 from thermosft.bounds import RpfConstants
 from thermosft.transfer import solve_potential, state_norms
 
@@ -258,3 +265,61 @@ def test_tilted_family_envelope(full2):
     c0 = math.log(2) + 2
     report = verify_tilted_family(phi, psi, q0=1e-5, c0=c0, consts=consts, n_max=20)
     assert all(abs(v) <= 1e-5 * c0 + 1e-12 for v in report.log_lambdas)
+
+
+def _plain_power_steps(matvec, size):
+    """Reference: unshifted power iteration from the all-ones start with the
+    library's stopping rule; returns the step count."""
+    x = np.full(size, 1.0 / size)
+    for it in range(1, 10**6 + 1):
+        y = matvec(x)
+        total = y.sum()
+        residual = np.max(np.abs(y - total * x)) / total
+        x = y / total
+        if residual <= transfer.RESIDUAL_TOL:
+            return it
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _orbit_words(orbit, r):
+    ext = orbit * (r // len(orbit) + 2)
+    return [tuple(ext[j : j + r]) for j in range(len(orbit))]
+
+
+def test_shifted_power_iteration_on_planted_tilt():
+    # full 4-shift, range-5 tables: 256 transfer states.  psi is 0 along the
+    # orbit 123 and 1 along 1122, so strong tilts concentrate on a periodic
+    # orbit and plain power iteration slows down
+    rng = np.random.default_rng(0)
+    words = list(itertools.product(range(1, 5), repeat=5))
+    f = {w: float(rng.uniform(-0.5, 0.5)) for w in words}
+    psi = {w: float(rng.uniform(0.25, 0.75)) for w in words}
+    psi.update({w: 0.0 for w in _orbit_words([1, 2, 3], 5)})
+    psi.update({w: 1.0 for w in _orbit_words([1, 1, 2, 2], 5)})
+    tm = validate_transitions(np.ones((4, 4), dtype=int))
+    phi = normalize_potential(make_potential(tm, 5, f, 0.5))
+    family = tilted_family(phi, make_potential(tm, 5, psi, 0.5))
+    assert family.base.size == 256
+    # the tilts of rate levels inside the spread, where the shift must not
+    # engage at a cost, and q = -4, near the orbit 123, where it must
+    for q in (-4.0, -1.0, -0.8, 0.6, 1.0):
+        T = family.at(q)
+        for matvec in (T.apply, T.adjoint):
+            shifted = transfer._power_iterate(matvec, T.size)[1]
+            plain = _plain_power_steps(matvec, T.size)
+            assert shifted <= 1.1 * plain, (q, shifted, plain)
+            if q == -4.0:
+                assert 10 * shifted < plain, (shifted, plain)
+
+
+def test_power_iteration_fails_fast_when_the_cap_is_out_of_reach(full2):
+    # the tilted matrix is nearly diagonal with diagonal entries 1e-7 apart:
+    # |lambda2/lambda1| is about 1 - 1e-7, so 10**6 steps shrink the residual
+    # by about e^-0.1 and the cap cannot be met
+    phi = make_pot(full2, 2, {"11": 0.0, "12": 0.0, "21": 0.0, "22": 1e-7})
+    psi = make_pot(full2, 2, {"11": 1.0, "12": 0.0, "21": 0.0, "22": 1.0})
+    family = tilted_family(phi, psi)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="cannot reach"):
+        family.tilt(30.0)
+    assert time.perf_counter() - start < 1.0
