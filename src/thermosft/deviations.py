@@ -8,15 +8,20 @@ window test is decided in exact rational arithmetic, so the result carries
 zero slack; otherwise values are quantised to bins of width delta/100 and the
 mass near the window edges is reported as slack (the true open-window mass
 lies in [mass, mass + slack]).  ``ldp_scan`` reads all its horizons off one
-DP pass per method, each horizon taking the method a single call would.
+DP pass per method, each horizon taking the method a single call would.  A
+DP step costs one numpy update per in-edge rank (3 on a full 3-shift), not
+one per edge, and adds every term in edge-list order, so the masses are
+those of a plain loop over the edges, bit for bit.  Its memory peak is the
+two (states x keys) tables plus one key block of the gathers.
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
 the next edge by inverse CDF against the cumulative probabilities of the
-current state's out-edges (at most s0 of them), so a fixed seed fixes the
-entire draw sequence.  On a value lattice it sums integer lattice steps and
-decides the window with the same exact edges as the DP, so both methods
-agree on which atoms the open window holds.
+current state's out-edges (at most s0 of them, compared one column at a time
+for all paths), so a fixed seed fixes the entire draw sequence.  On a value
+lattice it sums integer lattice steps and decides the window with the same
+exact edges as the DP, so both methods agree on which atoms the open window
+holds.
 
 Both methods run on the edge arrays of the measure's ``chain``, refined so
 that every edge carries one value of the observable.
@@ -42,6 +47,8 @@ LATTICE_MAX_DEN = 10**6
 BINS_PER_DELTA = 100
 #: normal quantile of the 95% Wilson score interval behind Monte Carlo slack
 WILSON_Z = 1.96
+#: largest gather temporary of one DP update, in bytes
+_GATHER_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,44 @@ def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
     return max(key_lo, -1), min(key_hi, n * max(steps) + 1)
 
 
+def _rank_layers(chain, steps) -> list:
+    """The chain's edges as layers by rank among the in-edges of their
+    destination, in edge-list order: layer j holds, for every state v, the
+    source, step and probability of v's j-th in-edge, or a filler edge of
+    probability 0 (source 0, step 0) when v has fewer than j + 1."""
+    dst = chain.dst
+    order = np.argsort(dst, kind="stable")
+    first = np.searchsorted(dst[order], np.arange(chain.size))
+    rank = np.empty(len(dst), dtype=np.intp)
+    rank[order] = np.arange(len(dst)) - first[dst[order]]
+    n_layers = int(rank.max()) + 1
+    src = np.zeros((n_layers, chain.size), dtype=np.intp)
+    step = np.zeros((n_layers, chain.size), dtype=np.intp)
+    prob = np.zeros((n_layers, chain.size))
+    src[rank, dst] = chain.src
+    step[rank, dst] = steps
+    prob[rank, dst] = chain.edge_weights
+    return [(src[j], step[j], prob[j][:, None]) for j in range(n_layers)]
+
+
 def _dp_masses(mu: MarkovMeasure, steps, horizons):
     """Yields (n, mass per final aggregate key, summed over end states) at
     each horizon n in increasing order; the key is the integer running total
     of the chain's edge ``steps``.  One pass to the longest horizon serves
     all, as keys t steps cannot reach stay exactly 0; for the same reason
-    step t updates only the keys up to t*max(steps).  Callers drop each row
-    before resuming, so it does not add to the peak of the two tables."""
+    step t updates only the keys up to t*max(steps).
+
+    A step is one numpy update per in-edge rank (``_rank_layers``), not one
+    per edge: layer j gathers ``p * cur[u, key - step]`` for every state v
+    and its j-th in-edge (u, step, p) at once, from a sliding-window view of
+    a table whose ``max(steps)`` zero columns on the left stand for the keys
+    below 0.  Layer 0 is written and the later layers added, so every
+    (state, key) sums its in-edges in edge-list order starting from 0.0,
+    exactly as a loop over the edges does; the zero terms that the padding
+    and the filler edges add leave every bit unchanged.  The gathers run
+    over key blocks of at most ``_GATHER_BLOCK_BYTES``, so the peak memory
+    is the two tables plus one block.  Each yielded row is a view into the
+    spare table, so callers read it before resuming."""
     chain = mu.chain
     size = chain.size
     top = max(steps)
@@ -134,17 +172,39 @@ def _dp_masses(mu: MarkovMeasure, steps, horizons):
             f"DP table of {size} states x {n_keys} keys exceeds the 2 GiB budget; "
             "use the Monte Carlo estimator"
         )
-    edges = list(zip(chain.src.tolist(), chain.dst.tolist(), steps, chain.edge_weights.tolist()))
-    cur = np.zeros((size, n_keys))
-    cur[:, 0] = mu.pi
+    (u0, start0, p0), *layers = [(u, top - step, p) for u, step, p in _rank_layers(chain, steps)]
+    block = max(1, _GATHER_BLOCK_BYTES // (8 * size))
+    width = top + n_keys
+    # two tables in turn: step t writes every key up to t*top into the one
+    # that holds step t - 2, which has nothing beyond key (t - 1)*top
+    cur = np.zeros((size, width))
+    nxt = np.zeros((size, width))
+    cur[:, top] = mu.pi
     for t in range(1, max(horizons) + 1):
-        w = min(n_keys, t * top + 1)
-        nxt = np.zeros((size, n_keys))
-        for u, v, step, p_uv in edges:
-            nxt[v, step:w] += p_uv * cur[u, : w - step]
-        cur = nxt
+        w = t * top + 1
+        for k0 in range(0, w, block):
+            k1 = min(w, k0 + block)
+            # windows[u, s] is cur[u, s : s + k1 - k0], a view
+            windows = np.lib.stride_tricks.as_strided(
+                cur, (size, width - (k1 - k0) + 1, k1 - k0), cur.strides + cur.strides[1:],
+                writeable=False,
+            )
+            out = nxt[:, top + k0 : top + k1]
+            np.multiply(windows[u0, start0 + k0], p0, out=out)
+            for u, start, p in layers:
+                terms = windows[u, start + k0]
+                terms *= p
+                out += terms
+        cur, nxt = nxt, cur
         if t in horizons:
-            yield t, cur.sum(axis=0)[: t * top + 1]
+            # the row sits in the spare table, which step t + 1 overwrites
+            yield t, cur[:, top : top + w].sum(axis=0, out=nxt[0, top : top + w])
+
+
+def _sum_in_order(masses: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, bit for bit the sum of a Python loop
+    (numpy's ``sum`` adds pairwise)."""
+    return float(np.cumsum(masses)[-1]) if len(masses) else 0.0
 
 
 def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta: float) -> tuple:
@@ -167,10 +227,7 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
     if exact:
         for n, masses in _dp_masses(mu, lattice[0], exact):
             lo, hi = _window_keys(n, p, delta, lattice)
-            mass = 0.0
-            for key in range(lo + 1, hi):
-                mass += float(masses[key])
-            del masses
+            mass = _sum_in_order(masses[lo + 1 : max(lo + 1, hi)])
             found[n] = WindowMass(
                 n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
                 method="exact_dp", slack=0.0,
@@ -185,18 +242,17 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
         offset = min(quant)
         left, right, half = p - delta, p + delta, width / 2.0
         for n, masses in _dp_masses(mu, [qv - offset for qv in quant], binned):
-            mass = 0.0
-            slack = 0.0
-            for key in range(len(masses)):
-                m = float(masses[key])
-                if m == 0.0:
-                    continue
-                avg = (key + n * offset) * width / n
-                if left + half < avg < right - half:
-                    mass += m
-                elif left - half <= avg <= left + half or right - half <= avg <= right + half:
-                    slack += m
-            del masses
+            # (key + n*offset) * width / n, the integer total made float once
+            # (arange keeps totals past int64 as Python ints)
+            avg = np.arange(n * offset, n * offset + len(masses)) * width
+            avg /= n
+            inside = (left + half < avg) & (avg < right - half)
+            edge = ((left - half <= avg) & (avg <= left + half)) | (
+                (right - half <= avg) & (avg <= right + half)
+            )
+            mass = _sum_in_order(masses[inside])
+            slack = _sum_in_order(masses[edge & ~inside])
+            del avg, inside, edge
             found[n] = WindowMass(
                 n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
                 method="binned_dp", slack=slack,
@@ -259,6 +315,48 @@ def ldp_scan(
     return LdpScan(entries=entries, reference=reference, psi_mean=psi_mean)
 
 
+def _walk_paths(mu: MarkovMeasure, steps: np.ndarray, n: int, trials: int, seed: int) -> tuple:
+    """(sum of the edge ``steps`` along each path, end state of each path)
+    for ``trials`` paths of n edges.  Each path starts from the stationary
+    vector and takes the edge out of its state whose cumulative probability
+    is the first above a uniform draw; all draws come from
+    ``numpy.random.default_rng(seed)`` in a fixed order."""
+    chain = mu.chain
+    # successor tables, states x largest out-degree: cell (u, j) holds the
+    # j-th edge out of u.  Cumulative probabilities read +inf from each row's
+    # last edge on, so a draw at or above a row's float total (rows miss 1 by
+    # rounding) takes the last edge and paths never leave the graph
+    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
+    degree = np.bincount(chain.src, minlength=chain.size)
+    width = int(degree.max())
+    cum_P = np.zeros((chain.size, width))
+    cum_P[chain.src, slot] = chain.edge_weights
+    cum_P = np.cumsum(cum_P, axis=1)
+    cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
+    cum_flat = cum_P.ravel()
+    cell = chain.src * width + slot
+    # a state is held as the first cell of its row
+    succ = np.zeros(chain.size * width, dtype=np.intp)
+    succ[cell] = chain.dst * width
+    step_of = np.zeros(chain.size * width, dtype=steps.dtype)
+    step_of[cell] = steps
+
+    rng = np.random.default_rng(seed)
+    cum_pi = np.cumsum(mu.pi)
+    base = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), chain.size - 1) * width
+    sums = np.zeros(trials, dtype=steps.dtype)
+    for _ in range(n):
+        draws = rng.random(trials)
+        # the edge taken is the number of cumulative probabilities <= the
+        # draw, counted one column at a time; the last column is +inf
+        cells = base.copy()
+        for j in range(width - 1):
+            cells += cum_flat[base + j] <= draws
+        sums += step_of[cells]
+        base = succ[cells]
+    return sums, base // width
+
+
 def sample_paths(
     mu: MarkovMeasure,
     psi: Potential,
@@ -271,48 +369,23 @@ def sample_paths(
     """Monte Carlo estimate of the window mass.
 
     Paths start from the stationary vector and step along the chain's
-    out-edges; all draws are uniform doubles from ``numpy.random.default_rng``
-    (PCG64) consumed in a fixed order, so identical seeds give bit-identical
-    results.  When psi has a value lattice each path sums integer lattice
-    steps and the window is decided exactly, as in ``exact_window_mass``.
-    ``slack`` is the half-width of the 95% Wilson score interval.
+    out-edges (``_walk_paths``); all draws are uniform doubles from
+    ``numpy.random.default_rng`` (PCG64) consumed in a fixed order, so
+    identical seeds give bit-identical results.  A step costs one vectorised
+    comparison per out-edge column, at most s0 - 1 of them.  When psi has a
+    value lattice each path sums integer lattice steps and the window is
+    decided exactly, as in ``exact_window_mass``.  ``slack`` is the
+    half-width of the 95% Wilson score interval.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     mu, values = _edge_data(mu, psi)
-    chain = mu.chain
     lattice = _lattice_steps(values)
     # on a lattice each path sums integer steps, so the window test is exact
     steps = np.array(values if lattice is None else lattice[0])
-
-    # successor tables, states x largest out-degree: cell (u, j) holds the
-    # j-th edge out of u.  Cumulative probabilities read +inf from each row's
-    # last edge on, so a draw at or above a row's float total (rows miss 1 by
-    # rounding) takes the last edge and paths never leave the graph
-    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
-    degree = np.bincount(chain.src, minlength=chain.size)
-    width = int(degree.max())
-    cum_P = np.zeros((chain.size, width))
-    cum_P[chain.src, slot] = chain.edge_weights
-    cum_P = np.cumsum(cum_P, axis=1)
-    cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
-    cell = chain.src * width + slot
-    succ = np.zeros(chain.size * width, dtype=np.intp)
-    succ[cell] = chain.dst
-    step_of = np.zeros(chain.size * width, dtype=steps.dtype)
-    step_of[cell] = steps
-
-    rng = np.random.default_rng(seed)
-    cum_pi = np.cumsum(mu.pi)
-    states = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), chain.size - 1)
-    sums = np.zeros(trials, dtype=steps.dtype)
-    for _ in range(n):
-        draws = rng.random(trials)
-        cells = states * width + (cum_P[states] <= draws[:, None]).sum(axis=1)
-        sums += step_of[cells]
-        states = succ[cells]
+    sums, _ = _walk_paths(mu, steps, n, trials, seed)
     if lattice is None:
         avgs = sums / n
         inside = (avgs > p - delta) & (avgs < p + delta)

@@ -189,7 +189,7 @@ def _power_iterate(matvec, size: int) -> tuple:
         total = y.sum()
         if total <= 0.0 or not np.isfinite(total):
             raise NoConvergence("power iteration lost positivity")
-        residual = np.max(np.abs(y - total * x)) / total
+        residual = np.abs(y - total * x).max() / total
         if shifted:
             y = y + total * x
             x_new = y / y.sum()

@@ -302,3 +302,132 @@ def test_dp_on_reachable_keys_matches_full_width_update():
         want = _full_width_dp(mu, steps, horizons)
         for n, masses in deviations._dp_masses(mu, steps, horizons):
             assert [m.hex() for m in masses.tolist()] == [m.hex() for m in want[n].tolist()]
+
+
+def _binned_steps(values, delta):
+    """Bin steps and offset as the quantised fallback derives them."""
+    width = delta / deviations.BINS_PER_DELTA
+    quant = [round(v / width) for v in values]
+    return [q - min(quant) for q in quant], min(quant), width
+
+
+@pytest.mark.parametrize("block_bytes", [None, 40, 400], ids=["default", "one-key", "few-keys"])
+def test_rank_layer_dp_matches_edge_loop(golden, monkeypatch, block_bytes):
+    if block_bytes is not None:
+        # blocks of 1 to 25 keys split every row, the first at the left padding
+        monkeypatch.setattr(deviations, "_GATHER_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(83)
+    full3 = validate_transitions(np.ones((3, 3), dtype=int))
+    fillers = 0
+    # the golden mean and seeded aperiodic graphs have unequal in-degrees;
+    # psi of range 4 refines the full 3-shift to 27 word states
+    for tm, lattice in [(golden, 4), (golden, None), (full3, 4)] + [
+        (random_aperiodic(rng, int(rng.integers(2, 4))), lat) for lat in (4, 10, 64, None, None)
+    ]:
+        phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
+        r = 4 if tm is full3 else int(rng.integers(2, 4))
+        psi = random_potential(rng, tm, r, lo=0.0, hi=1.0, lattice=lattice)
+        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        on_lattice = deviations._lattice_steps(values)
+        assert (on_lattice is not None) == bool(lattice)
+        steps = on_lattice[0] if lattice else _binned_steps(values, 0.2)[0]
+        fillers += sum(int((p == 0.0).sum()) for _, _, p in deviations._rank_layers(mu.chain, steps))
+        horizons = {1, 2, 5, 9}
+        want = _full_width_dp(mu, steps, horizons)
+        # each row is read before the generator resumes
+        for n, masses in deviations._dp_masses(mu, steps, horizons):
+            assert [m.hex() for m in masses.tolist()] == [m.hex() for m in want[n].tolist()]
+    assert fillers > 0
+
+
+def _loop_window_masses(mu, psi, n, p, delta):
+    """Reference read-outs: Python loops over the keys of the per-edge DP."""
+    fine, values = deviations._edge_data(mu, psi)
+    lattice = deviations._lattice_steps(values)
+    if lattice is not None:
+        masses = _full_width_dp(fine, lattice[0], {n})[n]
+        lo, hi = deviations._window_keys(n, p, delta, lattice)
+        mass = 0.0
+        for key in range(lo + 1, hi):
+            mass += float(masses[key])
+        return mass, 0.0
+    steps, offset, width = _binned_steps(values, delta)
+    masses = _full_width_dp(fine, steps, {n})[n]
+    left, right, half = p - delta, p + delta, width / 2.0
+    mass = slack = 0.0
+    for key in range(len(masses)):
+        m = float(masses[key])
+        if m == 0.0:
+            continue
+        avg = (key + n * offset) * width / n
+        if left + half < avg < right - half:
+            mass += m
+        elif left - half <= avg <= left + half or right - half <= avg <= right + half:
+            slack += m
+    return mass, slack
+
+
+def test_window_readouts_match_python_loops():
+    rng = np.random.default_rng(89)
+    methods = set()
+    for lattice in (4, 10, 64, None, None):
+        tm = random_aperiodic(rng, int(rng.integers(2, 4)))
+        phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
+        psi = random_potential(rng, tm, int(rng.integers(1, 4)), lo=0.0, hi=1.0, lattice=lattice)
+        mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+        # windows inside, across either end, and wholly outside the values
+        for p, delta in [(0.5 + JITTER, 0.1), (0.1, 0.15), (0.95, 0.2), (3.0, 0.5), (-0.3, 0.2)]:
+            for n in (1, 6, 11):
+                wm = exact_window_mass(mu, psi, n, p, delta)
+                methods.add(wm.method)
+                mass, slack = _loop_window_masses(mu, psi, n, p, delta)
+                assert (wm.mass.hex(), wm.slack.hex()) == (mass.hex(), slack.hex())
+    assert methods == {"exact_dp", "binned_dp"}
+
+
+def _two_d_walk(mu, steps, n, trials, seed):
+    """Reference: the sampler comparing each draw with its state's whole
+    row of cumulative probabilities in one (trials x width) array."""
+    chain = mu.chain
+    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
+    degree = np.bincount(chain.src, minlength=chain.size)
+    width = int(degree.max())
+    cum_P = np.zeros((chain.size, width))
+    cum_P[chain.src, slot] = chain.edge_weights
+    cum_P = np.cumsum(cum_P, axis=1)
+    cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
+    cell = chain.src * width + slot
+    succ = np.zeros(chain.size * width, dtype=np.intp)
+    succ[cell] = chain.dst
+    step_of = np.zeros(chain.size * width, dtype=steps.dtype)
+    step_of[cell] = steps
+    rng = np.random.default_rng(seed)
+    states = np.minimum(np.searchsorted(np.cumsum(mu.pi), rng.random(trials)), chain.size - 1)
+    sums = np.zeros(trials, dtype=steps.dtype)
+    for _ in range(n):
+        draws = rng.random(trials)
+        cells = states * width + (cum_P[states] <= draws[:, None]).sum(axis=1)
+        sums += step_of[cells]
+        states = succ[cells]
+    return sums, states
+
+
+def test_column_walk_matches_two_d_stepping(bernoulli_model, golden_model, random_model):
+    rng = np.random.default_rng(97)
+    full3 = validate_transitions(np.ones((3, 3), dtype=int))
+    f = random_potential(rng, full3, 3, lo=-0.5, hi=0.5)
+    lattice_psi = random_potential(rng, full3, 4, lo=0.0, hi=1.0, lattice=4)
+    models = [(m.f, m.psi) for m in (bernoulli_model, golden_model, random_model)]
+    sizes = []
+    for j, (f, psi) in enumerate(models + [(f, lattice_psi)]):
+        phi = normalize_potential(f)
+        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        sizes.append(mu.chain.size)
+        lattice = deviations._lattice_steps(values)
+        # float values, and integer lattice steps where psi has a lattice
+        for steps in [np.array(values)] + ([np.array(lattice[0])] if lattice else []):
+            sums, ends = deviations._walk_paths(mu, steps, 23, 3000, 100 + j)
+            want_sums, want_ends = _two_d_walk(mu, steps, 23, 3000, 100 + j)
+            assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
+            assert np.array_equal(ends, want_ends)
+    assert sizes[-1] == 27
