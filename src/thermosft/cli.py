@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 validation error, 3 violated certified bound,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +338,10 @@ def _cmd_normalize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``thermo`` parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="thermo",
         description="Transfer operators, pressure, rate functions and certified "

@@ -9,10 +9,12 @@ zero slack; otherwise values are quantised to bins of width delta/100 and the
 mass near the window edges is reported as slack (the true open-window mass
 lies in [mass, mass + slack]).  ``ldp_scan`` reads all its horizons off one
 DP pass per method, each horizon taking the method a single call would.  A
-DP step costs one numpy update per in-edge rank (3 on a full 3-shift), not
-one per edge, and adds every term in edge-list order, so the masses are
-those of a plain loop over the edges, bit for bit.  Its memory peak is the
-two (states x keys) tables plus one key block of the gathers.
+DP step updates only the keys from which a window can still be reached,
+with one stacked gather per key block over the in-edge ranks (3 on a full
+3-shift), not one update per edge, and adds every term in edge-list order,
+so the masses are those of a plain loop over the edges and every key, bit
+for bit.  Its memory peak is the two (states x keys) tables plus one key
+block of the gather.
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
@@ -47,7 +49,7 @@ LATTICE_MAX_DEN = 10**6
 BINS_PER_DELTA = 100
 #: normal quantile of the 95% Wilson score interval behind Monte Carlo slack
 WILSON_Z = 1.96
-#: largest gather temporary of one DP update, in bytes
+#: largest stacked gather temporary of one DP update, in bytes
 _GATHER_BLOCK_BYTES = 256 * 1024
 
 
@@ -92,20 +94,21 @@ def _edge_data(mu: MarkovMeasure, psi: Potential):
 def _lattice_steps(values):
     """(steps, g, offset, den) with every value ``(g*step + offset)/den`` for
     an integer step >= 0, or None off a common rational lattice (value
-    denominators up to LATTICE_MAX_DEN, their lcm up to 10**9)."""
-    fracs = []
-    for v in values:
+    denominators up to LATTICE_MAX_DEN, their lcm up to 10**9).  Each
+    distinct value is fitted once."""
+    fracs = {}
+    for v in set(values):
         fr = Fraction(v).limit_denominator(LATTICE_MAX_DEN)
         if abs(v - float(fr)) > 1e-12 * max(1.0, abs(v)):
             return None
-        fracs.append(fr)
-    den = math.lcm(*(fr.denominator for fr in fracs))
+        fracs[v] = fr
+    den = math.lcm(*(fr.denominator for fr in fracs.values()))
     if den > 10**9:
         return None
-    ints = [fr.numerator * (den // fr.denominator) for fr in fracs]
-    offset = min(ints)
-    g = math.gcd(*(i - offset for i in ints)) or 1
-    return [(i - offset) // g for i in ints], g, offset, den
+    ints = {v: fr.numerator * (den // fr.denominator) for v, fr in fracs.items()}
+    offset = min(ints.values())
+    g = math.gcd(*(i - offset for i in ints.values())) or 1
+    return [(ints[v] - offset) // g for v in values], g, offset, den
 
 
 def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
@@ -125,11 +128,12 @@ def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
     return max(key_lo, -1), min(key_hi, n * max(steps) + 1)
 
 
-def _rank_layers(chain, steps) -> list:
-    """The chain's edges as layers by rank among the in-edges of their
-    destination, in edge-list order: layer j holds, for every state v, the
-    source, step and probability of v's j-th in-edge, or a filler edge of
-    probability 0 (source 0, step 0) when v has fewer than j + 1."""
+def _rank_layers(chain, steps) -> tuple:
+    """The chain's edges in layers by rank among the in-edges of their
+    destination, in edge-list order: (src, step, prob), each of shape
+    (layers, states), where row j holds, for every state v, the source, step
+    and probability of v's j-th in-edge, or a filler edge of probability 0
+    (source 0, step 0) when v has fewer than j + 1."""
     dst = chain.dst
     order = np.argsort(dst, kind="stable")
     first = np.searchsorted(dst[order], np.arange(chain.size))
@@ -142,62 +146,94 @@ def _rank_layers(chain, steps) -> list:
     src[rank, dst] = chain.src
     step[rank, dst] = steps
     prob[rank, dst] = chain.edge_weights
-    return [(src[j], step[j], prob[j][:, None]) for j in range(n_layers)]
+    return src, step, prob
 
 
-def _dp_masses(mu: MarkovMeasure, steps, horizons):
+def _key_bands(windows, top) -> list:
+    """(lo, hi) for each DP step t = 1..max(windows): the keys from which a
+    horizon n >= t can still reach the keys [k0, k1) = windows[n] it reads
+    out, as the key rises by 0..top per step.  The band is empty (lo > hi)
+    past the last horizon with a nonempty window."""
+    last = max(windows)
+    # per horizon n: its window's first key less n*top, and its last key
+    low = np.full(last + 1, np.iinfo(np.int64).max // 2)
+    high = np.full(last + 1, -1)
+    for n, (k0, k1) in windows.items():
+        if k0 < k1:
+            low[n], high[n] = k0 - top * n, k1 - 1
+    # the least and the greatest over the horizons n >= t
+    low = np.minimum.accumulate(low[::-1])[::-1]
+    high = np.maximum.accumulate(high[::-1])[::-1]
+    t = np.arange(last + 1)
+    lo = np.maximum(low + top * t, 0)
+    hi = np.minimum(high, top * t)
+    return list(zip(lo[1:].tolist(), hi[1:].tolist()))
+
+
+def _dp_masses(mu: MarkovMeasure, steps, windows):
     """Yields (n, mass per final aggregate key, summed over end states) at
-    each horizon n in increasing order; the key is the integer running total
-    of the chain's edge ``steps``.  One pass to the longest horizon serves
-    all, as keys t steps cannot reach stay exactly 0; for the same reason
-    step t updates only the keys up to t*max(steps).
+    each horizon n of ``windows`` in increasing order; the key is the integer
+    running total of the chain's edge ``steps``.  A row is exact at the keys
+    [k0, k1) = windows[n] that horizon n reads out and unspecified elsewhere.
+    One pass to the longest horizon serves all.
 
-    A step is one numpy update per in-edge rank (``_rank_layers``), not one
-    per edge: layer j gathers ``p * cur[u, key - step]`` for every state v
-    and its j-th in-edge (u, step, p) at once, from a sliding-window view of
-    a table whose ``max(steps)`` zero columns on the left stand for the keys
-    below 0.  Layer 0 is written and the later layers added, so every
-    (state, key) sums its in-edges in edge-list order starting from 0.0,
-    exactly as a loop over the edges does; the zero terms that the padding
-    and the filler edges add leave every bit unchanged.  The gathers run
-    over key blocks of at most ``_GATHER_BLOCK_BYTES``, so the peak memory
-    is the two tables plus one block.  Each yielded row is a view into the
+    Step t updates only its band (``_key_bands``): the keys from which some
+    window can still be reached, none once every window is behind it.  A
+    band key reads the keys 0..top below it one step earlier.  Those lie in
+    the previous band, or above (t - 1)*top, where the table holding step
+    t - 1 was never written and is still 0.  Keys outside a band go stale,
+    but no later band reads them: band starts rise by at least top per step,
+    and a band end cut below t*top never rises again.  So every band key
+    sums the same terms, in the same order, as a full-width update.
+
+    A step is one stacked gather per key block, not one update per edge:
+    ``_rank_layers`` stacks the in-edges by rank, and layer j gathers
+    ``p * cur[u, key - step]`` for every state v and its j-th in-edge
+    (u, step, p), from a sliding-window view of a table whose ``max(steps)``
+    zero columns on the left stand for the keys below 0.  The layers are
+    added as (layer 0 + layer 1) + layer 2 ..., so every (state, key) sums
+    its in-edges in edge-list order from 0.0, exactly as a loop over the
+    edges does; the zero terms from the padding and the filler edges leave
+    every bit unchanged.  Blocks keep the stacked gather within
+    ``_GATHER_BLOCK_BYTES``, so the peak memory is the two tables plus one
+    block.
+
+    Each row sums the states over all keys 0..n*top, as the full-width
+    update did (numpy's reduction order depends on that width), into the
     spare table, so callers read it before resuming."""
     chain = mu.chain
     size = chain.size
     top = max(steps)
-    n_keys = max(horizons) * top + 1
-    if size * n_keys * 8 > DP_BUDGET_BYTES:
-        raise Infeasible(
-            f"DP table of {size} states x {n_keys} keys exceeds the 2 GiB budget; "
-            "use the Monte Carlo estimator"
-        )
-    (u0, start0, p0), *layers = [(u, top - step, p) for u, step, p in _rank_layers(chain, steps)]
-    block = max(1, _GATHER_BLOCK_BYTES // (8 * size))
-    width = top + n_keys
-    # two tables in turn: step t writes every key up to t*top into the one
-    # that holds step t - 2, which has nothing beyond key (t - 1)*top
+    src, step, prob = _rank_layers(chain, steps)
+    start = top - step
+    prob = prob[:, :, None]
+    block = max(1, _GATHER_BLOCK_BYTES // (8 * size * len(src)))
+    width = top + max(windows) * top + 1
+    # two tables in turn: step t writes its band into the one that holds
+    # step t - 2
     cur = np.zeros((size, width))
     nxt = np.zeros((size, width))
     cur[:, top] = mu.pi
-    for t in range(1, max(horizons) + 1):
-        w = t * top + 1
-        for k0 in range(0, w, block):
-            k1 = min(w, k0 + block)
-            # windows[u, s] is cur[u, s : s + k1 - k0], a view
-            windows = np.lib.stride_tricks.as_strided(
-                cur, (size, width - (k1 - k0) + 1, k1 - k0), cur.strides + cur.strides[1:],
-                writeable=False,
+    for t, (lo, hi) in enumerate(_key_bands(windows, top), 1):
+        for k0 in range(lo, hi + 1, block):
+            k1 = min(hi + 1, k0 + block)
+            # shifted[u, s] is cur[u, s : s + k1 - k0], a view only read
+            shifted = np.ndarray(
+                (size, width - (k1 - k0) + 1, k1 - k0), cur.dtype, cur, 0,
+                cur.strides + cur.strides[1:],
             )
+            terms = shifted[src, start + k0]
+            terms *= prob
+            # an aperiodic graph has a state with two in-edges, so two layers
             out = nxt[:, top + k0 : top + k1]
-            np.multiply(windows[u0, start0 + k0], p0, out=out)
-            for u, start, p in layers:
-                terms = windows[u, start + k0]
-                terms *= p
-                out += terms
+            np.add(terms[0], terms[1], out=out)
+            for term in terms[2:]:
+                out += term
         cur, nxt = nxt, cur
-        if t in horizons:
-            # the row sits in the spare table, which step t + 1 overwrites
+        if t in windows:
+            w = t * top + 1
+            # the row goes to the spare table at keys up to t*top, which
+            # step t + 1 overwrites or leaves stale outside its band
             yield t, cur[:, top : top + w].sum(axis=0, out=nxt[0, top : top + w])
 
 
@@ -218,16 +254,23 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
         raise ValidationError(f"delta must be positive, got {delta}")
     mu, values = _edge_data(mu, psi)
 
+    def fits(n, top):
+        return mu.chain.size * (n * top + 1) * 8 <= DP_BUDGET_BYTES
+
     found = {}
     lattice = _lattice_steps(values)
     exact = set()
     if lattice is not None:
         top = max(lattice[0])
-        exact = {n for n in horizons if mu.chain.size * (n * top + 1) * 8 <= DP_BUDGET_BYTES}
+        exact = {n for n in horizons if fits(n, top)}
     if exact:
-        for n, masses in _dp_masses(mu, lattice[0], exact):
+        windows = {}
+        for n in exact:
             lo, hi = _window_keys(n, p, delta, lattice)
-            mass = _sum_in_order(masses[lo + 1 : max(lo + 1, hi)])
+            windows[n] = (lo + 1, max(lo + 1, hi))
+        for n, masses in _dp_masses(mu, lattice[0], windows):
+            k0, k1 = windows[n]
+            mass = _sum_in_order(masses[k0:k1])
             found[n] = WindowMass(
                 n=n, p=p, delta=delta, mass=mass, log_rate=_log_rate(mass, n),
                 method="exact_dp", slack=0.0,
@@ -240,12 +283,36 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
         width = delta / BINS_PER_DELTA
         quant = [round(v / width) for v in values]
         offset = min(quant)
+        steps = [qv - offset for qv in quant]
+        top = max(steps)
         left, right, half = p - delta, p + delta, width / 2.0
-        for n, masses in _dp_masses(mu, [qv - offset for qv in quant], binned):
-            # (key + n*offset) * width / n, the integer total made float once
-            # (arange keeps totals past int64 as Python ints)
-            avg = np.arange(n * offset, n * offset + len(masses)) * width
+        last = max(binned)
+        if not fits(last, top):
+            raise Infeasible(
+                f"DP table of {mu.chain.size} states x {last * top + 1} keys exceeds the "
+                "2 GiB budget; use the Monte Carlo estimator"
+            )
+
+        def averages(n):
+            # (key + n*offset) * width / n for keys 0..n*top, the integer
+            # total made float once (past int64 numpy's arange runs in
+            # float64, where neighbouring totals can share one value)
+            avg = np.arange(n * offset, n * offset + n * top + 1) * width
             avg /= n
+            return avg
+
+        # the inside bins and both edge bands: the keys whose average lies
+        # in [left - half, right + half]
+        windows = {}
+        for n in binned:
+            avg = averages(n)
+            near = np.flatnonzero((left - half <= avg) & (avg <= right + half))
+            windows[n] = (int(near[0]), int(near[-1]) + 1) if len(near) else (0, 0)
+            del avg, near
+        for n, masses in _dp_masses(mu, steps, windows):
+            k0, k1 = windows[n]
+            avg = averages(n)[k0:k1]
+            masses = masses[k0:k1]
             inside = (left + half < avg) & (avg < right - half)
             edge = ((left - half <= avg) & (avg <= left + half)) | (
                 (right - half <= avg) & (avg <= right + half)

@@ -199,11 +199,17 @@ def _walk_table(n: int, src, dst, w, source: int, length: int):
 
 def _walk_back(d, src, dst, w, end: int):
     """Edge indices of a least walk of len(d) - 1 edges ending at ``end``,
-    taking at each step the first edge, in edge order, that attains the
-    table value."""
+    taking at each step the first in-edge of the current state, in edge
+    order, that attains the table value."""
+    ins = [[] for _ in range(d.shape[1])]
+    for e, v in enumerate(dst.tolist()):
+        ins[v].append(e)
+    src, w = src.tolist(), w.tolist()
     walk = []
     for k in range(len(d) - 1, 0, -1):
-        e = int(np.argmax((dst == end) & (d[k - 1, src] + w == d[k, end])))
+        # Python floats add and compare as the float64 table does
+        target = d.item(k, end)
+        e = next(e for e in ins[end] if d.item(k - 1, src[e]) + w[e] == target)
         walk.append(e)
         end = src[e]
     return np.array(walk[::-1], dtype=np.int64)

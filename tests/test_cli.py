@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermosft
 from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError, transfer
 from thermosft.cli import load_model, run_command
 
@@ -230,6 +235,26 @@ def test_reruns_are_byte_identical(tmp_path):
             assert code == 0
             hashes.add(digest(out))
         assert len(hashes) == 1, f"{name} output varies between runs"
+
+
+def test_commands_in_one_process_match_separate_runs(tmp_path, capsys):
+    """The parser is built once per process, so a failed parse must leave
+    nothing behind for the commands after it."""
+    rate = ["rate", "--config", FIXTURES / "random_range3.json", "--p-grid", "0.3:0.6:0.1"]
+    pressure = ["pressure", "--config", FIXTURES / "golden_mean.json",
+                "--q-min", -1, "--q-max", 1, "--q-step", 0.5]
+    assert run(rate + ["--out", tmp_path / "rate.csv"]) == 0
+    bad = ["pressure", "--config", FIXTURES / "bernoulli.json", "--q-min", "low",
+           "--q-max", 1, "--out", tmp_path / "bad.csv"]
+    assert run(bad) == 2
+    assert "invalid float value" in capsys.readouterr().err
+    assert run(pressure + ["--out", tmp_path / "pressure.csv"]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(thermosft.__file__).parents[1])}
+    for argv, name in ((rate, "rate.csv"), (pressure, "pressure.csv")):
+        fresh = tmp_path / f"fresh_{name}"
+        subprocess.run([sys.executable, "-m", "thermosft", *map(str, argv), "--out", str(fresh)],
+                       env=env, check=True)
+        assert fresh.read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_comma_separated_word_keys(tmp_path):

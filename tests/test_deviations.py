@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from thermosft import deviations
 from thermosft import (
     Infeasible,
+    enumerate_words,
     equilibrium_measure,
     exact_window_mass,
+    integrate,
     ldp_scan,
     make_potential,
     normalize_potential,
@@ -290,6 +294,40 @@ def _full_width_dp(mu, steps, horizons):
     return out
 
 
+def _whole_rows(horizons, steps):
+    """Read-out windows covering every key a horizon can reach."""
+    return {n: (0, n * max(steps) + 1) for n in horizons}
+
+
+def _edge_by_edge_lattice(values):
+    """Reference: the value lattice with one fit per edge value."""
+    fracs = []
+    for v in values:
+        fr = Fraction(v).limit_denominator(deviations.LATTICE_MAX_DEN)
+        if abs(v - float(fr)) > 1e-12 * max(1.0, abs(v)):
+            return None
+        fracs.append(fr)
+    den = math.lcm(*(fr.denominator for fr in fracs))
+    if den > 10**9:
+        return None
+    ints = [fr.numerator * (den // fr.denominator) for fr in fracs]
+    offset = min(ints)
+    g = math.gcd(*(i - offset for i in ints)) or 1
+    return [(i - offset) // g for i in ints], g, offset, den
+
+
+def test_lattice_fit_per_distinct_value_matches_fit_per_edge():
+    rng = np.random.default_rng(109)
+    cases = [[0.0, -0.0, 0.25, 0.25, 1.0], [0.3] * 7, [1 / 3, 2 / 3, -1.5, 1 / 3],
+             [0.1, 0.1 + 1e-7], [1e-7, 3e-7], [0.5, math.pi]]
+    for lattice in (4, 10, 64, 1000):
+        cases.append([round(v * lattice) / lattice for v in rng.uniform(-2, 2, 40)])
+    cases.append(list(rng.uniform(0, 1, 40)))
+    fits = [deviations._lattice_steps(values) for values in cases]
+    assert fits == [_edge_by_edge_lattice(values) for values in cases]
+    assert None in fits and fits.count(None) < len(fits)
+
+
 def test_dp_on_reachable_keys_matches_full_width_update():
     rng = np.random.default_rng(61)
     for lattice in (4, 10, 4, 10, 64, 64):
@@ -300,7 +338,7 @@ def test_dp_on_reachable_keys_matches_full_width_update():
         steps = deviations._lattice_steps(values)[0]
         horizons = {1, 3, 7, 12}
         want = _full_width_dp(mu, steps, horizons)
-        for n, masses in deviations._dp_masses(mu, steps, horizons):
+        for n, masses in deviations._dp_masses(mu, steps, _whole_rows(horizons, steps)):
             assert [m.hex() for m in masses.tolist()] == [m.hex() for m in want[n].tolist()]
 
 
@@ -331,11 +369,11 @@ def test_rank_layer_dp_matches_edge_loop(golden, monkeypatch, block_bytes):
         on_lattice = deviations._lattice_steps(values)
         assert (on_lattice is not None) == bool(lattice)
         steps = on_lattice[0] if lattice else _binned_steps(values, 0.2)[0]
-        fillers += sum(int((p == 0.0).sum()) for _, _, p in deviations._rank_layers(mu.chain, steps))
+        fillers += int((deviations._rank_layers(mu.chain, steps)[2] == 0.0).sum())
         horizons = {1, 2, 5, 9}
         want = _full_width_dp(mu, steps, horizons)
         # each row is read before the generator resumes
-        for n, masses in deviations._dp_masses(mu, steps, horizons):
+        for n, masses in deviations._dp_masses(mu, steps, _whole_rows(horizons, steps)):
             assert [m.hex() for m in masses.tolist()] == [m.hex() for m in want[n].tolist()]
     assert fillers > 0
 
@@ -383,6 +421,108 @@ def test_window_readouts_match_python_loops():
                 mass, slack = _loop_window_masses(mu, psi, n, p, delta)
                 assert (wm.mass.hex(), wm.slack.hex()) == (mass.hex(), slack.hex())
     assert methods == {"exact_dp", "binned_dp"}
+
+
+#: windows inside the values, across either end, over the whole support,
+#: above and below it, and (on the 1/4 lattice at n = 1) between two atoms
+BAND_WINDOWS = [(0.5 + JITTER, 0.1), (0.1, 0.15), (0.95, 0.2), (0.5, 2.0), (3.0, 0.5),
+                (-0.3, 0.2), (0.125, 0.1)]
+
+
+def _band_models(rng):
+    """Seeded models for the band tests: aperiodic graphs on the 1/4, 1/10
+    and 1/64 lattices and off any lattice, plus the full 3-shift with psi of
+    range 4 (27 word states, 3 in-edges each)."""
+    full3 = validate_transitions(np.ones((3, 3), dtype=int))
+    shapes = [(random_aperiodic(rng, int(rng.integers(2, 4))), lat) for lat in (4, 10, 64, None, None)]
+    for tm, lattice in shapes + [(full3, 4)]:
+        phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
+        r = 4 if tm is full3 else int(rng.integers(1, 4))
+        psi = random_potential(rng, tm, r, lo=0.0, hi=1.0, lattice=lattice)
+        yield equilibrium_measure(phi, k=max(1, phi.r - 1)), psi
+
+
+@pytest.mark.parametrize("block_bytes", [None, 400], ids=["default", "few-keys"])
+def test_window_band_matches_full_width_dp(monkeypatch, block_bytes):
+    if block_bytes is not None:
+        # blocks of one to six keys, so most start inside a band
+        monkeypatch.setattr(deviations, "_GATHER_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(101)
+    methods, empty, slack = set(), 0, 0
+    for mu, psi in _band_models(rng):
+        lattice = deviations._lattice_steps(deviations._edge_data(mu, psi)[1])
+        for p, delta in BAND_WINDOWS:
+            for n in (1, 2, 6, 11):
+                wm = exact_window_mass(mu, psi, n, p, delta)
+                mass, want_slack = _loop_window_masses(mu, psi, n, p, delta)
+                assert (wm.mass.hex(), wm.slack.hex()) == (mass.hex(), want_slack.hex())
+                methods.add(wm.method)
+                slack += wm.slack > 0.0
+                if lattice is not None:
+                    lo, hi = deviations._window_keys(n, p, delta, lattice)
+                    empty += hi <= lo + 1
+    assert methods == {"exact_dp", "binned_dp"}
+    assert empty > 0 and slack > 0
+
+
+def test_scan_band_over_unsorted_repeated_horizons(monkeypatch):
+    # blocks of one to six keys as well as the default, on both methods
+    rng = np.random.default_rng(103)
+    n_list = [11, 3, 7, 3, 1, 11, 6]
+    for block_bytes in (None, 400):
+        if block_bytes is not None:
+            monkeypatch.setattr(deviations, "_GATHER_BLOCK_BYTES", block_bytes)
+        for mu, psi in _band_models(rng):
+            for p, delta in BAND_WINDOWS[:4]:
+                # the entries do not depend on the reference rate
+                scan = ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), n_list, p, delta)
+                assert [e.n for e in scan.entries] == n_list
+                for e in scan.entries:
+                    mass, slack = _loop_window_masses(mu, psi, e.n, p, delta)
+                    assert (e.mass.hex(), e.slack.hex()) == (mass.hex(), slack.hex())
+
+
+def _scan_shaped_model(seed):
+    """The shape of the benchmark's deviation-scan model: full 3-shift, f of
+    range 3 in [-0.5, 0.5], psi of range 4 on the 1/4 lattice of [0, 1] with
+    0, 1/4 and 1 present; the window is (mean + 0.1) +- 0.05."""
+    rng = np.random.default_rng(seed)
+    full3 = validate_transitions(np.ones((3, 3), dtype=int))
+    f = random_potential(rng, full3, 3, lo=-0.5, hi=0.5)
+    table = {w: int(rng.integers(0, 5)) / 4.0 for w in enumerate_words(full3, 4)}
+    for w, v in zip(sorted(table)[:3], (0.0, 0.25, 1.0)):
+        table[w] = v
+    psi = make_potential(full3, 4, table, 0.5)
+    mu = equilibrium_measure(normalize_potential(f), k=2)
+    return mu, psi, round(integrate(mu, psi) + 0.1, 2), 0.05
+
+
+def test_dp_updates_only_the_band(monkeypatch):
+    """At n = 300 on the deviation-scan shape the DP updates at most 60% of
+    the (state, key) cells of the reachable triangle, which a full-width
+    pass updates; a window above the support updates none."""
+    mu, psi, p, delta = _scan_shaped_model(107)
+    size = deviations._edge_data(mu, psi)[0].chain.size
+    cells = []
+    key_bands = deviations._key_bands
+
+    def spy(windows, top):
+        bands = key_bands(windows, top)
+        cells.append((size * sum(max(0, hi - lo + 1) for lo, hi in bands),
+                      size * sum(t * top + 1 for t in range(1, len(bands) + 1))))
+        return bands
+
+    monkeypatch.setattr(deviations, "_key_bands", spy)
+    n = 300
+    wm = exact_window_mass(mu, psi, n, p, delta)
+    assert wm.method == "exact_dp" and wm.mass > 0.0
+    assert wm.mass.hex() == _loop_window_masses(mu, psi, n, p, delta)[0].hex()
+    (band, triangle), = cells
+    assert band <= 0.6 * triangle
+
+    cells.clear()
+    assert exact_window_mass(mu, psi, n, 1.5, delta).mass == 0.0
+    assert cells[0][0] == 0
 
 
 def _two_d_walk(mu, steps, n, trials, seed):

@@ -236,6 +236,29 @@ def test_karp_walk_table_matches_loop_reference():
             assert got_cycle.tolist() == cycle
 
 
+def test_walk_back_over_in_edges_matches_all_edge_scan():
+    """The walk back scans only the current state's in-edges and must take
+    the same first attaining edge as a scan over every edge; lattice values
+    make ties between attaining edges common."""
+    rng = np.random.default_rng(43)
+    for case in range(16):
+        s0 = int(rng.integers(2, 5))
+        tm = random_aperiodic(rng, s0)
+        psi = random_potential(rng, tm, 2 if s0 == 4 else 3, lattice=4 if case % 2 else None)
+        words, _, edges = potential_graph(psi)
+        src, dst, w = (np.array(col) for col in zip(*edges))
+        n = len(words)
+        for source in (0, n - 1):
+            d = potentials._walk_table(n, src, dst, w, source, n)
+            for end in np.flatnonzero(np.isfinite(d[n])).tolist():
+                want, v = [], end
+                for k in range(n, 0, -1):
+                    e = int(np.argmax((dst == v) & (d[k - 1, src] + w == d[k, v])))
+                    want.append(e)
+                    v = src[e]
+                assert potentials._walk_back(d, src, dst, w, end).tolist() == want[::-1]
+
+
 def test_spread_repair_path_on_large_coboundary(full2, monkeypatch):
     """psi = g(bc) - g(ab) + u(abc) with g near 1e8: the coboundary cancels
     around every cycle exactly, but not in floating point, so Karp's witness
