@@ -8,7 +8,8 @@ integers); alphabets past 9 use comma-separated keys like "10,2".
 Outputs are CSV with fixed headers and floats printed to 17 significant
 digits, so identical inputs and seeds reproduce byte-identical files.  Sweep
 items run one after another in input order; a pressure sweep solves every
-tilt on one shared tilted-family operator.
+tilt on one shared tilted-family operator, each solve started from the previous
+tilt.
 
 Exit codes: 0 success, 2 validation error, 3 violated certified bound,
 4 solver non-convergence.
@@ -39,9 +40,9 @@ from .potentials import (
     make_potential,
     shift_nonnegative,
 )
-from .rate import rate_function, rate_levels
+from .rate import pressure_curve, rate_function, rate_levels
 from .sft import TransitionMatrix, validate_transitions
-from .transfer import equilibrium_measure, normalize_potential, tilted_family
+from .transfer import equilibrium_measure, normalize_potential
 
 SCHEMA_VERSION = 1
 
@@ -185,8 +186,8 @@ def _cmd_pressure(args) -> int:
     model = load_model(args.config)
     phi = normalize_potential(model.f)
     grid = _parse_range(f"{args.q_min}:{args.q_max}:{args.q_step}")
-    family = tilted_family(phi, model.psi)
-    rows = [(q, *family.tilt(q)) for q in grid]
+    curve = pressure_curve(phi, model.psi, grid)
+    rows = zip(curve.q_grid, curve.pressures, curve.derivatives)
     _write_csv(args.out, CURVE_HEADER, rows)
     return 0
 

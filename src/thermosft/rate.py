@@ -5,16 +5,19 @@ The rate function at p is the supremum over q of
 difference rather than assuming the base pressure is exactly zero makes the
 objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
-is concave with monotone derivative, so a sign-change bracket plus Illinois
-regula falsi on the derivative (Dowell & Jarratt, BIT 11, 1971), which never
-leaves the bracket, is sound.  The maximisation runs on psi centred on its
-cycle-mean spread (and p shifted alike), which leaves the rate unchanged and
-keeps the tilts that overflow far from the ones a level needs.
+is concave with monotone derivative, so a sign-change bracket is sound, and
+its root is found by inverse quadratic interpolation on the derivative under
+Brent's progress guard (Brent, Algorithms for Minimization without
+Derivatives, 1973, ch. 4), with Illinois regula falsi (Dowell & Jarratt,
+BIT 11, 1971) as the fallback step; neither leaves the bracket.  The
+maximisation runs on psi centred on its cycle-mean spread (and p shifted
+alike), which leaves the rate unchanged and keeps the tilts that overflow far
+from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
 once per call of ``rate_levels`` (``rate_function`` is its one-level form);
-within a level each tilt is solved once and reused for both the objective and
-its derivative.
+within a level each tilt is solved once, reused for both the objective and
+its derivative, and started from the level's solved tilt nearest in q.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .transfer import (
 TOL_GRAD = 1e-10
 #: distance to a domain endpoint treated as "at the boundary"
 TOL_END = 1e-9
-#: regula-falsi step cap (each step is one eigen-solve)
+#: root-finding step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
 #: tilted matrices approach a periodic structure the solver cannot handle
@@ -48,7 +51,7 @@ BOUNDARY_Q_CAP = 20.0
 def tilt_eval(phi: Potential, psi: Potential, q: float) -> tuple:
     """(log pressure, mean of psi under the tilted equilibrium state) for the
     potential phi + q*psi."""
-    return tilted_family(phi, psi).tilt(q)
+    return tilted_family(phi, psi).tilt(q)[:2]
 
 
 def _check_normalized(T: TransferMatrix, tol: float = 1e-6) -> None:
@@ -101,7 +104,12 @@ def pressure_curve(phi: Potential, psi: Potential, q_grid) -> PressureCurve:
     grid = tuple(float(q) for q in q_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError("q grid must be sorted ascending")
-    tilts = [family.tilt(q) for q in grid]
+    # each grid point starts its solve from the previous one
+    tilts = []
+    sol = None
+    for q in grid:
+        pr, mean, sol = family.tilt(q, sol)
+        tilts.append((pr, mean))
     return PressureCurve(
         q_grid=grid,
         pressures=tuple(pr for pr, _ in tilts),
@@ -116,10 +124,10 @@ def gamma(phi: Potential, psi: Potential, p: float, q: float) -> tuple:
     at q = 0 by construction; the derivative is p minus the tilted mean.
     """
     family = tilted_family(phi, psi)
-    base, mean = family.tilt(0.0)
+    base, mean, _ = family.tilt(0.0)
     if q == 0.0:
         return 0.0, p - mean
-    pr, mean = family.tilt(q)
+    pr, mean, _ = family.tilt(q)
     return p * q - (pr - base), p - mean
 
 
@@ -147,7 +155,8 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     Refuses observables whose cycle-mean spread is below tolerance; a level
     outside the open spread interval reports +inf, a level at an endpoint
     reports a lower bound.  Inside, the slope of the objective is bracketed
-    by doubling and its root found by Illinois regula falsi to TOL_GRAD.
+    by doubling and its root found to TOL_GRAD by inverse quadratic steps,
+    Illinois regula falsi where they are refused.
     The tilted family, the normalisation check, the spread, the centring and
     the base solve are done once for the whole grid; each level keeps its own
     tilt memo, so every result equals ``rate_function`` at that level.
@@ -191,7 +200,9 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
 
     def tilt(q: float) -> tuple:
         if q not in solved:
-            solved[q] = family.tilt(q)
+            # the solve starts from the solved tilt nearest in q
+            near = min(solved, key=lambda s: abs(s - q))
+            solved[q] = family.tilt(q, solved[near][2])
         return solved[q]
 
     def dgamma(q: float) -> float:
@@ -240,31 +251,61 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
         q_lo, d_lo = q_hi, d_hi
         q_hi *= 2.0
 
-    # Illinois regula falsi on the monotone (decreasing) derivative: positive
-    # at a, negative at b.  The end kept twice in a row has its slope value
+    # root of the monotone (decreasing) slope, positive at a and negative at
+    # b.  Each step tries inverse quadratic interpolation through the
+    # bracket ends and the newest point, on their true slope values; it is
+    # kept when it lands strictly inside the new bracket and moves less than
+    # half the step before last (Brent's guard).  Otherwise the step is
+    # Illinois regula falsi: the end kept twice in a row has its slope value
     # halved, which pulls the next secant point across the root
-    (a, fa), (b, fb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
+    (a, ta), (b, tb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
+    fa, fb = ta, tb
     kept = None
     q_star = _secant(a, fa, b, fb)
     d_star = dgamma(q_star)
+    last_step = older_step = b - a
     for _ in range(MAX_BISECTIONS):
         if abs(d_star) <= TOL_GRAD or (b - a) <= 1e-14 * max(1.0, abs(b)):
             break
+        guess = _inverse_quadratic(a, ta, b, tb, q_star, d_star)
         if d_star > 0.0:
-            a, fa = q_star, d_star
+            a, ta, fa = q_star, d_star, d_star
             if kept == "b":
                 fb *= 0.5
             kept = "b"
         else:
-            b, fb = q_star, d_star
+            b, tb, fb = q_star, d_star, d_star
             if kept == "a":
                 fa *= 0.5
             kept = "a"
-        q_star = _secant(a, fa, b, fb)
+        q_next = _next_tilt(guess, q_star, older_step, a, fa, b, fb)
+        older_step, last_step = last_step, abs(q_next - q_star)
+        q_star = q_next
         d_star = dgamma(q_star)
 
     value = gamma_at(q_star)
     return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
+
+
+def _inverse_quadratic(a: float, fa: float, b: float, fb: float, c: float, fc: float):
+    """q at which the quadratic in the slope value through (fa, a), (fb, b)
+    and (fc, c) reaches slope 0; None when two slope values coincide."""
+    if fa == fb or fa == fc or fb == fc:
+        return None
+    return (
+        a * fb * fc / ((fa - fb) * (fa - fc))
+        + b * fa * fc / ((fb - fa) * (fb - fc))
+        + c * fa * fb / ((fc - fa) * (fc - fb))
+    )
+
+
+def _next_tilt(guess, newest: float, older_step: float, a, fa, b, fb) -> float:
+    """The interpolated ``guess`` when it lies strictly inside (a, b) and
+    less than ``older_step / 2`` from the newest point; otherwise the
+    Illinois secant point of (a, fa) and (b, fb)."""
+    if guess is not None and a < guess < b and abs(guess - newest) < 0.5 * older_step:
+        return guess
+    return _secant(a, fa, b, fb)
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:

@@ -21,6 +21,7 @@ edge arrays.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -155,18 +156,22 @@ class RpfSolution:
         return _gap_estimate(self.transfer, self.lam, self.h, self.nu)
 
 
-def _power_iterate(matvec, size: int) -> tuple:
-    """Deterministic power iteration from the all-ones start; returns the
+def _power_iterate(matvec, size: int, start=None) -> tuple:
+    """Deterministic power iteration from ``start`` (a positive vector,
+    l1-normalised here; the all-ones vector when None); returns the
     l1-normalised positive eigenvector and the step count.
 
     Plain steps ``x -> Tx / sum(Tx)`` contract the error by |lambda2/lambda1|
     per step, which tends to 1 on nearly periodic matrices (lambda2 near
     -lambda1).  Once ``_SHIFT_AFTER`` consecutive steps each point against
-    the previous step and shrink the residual by less than half, the rest of
-    the solve iterates ``T + s*I`` with s the running Perron estimate
-    ``sum(Tx)`` (Wilkinson's origin shift): same Perron vector, and the
-    component at -lambda1 is damped to about 0.  The residual is that of T in
-    both modes.
+    the previous step and shrink the residual by less than half, the solve
+    iterates ``T + s*I`` with s the running Perron estimate ``sum(Tx)``
+    (Wilkinson's origin shift): same Perron vector, and the component at
+    -lambda1 is damped to about 0.  The shift also slows a positive
+    eigenvalue just below lambda1, so the plain contraction per step over
+    that streak is kept, and once the shifted residual shrinks more slowly
+    over ``_SHIFT_AFTER`` steps the solve returns to plain steps for good.
+    The residual is that of T in every mode.
 
     Besides the hard cap ``MAX_ITERATIONS``, the solve fails fast: at steps
     ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
@@ -176,13 +181,17 @@ def _power_iterate(matvec, size: int) -> tuple:
     raised at once.  Window peaks, not single residuals, keep an oscillating
     residual from reading as stagnation.
     """
-    x = np.full(size, 1.0 / size)
+    x = np.full(size, 1.0 / size) if start is None else start / start.sum()
     x_prev = None
-    shifted = False
+    # plain steps until the streak, shifted steps, then plain for good once
+    # the shift has measured slower
+    shifted = unshifted = False
     streak = 0
     res_prev = math.inf
+    recent = deque(maxlen=_SHIFT_AFTER + 1)
+    plain_rate = 0.0
     check_at = _FIRST_CHECK
-    start, peak = 1, 0.0
+    start_at, peak = 1, 0.0
     last_start, last_peak = 0, None
     for it in range(1, MAX_ITERATIONS + 1):
         y = matvec(x)
@@ -190,15 +199,23 @@ def _power_iterate(matvec, size: int) -> tuple:
         if total <= 0.0 or not np.isfinite(total):
             raise NoConvergence("power iteration lost positivity")
         residual = np.abs(y - total * x).max() / total
+        recent.append(residual)
         if shifted:
             y = y + total * x
             x_new = y / y.sum()
+            if len(recent) > _SHIFT_AFTER and residual > plain_rate * recent[0]:
+                shifted, unshifted = False, True
+                last_peak = None
         else:
             x_new = y / total
             if residual > 0.5 * res_prev and float((x_new - x) @ (x - x_prev)) < 0.0:
                 streak += 1
-                if streak == _SHIFT_AFTER:
+                if streak == _SHIFT_AFTER and not unshifted:
+                    # residual ratio over the streak, per _SHIFT_AFTER steps
+                    plain_rate = residual / recent[0]
                     shifted = True
+                    recent.clear()
+                    recent.append(residual)
                     last_peak = None
             else:
                 streak = 0
@@ -211,15 +228,15 @@ def _power_iterate(matvec, size: int) -> tuple:
             if last_peak is not None:
                 # log contraction per step between the two windows' peaks;
                 # a decaying residual peaks where its window starts
-                rate = math.log(peak / last_peak) / (start - last_start)
+                rate = math.log(peak / last_peak) / (start_at - last_start)
                 if math.log(peak / RESIDUAL_TOL) + (MAX_ITERATIONS - it) * rate > 0.0:
                     raise NoConvergence(
                         f"power iteration residual {residual:.3e} after {it} steps cannot "
                         f"reach {RESIDUAL_TOL} within {MAX_ITERATIONS} steps at its "
                         f"measured contraction {math.exp(rate):.12g} per step"
                     )
-            last_start, last_peak = start, peak
-            start, peak = it + 1, 0.0
+            last_start, last_peak = start_at, peak
+            start_at, peak = it + 1, 0.0
             check_at *= 2
     raise NoConvergence(
         f"power iteration residual above {RESIDUAL_TOL} after {MAX_ITERATIONS} steps"
@@ -249,10 +266,15 @@ def _gap_estimate(T: TransferMatrix, lam: float, h: np.ndarray, nu: np.ndarray) 
     return min(ratio, 1.0 - 1e-12)
 
 
-def rpf_solve(T: TransferMatrix) -> RpfSolution:
-    """Perron data of a transfer matrix with deterministic iteration."""
-    h_raw, it_h = _power_iterate(T.apply, T.size)
-    nu_raw, it_nu = _power_iterate(T.adjoint, T.size)
+def rpf_solve(T: TransferMatrix, start: RpfSolution | None = None) -> RpfSolution:
+    """Perron data of a transfer matrix with deterministic iteration.
+
+    ``start``, an earlier solution on the same state graph (a nearby tilt),
+    gives the right iteration its ``h`` and the left its ``nu`` as start
+    vectors; without it both start from the all-ones vector.  The stopping
+    rule is the same either way, so only the step count depends on it."""
+    h_raw, it_h = _power_iterate(T.apply, T.size, None if start is None else start.h)
+    nu_raw, it_nu = _power_iterate(T.adjoint, T.size, None if start is None else start.nu)
     nu = nu_raw / nu_raw.sum()
     h = h_raw / float(h_raw @ nu)
     z = T.apply(h)
@@ -300,18 +322,20 @@ class TiltedFamily:
     def at(self, q: float) -> TransferMatrix:
         return replace(self.base, edge_weights=_frozen(np.exp(self.phi_e + q * self.psi_e)))
 
-    def solve(self, q: float) -> RpfSolution:
-        return rpf_solve(self.at(q))
+    def solve(self, q: float, start: RpfSolution | None = None) -> RpfSolution:
+        """Perron solve at tilt q, started from ``start`` (see ``rpf_solve``)."""
+        return rpf_solve(self.at(q), start)
 
-    def tilt(self, q: float) -> tuple:
-        """(log pressure, mean of psi under the tilted equilibrium state).
+    def tilt(self, q: float, start: RpfSolution | None = None) -> tuple:
+        """(log pressure, mean of psi under the tilted equilibrium state,
+        the solution), the solve started from ``start``.
 
         The equilibrium mass of edge u -> v is ``h[u] * w * nu[v]``
         normalised, so the mean is one weighted sum over the edges."""
-        sol = self.solve(q)
+        sol = self.solve(q, start)
         T = sol.transfer
         flow = sol.h[T.src] * T.edge_weights * sol.nu[T.dst]
-        return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum())
+        return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum()), sol
 
 
 def tilted_family(phi: Potential, psi: Potential) -> TiltedFamily:
@@ -375,12 +399,14 @@ class MarkovMeasure:
     forward weight matrix.  ``pi`` is the stationary vector proportional to
     h * nu.  The state graph (``tm``, ``k``, ``state_words``, ``index``,
     ``size``) is read from ``chain``; ``P`` is its dense view, built on first
-    read.
+    read.  ``_refined`` holds the refinements ``refine_measure`` has built,
+    by state length, so a measure is refined once per length.
     """
 
     theta: float
     pi: np.ndarray
     chain: TransferMatrix
+    _refined: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def P(self) -> np.ndarray:
@@ -402,10 +428,13 @@ def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
 def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
     """Exact refinement to longer word states via transition products: a
     fine edge moves with the probability of the coarse edge between the
-    last ``mu.chain.k`` symbols of its two states."""
+    last ``mu.chain.k`` symbols of its two states.  The result is kept on
+    ``mu`` and returned again by later calls."""
     coarse = mu.chain
     if k_new <= coarse.k:
         return mu
+    if k_new in mu._refined:
+        return mu._refined[k_new]
     words, index, src, dst, _ = state_graph(coarse.tm, k_new)
     tail = np.array([coarse.index[w[-coarse.k :]] for w in words], dtype=np.intp)
     chain = TransferMatrix(
@@ -418,7 +447,9 @@ def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
         edge_weights=_frozen(coarse.weights[tail[src], tail[dst]]),
     )
     pi = np.array([cylinder_mass(mu, w) for w in words])
-    return MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
+    fine = MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
+    mu._refined[k_new] = fine
+    return fine
 
 
 def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from thermosft import deviations
+from thermosft import deviations, transfer
 from thermosft import (
     Infeasible,
     enumerate_words,
@@ -571,3 +571,27 @@ def test_column_walk_matches_two_d_stepping(bernoulli_model, golden_model, rando
             assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
             assert np.array_equal(ends, want_ends)
     assert sizes[-1] == 27
+
+
+def test_chain_is_refined_once_per_measure(random_model, monkeypatch):
+    # psi has range 3, so the 1-word chain is refined to 2-word states
+    psi = random_model.psi
+    phi = normalize_potential(make_pot(psi.tm, 1, {"1": 0.2, "2": -0.1}, psi.theta))
+    mu = equilibrium_measure(phi, k=1)
+    assert mu.chain.k == 1 and psi.r == 3
+    graphs = []
+    state_graph = transfer.state_graph
+
+    def counted(*args):
+        graphs.append(args)
+        return state_graph(*args)
+
+    monkeypatch.setattr(transfer, "state_graph", counted)
+    first = [exact_window_mass(mu, psi, n, 0.55, 0.05) for n in (8, 20)]
+    first.append(sample_paths(mu, psi, 20, 200, 3, 0.55, 0.05))
+    assert len(graphs) == 1
+    again = [exact_window_mass(mu, psi, n, 0.55, 0.05) for n in (8, 20)]
+    again.append(sample_paths(mu, psi, 20, 200, 3, 0.55, 0.05))
+    assert len(graphs) == 1
+    assert [wm.mass.hex() for wm in again] == [wm.mass.hex() for wm in first]
+    assert [wm.slack.hex() for wm in again] == [wm.slack.hex() for wm in first]

@@ -21,7 +21,7 @@ from thermosft import (
     rate_levels,
     tilt_eval,
 )
-from thermosft import sft, transfer
+from thermosft import rate, sft, transfer
 from thermosft.cli import load_model
 from thermosft.transfer import tilted_family
 
@@ -344,13 +344,41 @@ FIXTURE_LEVELS = {
 }
 
 
-def test_interior_fixture_levels_take_at_most_12_solves():
+def test_interior_fixture_levels_take_at_most_10_solves():
     for name, levels in FIXTURE_LEVELS.items():
         model = load_model(FIXTURES / f"{name}.json")
         phi = normalize_potential(model.f)
         for rv in rate_levels(phi, model.psi, levels):
             assert rv.status == "interior", (name, rv)
-            assert rv.iterations <= 12, (name, rv)
+            assert rv.iterations <= 10, (name, rv)
+
+
+def test_golden_mean_flat_slope_level_takes_at_most_16_solves(golden_model):
+    # the slope flattens towards the endpoint 0.5; Illinois alone took 32
+    phi = normalize_potential(golden_model.f)
+    p = 0.49999999
+    rv = rate_function(phi, golden_model.psi, p)
+    assert rv.status == "interior"
+    assert abs(rv.value - _golden_legendre(p)) <= 1e-9
+    assert rv.iterations <= 16, rv
+
+
+def test_step_falls_back_to_illinois_when_interpolation_leaves_the_bracket():
+    # slope 1 at 0, 0.9 at 0.5 and -1 at 1: the inverse quadratic through
+    # them overshoots the new bracket (0.5, 1)
+    guess = rate._inverse_quadratic(0.0, 1.0, 1.0, -1.0, 0.5, 0.9)
+    assert not 0.5 < guess < 1.0
+    secant = rate._secant(0.5, 0.9, 1.0, -1.0)
+    assert rate._next_tilt(guess, 0.5, 1.0, 0.5, 0.9, 1.0, -1.0) == secant
+    # inside the bracket it is taken, unless it moves half the older step
+    inside = 0.5 * (0.5 + secant)
+    assert rate._next_tilt(inside, 0.5, 1.0, 0.5, 0.9, 1.0, -1.0) == inside
+    assert rate._next_tilt(inside, 0.5, 0.01, 0.5, 0.9, 1.0, -1.0) == secant
+    # two equal slope values leave nothing to interpolate
+    assert rate._inverse_quadratic(0.0, 1.0, 1.0, -1.0, 0.5, 1.0) is None
+    assert rate._next_tilt(None, 0.5, 1.0, 0.5, 1.0, 1.0, -1.0) == rate._secant(
+        0.5, 1.0, 1.0, -1.0
+    )
 
 
 def test_rate_levels_equal_rate_function_bit_for_bit():
@@ -378,10 +406,10 @@ def test_interior_level_raises_when_a_tilt_fails(monkeypatch, bernoulli):
     phi, psi = bernoulli
     tilt = transfer.TiltedFamily.tilt
 
-    def failing(self, q):
+    def failing(self, q, start=None):
         if q != 0.0:
             raise NoConvergence("forced")
-        return tilt(self, q)
+        return tilt(self, q, start)
 
     monkeypatch.setattr(transfer.TiltedFamily, "tilt", failing)
     with pytest.raises(NoConvergence):

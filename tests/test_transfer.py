@@ -301,8 +301,10 @@ def test_shifted_power_iteration_on_planted_tilt():
     family = tilted_family(phi, make_potential(tm, 5, psi, 0.5))
     assert family.base.size == 256
     # the tilts of rate levels inside the spread, where the shift must not
-    # engage at a cost, and q = -4, near the orbit 123, where it must
-    for q in (-4.0, -1.0, -0.8, 0.6, 1.0):
+    # engage at a cost, and q = -4, near the orbit 123, where it must.  At
+    # q = -2 and 3 a positive eigenvalue sits just below the oscillating
+    # ones, so the shift engages, measures slower than plain and turns off
+    for q in (-4.0, -2.0, -1.0, -0.8, 0.6, 1.0, 3.0):
         T = family.at(q)
         for matvec in (T.apply, T.adjoint):
             shifted = transfer._power_iterate(matvec, T.size)[1]
@@ -323,3 +325,37 @@ def test_power_iteration_fails_fast_when_the_cap_is_out_of_reach(full2):
     with pytest.raises(NoConvergence, match="cannot reach"):
         family.tilt(30.0)
     assert time.perf_counter() - start < 1.0
+
+
+def _residual(matvec, x):
+    """The power iteration's residual of the direction of x."""
+    x = x / x.sum()
+    y = matvec(x)
+    return float(np.max(np.abs(y - y.sum() * x)) / y.sum())
+
+
+def _assert_same_solution(warm, cold):
+    T = warm.transfer
+    assert abs(warm.log_lambda - cold.log_lambda) <= 1e-12
+    assert np.max(np.abs(warm.h - cold.h)) <= 1e-12
+    assert np.max(np.abs(warm.nu - cold.nu)) <= 1e-12
+    assert _residual(T.apply, warm.h) <= transfer.RESIDUAL_TOL
+    assert _residual(T.adjoint, warm.nu) <= transfer.RESIDUAL_TOL
+
+
+def test_warm_started_rpf_solve_matches_cold(random_model, golden):
+    # a neighbouring tilt: the same Perron data in fewer steps
+    phi = normalize_potential(random_model.f)
+    family = tilted_family(phi, random_model.psi)
+    near = family.solve(1.5)
+    cold = family.solve(1.5001)
+    warm = rpf_solve(family.at(1.5001), start=near)
+    _assert_same_solution(warm, cold)
+    assert warm.iterations < cold.iterations, (warm.iterations, cold.iterations)
+    # a far, nearly periodic one: q = +5 started from q = -5
+    rng = np.random.default_rng(202)
+    phi = random_potential(rng, golden, 2, lo=-0.5, hi=0.5)
+    psi = random_potential(rng, golden, 2, lo=-1.0, hi=1.0)
+    family = tilted_family(phi, psi)
+    warm = family.solve(5.0, start=family.solve(-5.0))
+    _assert_same_solution(warm, family.solve(5.0))
