@@ -21,7 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
-from .potentials import Potential, affine_combine, make_potential, require_not_constant
+from .potentials import (
+    CohomologySpread,
+    Potential,
+    affine_combine,
+    make_potential,
+    require_not_constant,
+)
 from .rate import rate_levels
 from .transfer import (
     _rpf_bound_report,
@@ -246,7 +252,8 @@ class Verdict:
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """All certificate constants plus (optionally) per-p verdicts."""
+    """All certificate constants, the observable's cycle-mean spread (which
+    ``verify_bound`` reuses) and, optionally, per-p verdicts."""
 
     constants_mode: str
     theta: float
@@ -262,6 +269,7 @@ class BoundReport:
     rho: float
     log_rho: float
     log_D: float
+    spread: CohomologySpread
     verdicts: tuple = ()
 
     @property
@@ -284,7 +292,7 @@ def certificate_constants(
         raise ValidationError(
             "observable must be nonnegative here; apply shift_nonnegative first"
         )
-    require_not_constant(psi)
+    spread = require_not_constant(psi)
     mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
     psi_tilde = integrate(mu, psi)
     b_psi = psi_tilde - min(0.0, psi.min_value())
@@ -321,6 +329,7 @@ def certificate_constants(
         rho=consts.rho,
         log_rho=consts.log_rho,
         log_D=consts.log_D,
+        spread=spread,
     )
 
 
@@ -340,7 +349,6 @@ def verify_bound(
     BoundViolated: the inequality is proven, so failure always means a bug.
     """
     report = certificate_constants(phi, psi, delta0, consts)
-    spread = require_not_constant(psi)
     q0, bound, psi_tilde = report.q0, report.bound, report.psi_tilde
     lo, hi = psi_tilde - delta0, psi_tilde + delta0
 
@@ -357,7 +365,7 @@ def verify_bound(
 
     levels = [p for p in map(float, p_grid) if not lo <= p <= hi]
     verdicts = []
-    for p, rv in zip(levels, rate_levels(phi, psi, levels, spread=spread)):
+    for p, rv in zip(levels, rate_levels(phi, psi, levels, spread=report.spread)):
         rate_ok = rv.value >= bound
         if direct:
             gam = (p * q0 - dpr_plus) if p > hi else (-p * q0 - dpr_minus)

@@ -13,17 +13,18 @@ DP step updates only the keys from which a window can still be reached,
 with one stacked gather per key block over the in-edge ranks (3 on a full
 3-shift), not one update per edge, and adds every term in edge-list order,
 so the masses are those of a plain loop over the edges and every key, bit
-for bit.  Its memory peak is the two (states x keys) tables plus one key
-block of the gather.
+for bit; each block's sum is built contiguous and written to the table
+once.  Its memory peak is the two (states x keys) tables plus about two key
+blocks: the gather and the probabilities laid out at its shape.
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
 the next edge by inverse CDF against the cumulative probabilities of the
 current state's out-edges (at most s0 of them, compared one column at a time
-for all paths), so a fixed seed fixes the entire draw sequence.  On a value
-lattice it sums integer lattice steps and decides the window with the same
-exact edges as the DP, so both methods agree on which atoms the open window
-holds.
+for all paths, in buffers reused by every step), so a fixed seed fixes the
+entire draw sequence.  On a value lattice it sums integer lattice steps and
+decides the window with the same exact edges as the DP, so both methods
+agree on which atoms the open window holds.
 
 Both methods run on the edge arrays of the measure's ``chain``, refined so
 that every edge carries one value of the observable.
@@ -194,9 +195,11 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
     added as (layer 0 + layer 1) + layer 2 ..., so every (state, key) sums
     its in-edges in edge-list order from 0.0, exactly as a loop over the
     edges does; the zero terms from the padding and the filler edges leave
-    every bit unchanged.  Blocks keep the stacked gather within
-    ``_GATHER_BLOCK_BYTES``, so the peak memory is the two tables plus one
-    block.
+    every bit unchanged.  The probabilities are laid out once per call at
+    the block's shape, and each block's sum is built in a contiguous array
+    and copied into the table once.  Blocks keep the stacked gather within
+    ``_GATHER_BLOCK_BYTES``, so the peak memory is the two tables plus about
+    two blocks.
 
     Each row sums the states over all keys 0..n*top, as the full-width
     update did (numpy's reduction order depends on that width), into the
@@ -206,9 +209,10 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
     top = max(steps)
     src, step, prob = _rank_layers(chain, steps)
     start = top - step
-    prob = prob[:, :, None]
-    block = max(1, _GATHER_BLOCK_BYTES // (8 * size * len(src)))
     width = top + max(windows) * top + 1
+    # no band is wider than the table
+    block = max(1, min(width, _GATHER_BLOCK_BYTES // (8 * size * len(src))))
+    prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
     # two tables in turn: step t writes its band into the one that holds
     # step t - 2
     cur = np.zeros((size, width))
@@ -223,12 +227,13 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
                 cur.strides + cur.strides[1:],
             )
             terms = shifted[src, start + k0]
-            terms *= prob
-            # an aperiodic graph has a state with two in-edges, so two layers
-            out = nxt[:, top + k0 : top + k1]
-            np.add(terms[0], terms[1], out=out)
+            terms *= prob[:, :, : k1 - k0]
+            # an aperiodic graph has a state with two in-edges, so two layers;
+            # the sum is built contiguous and written to the table once
+            total = terms[0] + terms[1]
             for term in terms[2:]:
-                out += term
+                total += term
+            nxt[:, top + k0 : top + k1] = total
         cur, nxt = nxt, cur
         if t in windows:
             w = t * top + 1
@@ -412,15 +417,25 @@ def _walk_paths(mu: MarkovMeasure, steps: np.ndarray, n: int, trials: int, seed:
     cum_pi = np.cumsum(mu.pi)
     base = np.minimum(np.searchsorted(cum_pi, rng.random(trials)), chain.size - 1) * width
     sums = np.zeros(trials, dtype=steps.dtype)
+    # every step but the draws reuses these buffers.  Every index is in
+    # range, so mode="clip" changes none; it spares the copy of ``out`` that
+    # mode="raise" makes
+    cells = np.empty_like(base)
+    cum = np.empty(trials)
+    below = np.empty(trials, dtype=bool)
+    taken = np.empty_like(sums)
     for _ in range(n):
         draws = rng.random(trials)
         # the edge taken is the number of cumulative probabilities <= the
         # draw, counted one column at a time; the last column is +inf
-        cells = base.copy()
+        np.copyto(cells, base)
         for j in range(width - 1):
-            cells += cum_flat[base + j] <= draws
-        sums += step_of[cells]
-        base = succ[cells]
+            np.take(cum_flat[j:], base, out=cum, mode="clip")
+            np.less_equal(cum, draws, out=below)
+            cells += below
+        np.take(step_of, cells, out=taken, mode="clip")
+        sums += taken
+        np.take(succ, cells, out=base, mode="clip")
     return sums, base // width
 
 

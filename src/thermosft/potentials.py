@@ -21,12 +21,15 @@ from .errors import (
     InadmissibleWord,
     MissingWord,
     ModelMismatch,
+    NoConvergence,
     WordTooShort,
 )
 from .sft import TransitionMatrix, Word, enumerate_words, state_graph
 
 #: spread below which an observable is treated as cohomologous to a constant
 TOL_COB = 1e-9
+#: policy-iteration rounds after which a cycle-mean solve gives up
+_HOWARD_MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,81 +189,90 @@ class CohomologySpread:
         return self.width <= self.tol
 
 
-def _walk_table(n: int, src, dst, w, source: int, length: int):
-    """Least walk weights on the edge arrays ``src, dst, w``: row k holds,
-    for every state, the least weight of a walk of exactly k edges from
-    ``source`` (inf where there is none)."""
-    d = np.full((length + 1, n), np.inf)
-    d[0, source] = 0.0
-    for k in range(1, length + 1):
-        np.minimum.at(d[k], dst, d[k - 1, src] + w)
-    return d
+def _out_edges(psi: Potential) -> tuple:
+    """(words, heads, weights) of psi's word graph (``potential_graph``): row
+    u of ``heads`` and ``weights`` holds the head and the weight of each edge
+    out of state u, padded by repeating its first."""
+    words, _, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
+    first = np.searchsorted(src, np.arange(len(words)))
+    degree = np.diff(first, append=len(src))
+    j = np.arange(degree.max())
+    cell = first[:, None] + np.where(j < degree[:, None], j, 0)
+    w = np.array([psi.table[ow[: psi.r]] for ow in overlaps])
+    return words, dst[cell], w[cell]
 
 
-def _walk_back(d, src, dst, w, end: int):
-    """Edge indices of a least walk of len(d) - 1 edges ending at ``end``,
-    taking at each step the first in-edge of the current state, in edge
-    order, that attains the table value."""
-    ins = [[] for _ in range(d.shape[1])]
-    for e, v in enumerate(dst.tolist()):
-        ins[v].append(e)
-    src, w = src.tolist(), w.tolist()
-    walk = []
-    for k in range(len(d) - 1, 0, -1):
-        # Python floats add and compare as the float64 table does
-        target = d.item(k, end)
-        e = next(e for e in ins[end] if d.item(k - 1, src[e]) + w[e] == target)
-        walk.append(e)
-        end = src[e]
-    return np.array(walk[::-1], dtype=np.int64)
+def _evaluate_policy(succ, cost) -> tuple:
+    """(eta, x, cycles) of the policy that steps from u to ``succ[u]`` at
+    ``cost[u]``: ``cycles`` holds each cycle's (mean, states) from its least
+    state, summing the costs left to right in that order; ``eta[u]`` is the
+    mean of the cycle u's path enters; the bias ``x[u]`` is 0 at a cycle's
+    least state and ``cost[u] - eta[u] + x[succ[u]]`` elsewhere.  In plain
+    Python, which beats numpy's per-call cost on one edge per state."""
+    succ, cost = succ.tolist(), cost.tolist()
+    eta, x, walk = [0.0] * len(succ), [0.0] * len(succ), [-1] * len(succ)
+    cycles = []
+    for start in range(len(succ)):
+        path, u = [], start
+        while walk[u] < 0:
+            walk[u] = start
+            path.append(u)
+            u = succ[u]
+        if walk[u] == start:
+            # the walk closed a new cycle at u; its least state roots it
+            ring = path[path.index(u) :]
+            least = ring.index(min(ring))
+            states = ring[least:] + ring[:least]
+            eta[states[0]] = sum(cost[v] for v in states) / len(states)
+            cycles.append((eta[states[0]], states))
+            path = path[: len(path) - len(ring)] + states[1:]
+        for v in reversed(path):
+            eta[v] = eta[succ[v]]
+            x[v] = cost[v] - eta[v] + x[succ[v]]
+    return np.array(eta), np.array(x), cycles
 
 
-def _karp_min_mean(n: int, src, dst, w):
-    """Karp's minimum mean cycle on a strongly connected digraph.
+def _min_cycle_mean(heads, weights) -> tuple:
+    """Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert,
+    McGettrick and Quadrat, 1998) on a strongly connected graph padded as by
+    ``_out_edges``: (mean, states) of the last policy's least-mean cycle
+    (the first by least state on ties), from its least state.
 
-    Returns (mean, cycle edge indices).  The walk table from state 0 gives
-    the classical min-max over (d_n - d_k)/(n - k); the least n-walk to the
-    optimising state contains a critical cycle.  Of the closed segments of
-    that walk, the one of least mean (the first by end, then start) is the
-    witness; row i of ``sums`` adds the walk's edge weights from step i on,
-    left to right from 0, so its mean is bit for bit the plain sum's.  If
-    that mean misses Karp's value by more than ``1e-9 * (1 + |value|)`` --
-    cancellation in a large coboundary part can cause this -- the repair
-    path decides instead.
+    Each state keeps one out-edge, at first its first of least weight.  A
+    round evaluates the policy, then moves every state with a successor of
+    lower ``eta`` to its first of least ``eta``; only if there is none, to
+    its first edge of least ``w - eta + x[head]`` among those of equal
+    ``eta`` (within ``tol``).  A move must gain more than ``tol``: n ulps of
+    the largest |w| plus the largest |x|, what rounding gathers along n
+    edges.  On exit every edge must satisfy ``w - mean + x[head] >= x[tail]
+    - tol``, so no cycle mean lies below the witness's by more than ``tol``;
+    that failing, or the round budget running out, raises NoConvergence.
     """
-    d = _walk_table(n, src, dst, w, 0, n)
-    with np.errstate(invalid="ignore"):
-        ratios = (d[n] - d[:n]) / (n - np.arange(n))[:, None]
-    ratios[np.isinf(d[:n])] = -np.inf
-    worst = ratios.max(axis=0)
-    worst[np.isinf(d[n])] = np.inf
-    end = int(np.argmin(worst))
-    walk = _walk_back(d, src, dst, w, end)
-    states = np.append(src[walk], end)
-    ends, starts = np.nonzero(np.tril(states[:, None] == states, -1))
-    tails = np.concatenate((w[walk], np.zeros(n)))[np.arange(n)[:, None] + np.arange(n)]
-    sums = np.cumsum(np.hstack((np.zeros((n, 1)), tails)), axis=1)
-    means = sums[starts, ends - starts] / (ends - starts)
-    best = int(np.argmin(means))
-    if abs(means[best] - worst[end]) > 1e-9 * (1.0 + abs(worst[end])):
-        return _closed_walk_min_mean(n, src, dst, w)
-    return float(means[best]), walk[starts[best] : ends[best]]
-
-
-def _closed_walk_min_mean(n: int, src, dst, w):
-    """Repair path: the least (cheapest closed L-walk)/L over L <= n.
-
-    A cheapest closed walk decomposes into cycles of mean at least the
-    optimum, and the critical cycle itself realises it, so the minimum is
-    exact.  The closed L-walks at v are read from the walk table from v; the
-    first minimum in L-major, then state, order wins, and its walk is the
-    witness.
-    """
-    closed = np.array([_walk_table(n, src, dst, w, v, n)[1:, v] for v in range(n)]).T
-    means = closed / np.arange(1, n + 1)[:, None]
-    length, v = divmod(int(np.argmin(means)), n)
-    d = _walk_table(n, src, dst, w, v, length + 1)
-    return float(means[length, v]), _walk_back(d, src, dst, w, v)
+    rows, choice = np.arange(len(heads)), np.argmin(weights, axis=1)
+    ulps, scale = len(heads) * np.finfo(float).eps, float(np.abs(weights).max())
+    for _ in range(_HOWARD_MAX_ROUNDS):
+        eta, x, cycles = _evaluate_policy(heads[rows, choice], weights[rows, choice])
+        tol = ulps * (scale + float(np.abs(x).max()))
+        gain = weights - eta[:, None] + x[heads]
+        # with one cycle every state has its mean: no successor differs
+        if len(cycles) > 1:
+            eta_next = eta[heads]
+            lower = eta_next.min(axis=1) < eta - tol
+            if lower.any():
+                choice = np.where(lower, np.argmin(eta_next, axis=1), choice)
+                continue
+            gain[eta_next > eta[:, None] + tol] = np.inf
+        best = np.argmin(gain, axis=1)
+        better = gain[rows, best] < x - tol
+        if not better.any():
+            break
+        choice = np.where(better, best, choice)
+    else:
+        raise NoConvergence(f"policy iteration did not settle in {_HOWARD_MAX_ROUNDS} rounds")
+    mean, states = min(cycles)
+    if not np.all(weights - mean + x[heads] >= x[:, None] - tol):
+        raise NoConvergence(f"cycle mean {mean!r} fails its optimality certificate")
+    return mean, states
 
 
 def potential_graph(psi: Potential):
@@ -273,20 +285,22 @@ def potential_graph(psi: Potential):
 
 
 def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
-    """Extreme cycle means of psi: Karp's method on the edge arrays of its
-    word graph, run on psi and on -psi.  Each witness is the periodic symbol
-    sequence of its cycle (states overlap by one shift per step, so their
-    first symbols spell the orbit)."""
-    words, _, edges = potential_graph(psi)
-    src, dst, w = (np.array(col) for col in zip(*edges))
-    lo, cyc_lo = _karp_min_mean(len(words), src, dst, w)
-    hi_neg, cyc_hi = _karp_min_mean(len(words), src, dst, -w)
+    """Extreme cycle means of psi: Howard's policy iteration on the edge
+    arrays of its word graph, run on psi and on -psi, in memory linear in the
+    graph.  Each witness is the periodic symbol sequence of a simple cycle,
+    from the cycle's least state (states overlap by one shift per step, so
+    their first symbols spell the orbit), and each endpoint is the plain
+    mean of psi along its witness.  A solve that exhausts its round budget or
+    fails its optimality certificate raises NoConvergence."""
+    words, heads, weights = _out_edges(psi)
+    lo, cyc_lo = _min_cycle_mean(heads, weights)
+    hi_neg, cyc_hi = _min_cycle_mean(heads, -weights)
     return CohomologySpread(
         min_mean=lo,
         # 0.0 - x is x negated, except that it maps +0.0 to +0.0, not -0.0
         max_mean=0.0 - hi_neg,
-        witness_min=tuple(words[s][0] for s in src[cyc_lo]),
-        witness_max=tuple(words[s][0] for s in src[cyc_hi]),
+        witness_min=tuple(words[s][0] for s in cyc_lo),
+        witness_max=tuple(words[s][0] for s in cyc_hi),
         tol=tol,
     )
 

@@ -18,6 +18,7 @@ from thermosft import (
     certificate_constants,
     verify_bound,
 )
+from thermosft import potentials
 from thermosft.bounds import RpfConstants
 from thermosft.transfer import solve_potential, state_norms
 
@@ -175,6 +176,22 @@ def test_verify_bound_bernoulli_measured(bernoulli):
     )
     assert by_p[0.9].tilt_method == "direct"
     assert by_p[0.9].tilt_value >= report.bound
+
+
+def test_verify_bound_computes_one_spread(bernoulli, monkeypatch):
+    phi, psi = bernoulli
+    consts = constants_for(phi, psi, "measured")
+    spreads = []
+    spread = potentials.cohomology_spread
+
+    def spy(*args):
+        spreads.append(spread(*args))
+        return spreads[-1]
+
+    monkeypatch.setattr(potentials, "cohomology_spread", spy)
+    report = verify_bound(phi, psi, 0.1, [0.1, 0.9], consts)
+    assert report.all_pass
+    assert len(spreads) == 1 and report.spread is spreads[0]
 
 
 def test_verify_bound_paper_mode_uses_bracket(bernoulli):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thermosft
-from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError, transfer
+from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError, potentials, transfer
 from thermosft.cli import load_model, run_command
 
 from conftest import FIXTURES
@@ -216,6 +216,15 @@ def test_power_iteration_budget_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "norm.json"
     assert run(["normalize", "--config", FIXTURES / "random_range3.json", "--out", out]) == 4
     assert capsys.readouterr().err.startswith("error: power iteration ")
+
+
+def test_cycle_mean_budget_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(potentials, "_HOWARD_MAX_ROUNDS", 1)
+    out = tmp_path / "spread.csv"
+    assert run(["spread", "--config", FIXTURES / "bernoulli.json", "--out", out]) == 4
+    assert capsys.readouterr().err.startswith("error: policy iteration ")
+    assert not out.exists()
+
 
 def test_reruns_are_byte_identical(tmp_path):
     jobs = [

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from thermosft import (
     InadmissibleWord,
     MissingWord,
     ModelMismatch,
+    NoConvergence,
     WordTooShort,
     affine_combine,
     birkhoff_sum,
@@ -185,103 +187,100 @@ def test_spread_shift_invariance(golden):
     assert sps.max_mean == pytest.approx(sp.max_mean + 0.35, abs=1e-12)
 
 
-def _loop_karp(n, edges):
-    """Karp's method as plain loops over (u, v, w) edges from state 0: the
-    reference the walk table must match bit for bit.  Returns (cycle mean,
-    Karp's value, cycle edge indices)."""
-    d = [[math.inf] * n for _ in range(n + 1)]
-    parent = [[-1] * n for _ in range(n + 1)]
-    d[0][0] = 0.0
-    for k in range(1, n + 1):
-        for e, (u, v, w) in enumerate(edges):
-            if d[k - 1][u] + w < d[k][v]:
-                d[k][v] = d[k - 1][u] + w
-                parent[k][v] = e
-    value, end = math.inf, -1
-    for v in range(n):
-        if d[n][v] < math.inf:
-            worst = max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] < math.inf)
-            if worst < value:
-                value, end = worst, v
-    walk = []
-    for k in range(n, 0, -1):
-        walk.append(parent[k][end])
-        end = edges[walk[-1]][0]
-    walk.reverse()
-    states = [edges[e][0] for e in walk] + [edges[walk[-1]][1]]
-    mean, cycle = math.inf, None
-    for j in range(n + 1):
-        for i in range(j):
-            if states[i] == states[j]:
-                m = sum(edges[e][2] for e in walk[i:j]) / (j - i)
-                if m < mean:
-                    mean, cycle = m, walk[i:j]
-    return mean, value, cycle
+def _check_min_cycle_mean(psi):
+    """Both signs of psi's word graph: the mean is within 1e-12 of the
+    simple-cycle oracle, and the witness is a simple cycle from its least
+    state whose plain left-to-right mean is the reported mean bit for bit."""
+    _, _, edges = potential_graph(psi)
+    weight = {(u, v): x for u, v, x in edges}
+    _, heads, weights = potentials._out_edges(psi)
+    lo, hi = brute_cycle_means(psi)
+    for sign, want in ((1.0, lo), (-1.0, -hi)):
+        mean, states = potentials._min_cycle_mean(heads, sign * weights)
+        assert abs(mean - want) <= 1e-12
+        assert len(set(states)) == len(states) and states[0] == min(states)
+        cycle = [sign * weight[u, v] for u, v in zip(states, states[1:] + states[:1])]
+        assert (sum(cycle) / len(cycle)).hex() == mean.hex()
 
 
-def test_karp_walk_table_matches_loop_reference():
+def test_min_cycle_mean_matches_oracle_with_simple_witnesses():
     rng = np.random.default_rng(41)
     for case in range(40):
         s0 = int(rng.integers(2, 5))
         r = int(rng.integers(1, 3)) if s0 == 4 else int(rng.integers(1, 4))
         tm = random_aperiodic(rng, s0)
-        psi = random_potential(rng, tm, r, lattice=4 if case % 2 else None)
-        words, _, edges = potential_graph(psi)
-        src, dst, w = (np.array(col) for col in zip(*edges))
-        for sign in (1.0, -1.0):
-            mean, value, cycle = _loop_karp(len(words), [(u, v, sign * x) for u, v, x in edges])
-            assert abs(mean - value) <= 1e-9 * (1.0 + abs(value))
-            got_mean, got_cycle = potentials._karp_min_mean(len(words), src, dst, sign * w)
-            assert got_mean.hex() == mean.hex()
-            assert got_cycle.tolist() == cycle
+        _check_min_cycle_mean(random_potential(rng, tm, r, lattice=4 if case % 2 else None))
 
 
-def test_walk_back_over_in_edges_matches_all_edge_scan():
-    """The walk back scans only the current state's in-edges and must take
-    the same first attaining edge as a scan over every edge; lattice values
-    make ties between attaining edges common."""
+def test_min_cycle_mean_on_lattice_ties():
+    """Lattice values make ties between cycles and between out-edges common;
+    the witness must still be simple and carry the reported mean."""
     rng = np.random.default_rng(43)
     for case in range(16):
         s0 = int(rng.integers(2, 5))
         tm = random_aperiodic(rng, s0)
         psi = random_potential(rng, tm, 2 if s0 == 4 else 3, lattice=4 if case % 2 else None)
-        words, _, edges = potential_graph(psi)
-        src, dst, w = (np.array(col) for col in zip(*edges))
-        n = len(words)
-        for source in (0, n - 1):
-            d = potentials._walk_table(n, src, dst, w, source, n)
-            for end in np.flatnonzero(np.isfinite(d[n])).tolist():
-                want, v = [], end
-                for k in range(n, 0, -1):
-                    e = int(np.argmax((dst == v) & (d[k - 1, src] + w == d[k, v])))
-                    want.append(e)
-                    v = src[e]
-                assert potentials._walk_back(d, src, dst, w, end).tolist() == want[::-1]
+        _check_min_cycle_mean(psi)
 
 
-def test_spread_repair_path_on_large_coboundary(full2, monkeypatch):
+def test_spread_repair_path_on_large_coboundary(full2):
     """psi = g(bc) - g(ab) + u(abc) with g near 1e8: the coboundary cancels
-    around every cycle exactly, but not in floating point, so Karp's witness
-    check fails and the closed-walk repair decides both endpoints."""
+    around every cycle exactly, but not in floating point, so the biases are
+    near 1e8 while the means lie in [0, 1].  Both endpoints must still be
+    within 1e-7 of the exact means.  (Karp's witness check failed on this
+    input and sent it to a repair path.)"""
     rng = np.random.default_rng(0)
     g = {w: rng.uniform(-1e8, 1e8) for w in enumerate_words(full2, 2)}
     table = {w: g[w[1:]] - g[w[:2]] + rng.uniform(0.0, 1.0) for w in enumerate_words(full2, 3)}
     psi = make_potential(full2, 3, table, 0.5)
-    repairs = []
-    repair = potentials._closed_walk_min_mean
-
-    def spy(*args):
-        repairs.append(args)
-        return repair(*args)
-
-    monkeypatch.setattr(potentials, "_closed_walk_min_mean", spy)
     sp = cohomology_spread(psi)
-    assert repairs
     words, _, edges = potential_graph(psi)
     exact = [(u, v, Fraction(w)) for u, v, w in edges]
     means = [total / length for total, length in simple_cycles(len(words), exact)]
     assert abs(sp.min_mean - float(min(means))) <= 1e-7
     assert abs(sp.max_mean - float(max(means))) <= 1e-7
+
+
+@pytest.mark.parametrize("pad", range(4, 11))
+def test_spread_of_indicator_at_depth(full2, pad):
+    """The ramped indicator of the cylinder 111 (PAPER.md's chi_K) on the
+    full 2-shift, 2**(pad + 2) word states: its least cycle mean is the fixed
+    point 2 at 1 - 3/(pad + 1) and its greatest is 1.  Memory stays linear
+    in the graph: under 50 MB traced at 4096 states."""
+    psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+    tracemalloc.start()
+    start = time.perf_counter()
+    sp = cohomology_spread(psi)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert sp.min_mean == 1.0 - 3.0 / (pad + 1)
+    assert sp.witness_min == (2,)
+    assert sp.max_mean == 1.0
+    assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB at pad {pad}"
+    assert elapsed < 1.5, f"cohomology_spread took {elapsed:.2f}s at pad {pad}"
+
+
+def test_min_cycle_mean_round_budget(full2, monkeypatch):
+    """A cap of one round refuses a graph whose first policy is not optimal."""
+    psi = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
+    monkeypatch.setattr(potentials, "_HOWARD_MAX_ROUNDS", 1)
+    with pytest.raises(NoConvergence, match="did not settle in 1 rounds"):
+        cohomology_spread(psi)
+
+
+def test_min_cycle_mean_certificate_failure_raises(full2, monkeypatch):
+    """A cycle mean the biases do not certify is refused: here every policy
+    cycle reports its mean raised by 1."""
+    evaluate = potentials._evaluate_policy
+
+    def raised(succ, cost):
+        eta, x, cycles = evaluate(succ, cost)
+        return eta, x, [(mean + 1.0, states) for mean, states in cycles]
+
+    monkeypatch.setattr(potentials, "_evaluate_policy", raised)
+    with pytest.raises(NoConvergence, match="optimality certificate"):
+        cohomology_spread(make_pot(full2, 1, {"1": 1.0, "2": 0.0}))
 
 
 def test_spread_729_states_within_budget():
