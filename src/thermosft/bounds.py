@@ -26,6 +26,7 @@ from .potentials import (
     Potential,
     affine_combine,
     make_potential,
+    prefix_runs,
     require_not_constant,
 )
 from .rate import rate_levels
@@ -162,7 +163,7 @@ def measured_rpf_constants(
         f_q = affine_combine(phi, psi, q)
         T, sol = solve_potential(f_q)
         gap_max = max(gap_max, sol.gap_ratio)
-        sup, semi = state_norms(T.state_words, sol.h, theta)
+        sup, semi = state_norms(sol.h, prefix_runs(T.state_words), theta)
         h_norm_max = max(h_norm_max, sup + semi)
         h_min_min = min(h_min_min, float(np.min(sol.h)))
         tilts.append((f_q, {T.k: sol}))

@@ -299,10 +299,13 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
             )
 
         def averages(n):
-            # (key + n*offset) * width / n for keys 0..n*top, the integer
-            # total made float once (past int64 numpy's arange runs in
-            # float64, where neighbouring totals can share one value)
-            avg = np.arange(n * offset, n * offset + n * top + 1) * width
+            # (key + n*offset) * width / n for keys 0..n*top, each integer
+            # total rounded to float once, also past int64: the float head
+            # of n*offset plus the exact small integers key + (n*offset -
+            # head), one rounding in the addition
+            base = n * offset
+            head = float(base)
+            avg = (head + (np.arange(n * top + 1) + (base - int(head)))) * width
             avg /= n
             return avg
 

@@ -73,20 +73,36 @@ class Potential:
         return max(self.table.values())
 
 
-def variations(tm: TransitionMatrix, r: int, table: dict) -> list:
-    """var_k for k = 0..r-2: largest value gap between admissible r-words
-    sharing a (k+1)-prefix.  Exhaustive over prefix classes, hence exact."""
-    words = enumerate_words(tm, r)
+def prefix_runs(words) -> list:
+    """Start indices of the runs of words sharing a (j+1)-prefix, for each
+    depth j = 0..L-2 of a lexicographically ordered list of distinct L-words
+    (at depth L-1 every word would be its own run).  Ordered words keep each
+    prefix class contiguous, so a run starts where a word first differs from
+    its predecessor at or before position j."""
+    if len(words[0]) == 1:
+        return []
+    codes = np.array(words)
+    # where each word first differs from its predecessor; -1 for the first
+    split = np.full(len(words), -1)
+    split[1:] = (codes[1:] != codes[:-1]).argmax(axis=1)
+    return [(split <= j).nonzero()[0] for j in range(codes.shape[1] - 1)]
+
+
+def variations(values: np.ndarray, runs) -> list:
+    """var_j for each depth of ``runs`` (``prefix_runs``): the largest value
+    gap within one run of ``values``.  Exhaustive over prefix classes, hence
+    exact; 0.0 exactly when every run holds one value."""
     out = []
-    for k in range(r - 1):
-        groups: dict = {}
-        for w in words:
-            groups.setdefault(w[: k + 1], []).append(table[w])
-        vk = 0.0
-        for vals in groups.values():
-            vk = max(vk, max(vals) - min(vals))
-        out.append(vk)
+    for starts in runs:
+        gaps = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+        # +0.0, not -0.0, where a run holds both zeros
+        out.append(max(0.0, float(gaps.max())))
     return out
+
+
+def hoelder_seminorm(var, theta: float) -> float:
+    """Largest ``var_j / theta**j`` over the depths of ``var``."""
+    return max((vj / theta**j for j, vj in enumerate(var)), default=0.0)
 
 
 def make_potential(tm: TransitionMatrix, r: int, table: dict, theta: float) -> Potential:
@@ -107,17 +123,14 @@ def make_potential(tm: TransitionMatrix, r: int, table: dict, theta: float) -> P
     for w in words:
         if w not in clean:
             raise MissingWord(f"table is missing admissible word {w}")
-    sup = max(abs(v) for v in clean.values())
-    var = variations(tm, r, clean)
-    semi = 0.0
-    for k, vk in enumerate(var):
-        semi = max(semi, vk / theta**k)
+    values = np.array([clean[w] for w in words])
+    semi = hoelder_seminorm(variations(values, prefix_runs(words)), theta)
     return Potential(
         tm=tm,
         r=r,
         theta=theta,
         table=clean,
-        sup_norm=sup,
+        sup_norm=max(abs(v) for v in clean.values()),
         hoelder_seminorm=semi,
         b=max(1.0, semi),
     )
@@ -190,7 +203,9 @@ class CohomologySpread:
 
 
 def _out_edges(psi: Potential) -> tuple:
-    """(words, heads, weights) of psi's word graph (``potential_graph``): row
+    """(words, heads, weights) of psi's word graph, whose states are
+    (r-1)-words (symbols when r = 1) and whose edge weights are the values of
+    psi on the overlap words: row
     u of ``heads`` and ``weights`` holds the head and the weight of each edge
     out of state u, padded by repeating its first."""
     words, _, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
@@ -273,15 +288,6 @@ def _min_cycle_mean(heads, weights) -> tuple:
     if not np.all(weights - mean + x[heads] >= x[:, None] - tol):
         raise NoConvergence(f"cycle mean {mean!r} fails its optimality certificate")
     return mean, states
-
-
-def potential_graph(psi: Potential):
-    """Weighted digraph whose cycles carry the Birkhoff averages of psi:
-    states are (r-1)-words (symbols when r = 1), the weight of an edge is the
-    value of psi on the overlap word."""
-    words, index, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
-    weights = (psi.table[ow[: psi.r]] for ow in overlaps)
-    return words, index, list(zip(src.tolist(), dst.tolist(), weights))
 
 
 def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:

@@ -7,15 +7,18 @@ to solver tolerance rather than by discretising anything.  The Perron triple
 feeds pressure, equilibrium Markov measures, potential normalisation and the
 numerical verification of the spectral convergence bounds.
 
-A matrix is held as its edge arrays: one entry per admissible overlap of two
-states, at most s0 per row, so a mat-vec is a single ``np.bincount``; the
-dense n x n view is built only when something reads it.  The tilted family
-``phi + q*psi`` behind pressure curves and rate functions is one
-``TiltedFamily``: the state graph and both edge tables are built once per
-(phi, psi), and each tilt only re-exponentiates ``phi_e + q*psi_e``.  An
-equilibrium Markov chain is a ``TransferMatrix`` too, its edge weights the
-transition probabilities, so the deviation DP and the sampler walk the same
-edge arrays.
+A matrix is held as its edge arrays only: one entry per admissible overlap
+of two states, at most s0 per row, so a mat-vec is a single
+``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves
+and rate functions is one ``TiltedFamily``: the state graph and both edge
+tables are built once per (phi, psi), and each tilt only re-exponentiates
+``phi_e + q*psi_e``.  An equilibrium Markov chain is a ``TransferMatrix``
+too, its edge weights the transition probabilities, so the deviation DP and
+the sampler walk the same edge arrays.  Measures work on edges as well: the
+(k+1)-word states of a refinement are the k-word chain's edges, so refining
+by one symbol multiplies ``pi`` by the edge probabilities and gathers them
+by edge index; a cylinder mass multiplies the probabilities of the edges its
+word walks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolated, ModelMismatch, NoConvergence, ValidationError
-from .potentials import Potential, make_potential
+from .potentials import Potential, hoelder_seminorm, make_potential, prefix_runs, variations
 from .sft import TransitionMatrix, Word, enumerate_words, state_graph
 
 #: relative residual at which the power iteration declares convergence
@@ -63,9 +66,7 @@ class TransferMatrix:
     the (k+1)-word w the two states overlap in; for an equilibrium chain,
     the transition probability.  Applying the operator to a state vector g sums
     over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
-    the edges into v; ``adjoint`` is the transposed action.  ``weights`` is
-    the dense view (``weights[u, v]`` is the weight of edge u -> v, 0 where
-    there is none), built on first read.
+    the edges into v; ``adjoint`` is the transposed action.
     """
 
     tm: TransitionMatrix
@@ -79,12 +80,6 @@ class TransferMatrix:
     @property
     def size(self) -> int:
         return len(self.state_words)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        dense = np.zeros((self.size, self.size))
-        dense[self.src, self.dst] = self.edge_weights
-        return _frozen(dense)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return np.bincount(self.dst, weights=self.edge_weights * g[self.src], minlength=self.size)
@@ -357,24 +352,17 @@ def normalize_potential(f: Potential) -> Potential:
     state is unchanged.  The table is built on the minimal sufficient range
     (the eigenfunction correction cancels where it is constant)."""
     T, sol = solve_potential(f)
-    k = T.k
     log_h = np.log(sol.h)
-    r_out = max(f.r, k + 1)
-    table = {}
-    for w in enumerate_words(f.tm, r_out):
-        head = T.index[w[:k]]
-        tail = T.index[w[1 : k + 1]]
-        table[w] = f.table[w[: f.r]] + float(log_h[head]) - float(log_h[tail]) - sol.log_lambda
-    # trim ranges whose deeper coordinates turned out not to matter
-    while r_out > 1:
-        groups: dict = {}
-        for w, v in table.items():
-            groups.setdefault(w[:-1], set()).add(v)
-        if all(len(vals) == 1 for vals in groups.values()):
-            table = {w: next(iter(vals)) for w, vals in groups.items()}
-            r_out -= 1
-        else:
-            break
+    # T's edges are the (k+1)-words, in this order
+    words = enumerate_words(f.tm, T.k + 1)
+    f_e = np.array([f.table[w[: f.r]] for w in words])
+    values = f_e + log_h[T.src] - log_h[T.dst] - sol.log_lambda
+    # trim to the least range whose deeper coordinates do not matter: the
+    # variations fall with depth and reach 0.0 at the whole words, each its
+    # own run
+    runs = prefix_runs(words) + [np.arange(len(words))]
+    r_out = 1 + variations(values, runs).index(0.0)
+    table = {words[i][:r_out]: float(values[i]) for i in runs[r_out - 1].tolist()}
     phi = make_potential(f.tm, r_out, table, f.theta)
     Tphi = build_transfer_matrix(phi)
     ones = np.ones(Tphi.size)
@@ -398,19 +386,15 @@ class MarkovMeasure:
     sums to 1 over each row because nu is the right eigenvector of the
     forward weight matrix.  ``pi`` is the stationary vector proportional to
     h * nu.  The state graph (``tm``, ``k``, ``state_words``, ``index``,
-    ``size``) is read from ``chain``; ``P`` is its dense view, built on first
-    read.  ``_refined`` holds the refinements ``refine_measure`` has built,
-    by state length, so a measure is refined once per length.
+    ``size``) is read from ``chain``.  ``_refined`` holds the refinements
+    ``refine_measure`` has built, by state length, so a measure is refined
+    once per length.
     """
 
     theta: float
     pi: np.ndarray
     chain: TransferMatrix
     _refined: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.chain.weights
 
 
 def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
@@ -426,36 +410,39 @@ def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
 
 
 def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
-    """Exact refinement to longer word states via transition products: a
-    fine edge moves with the probability of the coarse edge between the
-    last ``mu.chain.k`` symbols of its two states.  The result is kept on
-    ``mu`` and returned again by later calls."""
-    coarse = mu.chain
-    if k_new <= coarse.k:
+    """Exact refinement to longer word states, one symbol at a time.  The
+    (k+1)-word states are the k-word chain's edges, in the same order: state
+    e gets the mass ``pi[src[e]] * p[e]`` of its coarse edge, and the fine
+    edge into e moves with the probability ``p[e]`` of that coarse edge.
+    Every length on the way is kept on ``mu`` and returned again by later
+    calls."""
+    if k_new <= mu.chain.k:
         return mu
-    if k_new in mu._refined:
-        return mu._refined[k_new]
-    words, index, src, dst, _ = state_graph(coarse.tm, k_new)
-    tail = np.array([coarse.index[w[-coarse.k :]] for w in words], dtype=np.intp)
-    chain = TransferMatrix(
-        tm=coarse.tm,
-        k=k_new,
-        state_words=tuple(words),
-        index=index,
-        src=_frozen(src),
-        dst=_frozen(dst),
-        edge_weights=_frozen(coarse.weights[tail[src], tail[dst]]),
-    )
-    pi = np.array([cylinder_mass(mu, w) for w in words])
-    fine = MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
-    mu._refined[k_new] = fine
-    return fine
+    if k_new not in mu._refined:
+        prev = refine_measure(mu, k_new - 1)
+        coarse = prev.chain
+        words, index, src, dst, _ = state_graph(coarse.tm, k_new)
+        chain = TransferMatrix(
+            tm=coarse.tm,
+            k=k_new,
+            state_words=tuple(words),
+            index=index,
+            src=_frozen(src),
+            dst=_frozen(dst),
+            edge_weights=_frozen(coarse.edge_weights[dst]),
+        )
+        pi = prev.pi[coarse.src] * coarse.edge_weights
+        mu._refined[k_new] = MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
+    return mu._refined[k_new]
 
 
 def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
     """Measure of the cylinder of w; 0 for inadmissible words by convention
     (that keeps window sums free of special cases).  Long products are summed
-    in log space to survive hundreds of factors."""
+    in log space to survive hundreds of factors.  Step t takes the chain's
+    edge out of state ``w[t : t + k]`` whose rank among that state's
+    out-edges is the rank of ``w[t + k]`` among the successors of
+    ``w[t + k - 1]``."""
     w = tuple(w)
     chain = mu.chain
     k = chain.k
@@ -463,9 +450,11 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
         return 0.0
     if len(w) < k:
         return float(sum(mu.pi[i] for i, sw in enumerate(chain.state_words) if sw[: len(w)] == w))
+    ranks = [chain.tm.successors(a).index(b) for a, b in zip(w[k - 1 :], w[k:])]
+    edges = chain.src.searchsorted([chain.index[w[t : t + k]] for t in range(len(w) - k)])
+    edges += np.array(ranks, dtype=np.intp)
     log_mass = math.log(mu.pi[chain.index[w[:k]]])
-    for t in range(len(w) - k):
-        p = mu.P[chain.index[w[t : t + k]], chain.index[w[t + 1 : t + 1 + k]]]
+    for p in chain.edge_weights[edges].tolist():
         if p <= 0.0:
             return 0.0
         log_mass += math.log(p)
@@ -473,14 +462,14 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
 
 
 def integrate(mu: MarkovMeasure, g: Potential) -> float:
-    """Exact integral of a finite-range potential against the measure."""
+    """Exact integral of a finite-range potential against the measure: a sum
+    over the states of the measure refined to ``g.r``-word states."""
     if not mu.chain.tm.same_space(g.tm) or mu.theta != g.theta:
         raise ModelMismatch("measure and potential live over different shift spaces")
-    if g.r <= mu.chain.k:
-        return float(
-            sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.chain.state_words))
-        )
-    return float(sum(g.table[w] * cylinder_mass(mu, w) for w in enumerate_words(g.tm, g.r)))
+    mu = refine_measure(mu, g.r)
+    return float(
+        sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.chain.state_words))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +477,11 @@ def integrate(mu: MarkovMeasure, g: Potential) -> float:
 # ---------------------------------------------------------------------------
 
 
-def state_norms(words, vec: np.ndarray, theta: float) -> tuple:
+def state_norms(vec: np.ndarray, runs, theta: float) -> tuple:
     """(sup, theta-seminorm) of a function given as a vector over k-word
-    states; the seminorm scans variation over shared (j+1)-prefixes."""
-    sup = float(np.max(np.abs(vec)))
-    k = len(words[0])
-    semi = 0.0
-    for j in range(k - 1):
-        groups: dict = {}
-        for i, w in enumerate(words):
-            groups.setdefault(w[: j + 1], []).append(vec[i])
-        var_j = max(max(vals) - min(vals) for vals in groups.values())
-        semi = max(semi, float(var_j) / theta**j)
-    return sup, semi
+    states; the seminorm scans the variation within the prefix ``runs`` of
+    the state words (``potentials.prefix_runs``)."""
+    return float(np.max(np.abs(vec))), hoelder_seminorm(variations(vec, runs), theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +544,8 @@ def _rpf_bound_report(
     theta = test_g.theta
 
     g_vec = np.array([test_g.table[w[: test_g.r]] for w in words])
-    g_sup, g_semi = state_norms(words, g_vec, theta)
+    runs = prefix_runs(words)
+    g_sup, g_semi = state_norms(g_vec, runs, theta)
     g_norm = g_sup + g_semi
     target = sol.h * float(sol.nu @ g_vec)
 
@@ -577,7 +559,7 @@ def _rpf_bound_report(
     for n in n_values:
         v = T.apply(v) / sol.lam
         dev = v - target
-        sup, semi = state_norms(words, dev, theta)
+        sup, semi = state_norms(dev, runs, theta)
         norm = sup + semi
         sup_list.append(sup)
         semi_list.append(semi)

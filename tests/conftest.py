@@ -10,6 +10,7 @@ import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermosft import (
@@ -19,6 +20,7 @@ from thermosft import (
     validate_transitions,
 )
 from thermosft.cli import load_model
+from thermosft.sft import state_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,6 +79,23 @@ def random_potential(rng, tm, r, theta=0.5, lo=-1.0, hi=1.0, lattice=None):
     return make_potential(tm, r, table, theta)
 
 
+def dense(T):
+    """The n x n matrix of a transfer matrix or chain held as edge arrays:
+    entry (u, v) is the weight of edge u -> v, 0 where there is none."""
+    out = np.zeros((T.size, T.size))
+    out[T.src, T.dst] = T.edge_weights
+    return out
+
+
+def potential_graph(psi):
+    """Weighted digraph whose cycles carry the Birkhoff averages of psi:
+    states are (r-1)-words (symbols when r = 1), the weight of an edge is the
+    value of psi on the overlap word."""
+    words, index, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
+    weights = (psi.table[ow[: psi.r]] for ow in overlaps)
+    return words, index, list(zip(src.tolist(), dst.tolist(), weights))
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -119,8 +138,6 @@ def simple_cycles(num_states, edges):
 def brute_cycle_means(psi):
     """(min, max) Birkhoff average over exhaustively enumerated simple
     cycles of the potential's word graph."""
-    from thermosft.potentials import potential_graph
-
     words, _, edges = potential_graph(psi)
     cycles = simple_cycles(len(words), edges)
     means = [total / length for total, length in cycles]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from thermosft import (
 )
 from thermosft import potentials
 from thermosft.bounds import RpfConstants
+from thermosft.potentials import prefix_runs
 from thermosft.transfer import solve_potential, state_norms
 
 from conftest import make_pot
@@ -76,7 +78,7 @@ def test_paper_eigenfunction_bounds_hold(golden):
         b_f=max(1.0, f.hoelder_seminorm), f_inf=f.sup_norm,
     )
     T, sol = solve_potential(f)
-    sup, semi = state_norms(T.state_words, sol.h, 0.5)
+    sup, semi = state_norms(sol.h, prefix_runs(T.state_words), 0.5)
     assert math.log(sup + semi) <= consts.log_h_norm_bound
     assert math.log(float(np.min(sol.h))) >= consts.log_h_min_bound
 
@@ -214,6 +216,29 @@ def test_indicator_regime_q0_is_reciprocal_seminorm(full2):
     rep = certificate_constants(phi, psi1, 0.05, consts)
     assert rep.q0 == 1.0 / psi.b
     assert rep.bound == pytest.approx(0.05 / (2 * psi.hoelder_seminorm), rel=1e-14)
+
+
+def test_measured_certificate_at_chi_k_depth(full2):
+    """PAPER.md's chi_K at pad 10: the ramped indicator of the cylinder 111
+    on 4096 word states, against Bernoulli(0.6, 0.4) normalised.  Measured
+    constants plus the certificate run in under 3 s, with ``log_D``,
+    ``rho``, ``n0`` and ``q0`` pinned by ``float.hex`` and ``psi_tilde`` (a
+    sum over the measure refined to 13-word states) within 4 ulps of its
+    value from cylinder masses summed in log space."""
+    f = make_potential(full2, 1, {(1,): math.log(0.6), (2,): math.log(0.4)}, 0.5)
+    phi = normalize_potential(f)
+    psi = indicator_example(full2, [(1, 1, 1)], pad=10, theta=0.5)
+    start = time.perf_counter()
+    consts = constants_for(phi, psi, "measured")
+    report = certificate_constants(phi, psi, 0.05, consts)
+    elapsed = time.perf_counter() - start
+    assert consts.log_D.hex() == "0x1.7ef338718ba6ep-2"
+    assert consts.rho.hex() == "0x1.199999999999ap-1"
+    assert report.n0 == 13
+    assert report.q0.hex() == "0x1.2f7d88614d234p-18"
+    before = float.fromhex("0x1.eba60f88294b9p-1")
+    assert abs(report.psi_tilde - before) <= 4 * math.ulp(before)
+    assert elapsed < 3.0
 
 
 def test_family_c0(bernoulli):

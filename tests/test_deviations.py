@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from thermosft import (
 from conftest import (
     binomial_window_mass,
     brute_window_mass,
+    dense,
     make_pot,
     random_aperiodic,
     random_potential,
@@ -220,7 +222,7 @@ def test_monte_carlo_never_leaves_the_graph(monkeypatch):
     psi = make_pot(tm, 1, {"1": 1.0, "2": 0.0})
     mu = equilibrium_measure(f, k=1)
     top = 1.0 - 2.0**-53
-    assert mu.P[1, 0] < top
+    assert dense(mu.chain)[1, 0] < top
 
     class TopDraws:
         def random(self, size):
@@ -232,12 +234,64 @@ def test_monte_carlo_never_leaves_the_graph(monkeypatch):
     assert wm.mass == 1.0
 
 
-def test_window_masses_build_no_dense_chain(coin):
-    phi, psi, _ = coin
-    mu = equilibrium_measure(phi, k=1)
-    exact_window_mass(mu, psi, 12, 0.5, 0.1)
-    sample_paths(mu, psi, 12, 100, 0, 0.5, 0.1)
-    assert "weights" not in vars(mu.chain)
+def test_window_masses_build_no_dense_chain(coin, full2):
+    """An observable of range 12 on a chain of 10-word states forces a
+    refinement to 11-word states.  Refining on the edge
+    arrays keeps the traced peak well below one dense view of the coarse
+    chain (8 MB at 1024 states)."""
+    phi, _, _ = coin
+    mu = equilibrium_measure(phi, k=10)
+    words = enumerate_words(full2, 12)
+    psi = make_potential(full2, 12, {w: float(w.count(1) % 3 == 0) for w in words}, 0.5)
+    tracemalloc.start()
+    try:
+        exact_window_mass(mu, psi, 12, 0.5, 0.1)
+        sample_paths(mu, psi, 12, 100, 0, 0.5, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(mu._refined) == [11]
+    assert peak < mu.chain.size**2 * 8 / 2
+    for chain in (mu.chain, mu._refined[11].chain):
+        assert not hasattr(chain, "weights")
+
+
+def test_binned_read_out_past_int64(coin, full2):
+    """Bins of delta/100 = 4e-12 on values near 1e6*pi put the integer totals
+    n*offset + key past int64 at n = 15.  Each key's average must still be
+    its own total rounded once, as a Python int gives it; the window at the
+    mean then holds mass.  At n = 8 the totals fit and the bits are those of
+    the int64 read-out."""
+    _, _, mu = coin
+    base = 1e6 * math.pi
+    values = [base + u * math.ulp(base) for u in (0, 3, 7, 10)]
+    psi = make_potential(full2, 2, dict(zip(enumerate_words(full2, 2), values)), 0.5)
+    p, delta = integrate(mu, psi), 4e-10
+    fine, edge_values = deviations._edge_data(mu, psi)
+    width = delta / deviations.BINS_PER_DELTA
+    quant = [round(v / width) for v in edge_values]
+    offset = min(quant)
+    steps = [q - offset for q in quant]
+    top = max(steps)
+    assert 15 * offset > np.iinfo(np.int64).max > 8 * (offset + top)
+    left, right, half = p - delta, p + delta, width / 2
+    found = {}
+    for n in (8, 15):
+        wm = exact_window_mass(mu, psi, n, p, delta)
+        assert wm.method == "binned_dp"
+        _, row = next(deviations._dp_masses(fine, steps, {n: (0, n * top + 1)}))
+        mass = slack = 0.0
+        for key, m in enumerate(row.tolist()):
+            avg = float(n * offset + key) * width / n
+            if left + half < avg < right - half:
+                mass += m
+            elif left - half <= avg <= left + half or right - half <= avg <= right + half:
+                slack += m
+        assert (wm.mass, wm.slack) == (mass, slack)
+        found[n] = wm
+    assert (found[8].mass, found[8].slack) == (0.21484375, 0.45703125)
+    assert found[15].mass == pytest.approx(0.286, abs=1e-3)
+    assert found[15].slack == pytest.approx(0.521, abs=1e-3)
 
 
 def test_scan_splits_horizons_at_the_memory_budget(random_model, monkeypatch):

@@ -23,12 +23,13 @@ from thermosft import (
     validate_transitions,
 )
 from thermosft import potentials
-from thermosft.potentials import potential_graph, variations
+from thermosft.potentials import prefix_runs, variations
 
 from conftest import (
     brute_cycle_means,
     brute_variations,
     make_pot,
+    potential_graph,
     random_aperiodic,
     random_potential,
     simple_cycles,
@@ -71,7 +72,9 @@ def test_cached_norms_match_brute_force():
         tm = random_aperiodic(rng, s0)
         g = random_potential(rng, tm, r)
         brute = brute_variations(tm, r, g.table)
-        assert brute == pytest.approx(variations(tm, r, g.table), abs=0.0)
+        words = enumerate_words(tm, r)
+        fast = variations(np.array([g.table[w] for w in words]), prefix_runs(words))
+        assert brute == pytest.approx(fast, abs=0.0)
         semi = max((vk / g.theta**k for k, vk in enumerate(brute)), default=0.0)
         assert g.hoelder_seminorm == pytest.approx(semi, abs=0.0)
         assert g.sup_norm == max(abs(v) for v in g.table.values())

@@ -25,7 +25,7 @@ from thermosft import rate, sft, transfer
 from thermosft.cli import load_model
 from thermosft.transfer import tilted_family
 
-from conftest import FIXTURES, make_pot, random_aperiodic, random_potential
+from conftest import FIXTURES, dense, make_pot, random_aperiodic, random_potential
 
 
 def binary_kl(p):
@@ -232,9 +232,10 @@ def _dense_tilt(phi, psi, q):
     vectors for the mean."""
     f_q = affine_combine(phi, psi, q)
     T = build_transfer_matrix(f_q, k_min=psi.r)
-    lam = max(np.linalg.eigvals(T.weights).real)
-    vals_h, vecs_h = np.linalg.eig(T.weights.T)
-    vals_nu, vecs_nu = np.linalg.eig(T.weights)
+    W = dense(T)
+    lam = max(np.linalg.eigvals(W).real)
+    vals_h, vecs_h = np.linalg.eig(W.T)
+    vals_nu, vecs_nu = np.linalg.eig(W)
     h = np.abs(vecs_h[:, np.argmax(vals_h.real)].real)
     nu = np.abs(vecs_nu[:, np.argmax(vals_nu.real)].real)
     pi = h * nu / float(h @ nu)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,20 +24,21 @@ from thermosft import (
 )
 from thermosft import transfer
 from thermosft.bounds import RpfConstants
+from thermosft.potentials import prefix_runs
 from thermosft.transfer import solve_potential, state_norms
 
-from conftest import make_pot, random_aperiodic, random_potential
+from conftest import dense, make_pot, random_aperiodic, random_potential
 
 
 def test_weight_matrices(full2, golden):
     T = build_transfer_matrix(make_pot(full2, 1, {"1": 0.0, "2": 0.0}))
-    assert np.array_equal(T.weights, [[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(dense(T), [[1.0, 1.0], [1.0, 1.0]])
 
     Tg = build_transfer_matrix(make_pot(golden, 1, {"1": 0.0, "2": 0.0}))
-    assert np.array_equal(Tg.weights, [[0.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(dense(Tg), [[0.0, 1.0], [1.0, 1.0]])
 
     Th = build_transfer_matrix(make_pot(full2, 1, {"1": -math.log(2), "2": -math.log(2)}))
-    assert np.allclose(Th.weights, 0.5)
+    assert np.allclose(dense(Th), 0.5)
 
 
 def test_matrix_application_is_preimage_sum():
@@ -83,8 +85,9 @@ def test_rpf_invariants():
         tm = random_aperiodic(rng, int(rng.integers(2, 4)))
         f = random_potential(rng, tm, int(rng.integers(1, 4)))
         T, sol = solve_potential(f)
-        res_h = np.max(np.abs(T.weights.T @ sol.h - sol.lam * sol.h))
-        res_nu = np.max(np.abs(T.weights @ sol.nu - sol.lam * sol.nu))
+        W = dense(T)
+        res_h = np.max(np.abs(W.T @ sol.h - sol.lam * sol.h))
+        res_nu = np.max(np.abs(W @ sol.nu - sol.lam * sol.nu))
         assert res_h <= 1e-12 * sol.lam * np.max(sol.h)
         assert res_nu <= 1e-12 * sol.lam * np.max(sol.nu)
         assert (sol.h > 0).all() and (sol.nu >= 0).all()
@@ -96,7 +99,7 @@ def test_rpf_invariants():
 def test_gap_ratio_matches_dense_eigenvalues(golden):
     f = make_pot(golden, 2, {"12": 0.0, "21": 0.0, "22": 0.2})
     T, sol = solve_potential(f)
-    eigs = sorted(abs(np.linalg.eigvals(T.weights)), reverse=True)
+    eigs = sorted(abs(np.linalg.eigvals(dense(T))), reverse=True)
     assert sol.gap_ratio == pytest.approx(eigs[1] / eigs[0], abs=1e-6)
 
 
@@ -142,7 +145,7 @@ def test_normalize_preserves_equilibrium(golden):
 def test_equilibrium_uniform(full2):
     mu = equilibrium_measure(make_pot(full2, 1, {"1": -math.log(2), "2": -math.log(2)}))
     assert np.allclose(mu.pi, 0.5, atol=1e-13)
-    assert np.allclose(mu.P, 0.5, atol=1e-13)
+    assert np.allclose(dense(mu.chain), 0.5, atol=1e-13)
 
 
 def test_equilibrium_tilted_bernoulli(full2):
@@ -153,7 +156,7 @@ def test_equilibrium_tilted_bernoulli(full2):
     p1 = math.exp(q) / (1 + math.exp(q))
     assert mu.pi[0] == pytest.approx(p1, abs=1e-12)
     assert mu.pi[1] == pytest.approx(1 - p1, abs=1e-12)
-    assert np.allclose(mu.P, [[p1, 1 - p1], [p1, 1 - p1]], atol=1e-12)
+    assert np.allclose(dense(mu.chain), [[p1, 1 - p1], [p1, 1 - p1]], atol=1e-12)
 
 
 def test_equilibrium_markov_invariants():
@@ -162,9 +165,9 @@ def test_equilibrium_markov_invariants():
         tm = random_aperiodic(rng, int(rng.integers(2, 4)))
         f = random_potential(rng, tm, int(rng.integers(1, 4)))
         mu = equilibrium_measure(f, k=2)
-        rows = mu.P.sum(axis=1)
-        assert np.max(np.abs(rows - 1.0)) <= 1e-12
-        assert np.max(np.abs(mu.pi @ mu.P - mu.pi)) <= 1e-12
+        P = dense(mu.chain)
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(mu.pi @ P - mu.pi)) <= 1e-12
         assert (mu.pi > 0).all()
 
 
@@ -200,6 +203,99 @@ def test_cylinder_mass_short_words_and_refinement(golden):
             sum(cylinder_mass(mu, v) for v in enumerate_words(golden, 2) if v[:1] == w),
             abs=1e-14,
         )
+
+
+def _dense_cylinder_mass(mu, P, w):
+    """The cylinder mass as first written: a log-space walk over the dense
+    transition matrix P."""
+    k = mu.chain.k
+    log_mass = math.log(mu.pi[mu.chain.index[w[:k]]])
+    for t in range(len(w) - k):
+        p = P[mu.chain.index[w[t : t + k]], mu.chain.index[w[t + 1 : t + 1 + k]]]
+        if p <= 0.0:
+            return 0.0
+        log_mass += math.log(p)
+    return math.exp(log_mass)
+
+
+def test_refinement_on_edges_matches_dense_gather():
+    """Reference: the refinement as first written, on the dense coarse
+    matrix P: each fine edge took the entry of P between the tails of its two
+    states, and each fine state the cylinder mass of its word, a sum of logs.
+    The edge arrays must agree exactly.  The masses are now products of
+    m = k_new - k factors, m roundings, so each lies within m ulps of the
+    exact rational product of the same floats; the sum of logs strays
+    further (up to 11 ulps on this corpus).  The cylinder mass on the edge
+    arrays is the dense walk bit for bit."""
+    rng = np.random.default_rng(59)
+    for _ in range(12):
+        tm = random_aperiodic(rng, int(rng.integers(2, 4)))
+        f = random_potential(rng, tm, int(rng.integers(1, 4)))
+        mu = equilibrium_measure(f, k=max(1, f.r - 1))
+        coarse, P = mu.chain, dense(mu.chain)
+        k, m = coarse.k, int(rng.integers(1, 4))
+        fine = refine_measure(mu, k + m)
+        words = enumerate_words(tm, k + m)
+        tail = np.array([coarse.index[w[-k:]] for w in words], dtype=np.intp)
+        assert fine.chain.state_words == tuple(words)
+        gathered = P[tail[fine.chain.src], tail[fine.chain.dst]]
+        assert np.array_equal(fine.chain.edge_weights, gathered)
+        for w, mass in zip(words, fine.pi.tolist()):
+            states = [coarse.index[w[t : t + k]] for t in range(m + 1)]
+            exact = Fraction(float(mu.pi[states[0]]))
+            for u, v in zip(states, states[1:]):
+                exact *= Fraction(float(P[u, v]))
+            assert abs(Fraction(mass) - exact) <= m * math.ulp(float(exact))
+            assert mass == pytest.approx(_dense_cylinder_mass(mu, P, w), rel=1e-14)
+        for w in enumerate_words(tm, k + m + 2):
+            assert cylinder_mass(mu, w) == _dense_cylinder_mass(mu, P, w)
+
+
+def _normalize_with_dict_trim(f):
+    """Reference: the normalised table as first written, trimmed by grouping
+    the words on their prefix one level at a time; returns (range, table)."""
+    T, sol = solve_potential(f)
+    k = T.k
+    log_h = np.log(sol.h)
+    r_out = max(f.r, k + 1)
+    table = {}
+    for w in enumerate_words(f.tm, r_out):
+        head = T.index[w[:k]]
+        tail = T.index[w[1 : k + 1]]
+        table[w] = f.table[w[: f.r]] + float(log_h[head]) - float(log_h[tail]) - sol.log_lambda
+    while r_out > 1:
+        groups = {}
+        for w, v in table.items():
+            groups.setdefault(w[:-1], set()).add(v)
+        if all(len(vals) == 1 for vals in groups.values()):
+            table = {w: next(iter(vals)) for w, vals in groups.items()}
+            r_out -= 1
+        else:
+            break
+    return r_out, table
+
+
+def test_normalize_trim_matches_dict_grouping(full2):
+    """The trim on prefix runs keeps the range and the value bits of the
+    dict grouping: on seeded potentials (no trim) and on potentials of the
+    first symbol alone, held on 2 and 3 symbols, which trim by 1 and by 2
+    levels on the full shift (h is constant there)."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(10):
+        tm = random_aperiodic(rng, int(rng.integers(2, 4)))
+        cases.append((random_potential(rng, tm, int(rng.integers(1, 4))), None))
+    first = {1: 0.3, 2: -0.45}
+    for r in (2, 3):
+        table = {w: first[w[0]] for w in enumerate_words(full2, r)}
+        cases.append((make_potential(full2, r, table, 0.5), r - 1))
+    for f, levels in cases:
+        phi = normalize_potential(f)
+        r_ref, table = _normalize_with_dict_trim(f)
+        if levels is not None:
+            assert phi.r == r_ref == max(2, f.r) - levels
+        assert phi.r == r_ref
+        assert {w: v.hex() for w, v in phi.table.items()} == {w: v.hex() for w, v in table.items()}
 
 
 def test_integrate(full2):
@@ -249,7 +345,7 @@ def test_envelope_check_accepts_loose_constants(golden):
 def test_theta_seminorm_of_state_vectors(full2):
     words = enumerate_words(full2, 3)
     vec = np.array([1.0 if w == (1, 1, 1) else 0.0 for w in words])
-    sup, semi = state_norms(words, vec, 0.5)
+    sup, semi = state_norms(vec, prefix_runs(words), 0.5)
     assert sup == 1.0
     # variation 1 persists at depth 1, scaled by 1/theta
     assert semi == 2.0
