@@ -24,17 +24,17 @@ from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
 from .potentials import (
     CohomologySpread,
     Potential,
-    affine_combine,
     make_potential,
     prefix_runs,
     require_not_constant,
 )
 from .rate import rate_levels
 from .transfer import (
+    TiltedFamily,
+    _edge_matrix,
     _rpf_bound_report,
     equilibrium_measure,
     integrate,
-    solve_potential,
     state_norms,
     tilted_family,
 )
@@ -131,16 +131,15 @@ def paper_rpf_constants(
     )
 
 
-def _indicator_of_symbol(tm, theta: float, symbol: int = 1) -> Potential:
-    table = {(a,): (1.0 if a == symbol else 0.0) for a in range(1, tm.size + 1)}
-    return make_potential(tm, 1, table, theta)
-
-
 def measured_rpf_constants(
     phi: Potential, psi: Potential, q0_probe: float, n_max: int = 24
 ) -> RpfConstants:
     """Empirical envelope for the tilted family, probed at q in
     {-q0_probe, 0, q0_probe}.
+
+    Every probe is a Perron solve of the ``TiltedFamily`` of (phi, psi),
+    and of a second family on ``psi.r``-word states when psi, tested on its
+    own states, is longer than the first family's.
 
     rho is the largest measured contraction ratio, floored at theta (the
     operator on Hoelder functions never contracts the non-constant part
@@ -152,44 +151,45 @@ def measured_rpf_constants(
     if n_max < 8:
         raise ValidationError(f"n_max must be >= 8 for a meaningful fit, got {n_max}")
     theta = phi.theta
-    qs = (-q0_probe, 0.0, q0_probe)
+    family = tilted_family(phi, psi)
+    psi_family = None
+    if psi.r > family.base.k:
+        base, phi_e, (psi_e,) = _edge_matrix(phi, psi.r, psi)
+        psi_family = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+    runs = prefix_runs(family.base.state_words)
+    symbols = range(1, phi.tm.size + 1)
+    battery = (
+        make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
+        make_potential(phi.tm, 1, {(a,): 1.0 for a in symbols}, theta),
+    )
     gap_max = 0.0
     h_norm_max = 0.0
     h_min_min = math.inf
-    # one Perron solve per (tilt, state length): the probe's own solve serves
-    # every battery entry whose range fits its states
-    tilts = []
-    for q in qs:
-        f_q = affine_combine(phi, psi, q)
-        T, sol = solve_potential(f_q)
+    # (solution, test function); the range-1 entries share the probe's solve
+    tests = []
+    for q in (-q0_probe, 0.0, q0_probe):
+        sol = family.solve(q)
         gap_max = max(gap_max, sol.gap_ratio)
-        sup, semi = state_norms(sol.h, prefix_runs(T.state_words), theta)
+        sup, semi = state_norms(sol.h, runs, theta)
         h_norm_max = max(h_norm_max, sup + semi)
         h_min_min = min(h_min_min, float(np.min(sol.h)))
-        tilts.append((f_q, {T.k: sol}))
+        tests.append((sol if psi_family is None else psi_family.solve(q), psi))
+        tests.extend((sol, g) for g in battery)
 
     rho = min(max(gap_max, theta) + RHO_MARGIN, 1.0 - 1e-9)
     log_rho = math.log(rho)
 
-    battery = [psi, _indicator_of_symbol(phi.tm, theta), None]
-    ones_table = {(a,): 1.0 for a in range(1, phi.tm.size + 1)}
-    battery[2] = make_potential(phi.tm, 1, ones_table, theta)
-
     log_D_req = -math.inf
-    for f_q, sols in tilts:
-        for g in battery:
-            k = max(1, f_q.r - 1, g.r)
-            if k not in sols:
-                sols[k] = solve_potential(f_q, k_min=k)[1]
-            report = _rpf_bound_report(sols[k], n_max, g)
-            if report.test_norm <= 0.0:
+    for sol, g in tests:
+        report = _rpf_bound_report(sol, n_max, g)
+        if report.test_norm <= 0.0:
+            continue
+        for n, dev in zip(report.n_values, report.deviation_norm):
+            if dev <= 0.0:
                 continue
-            for n, dev in zip(report.n_values, report.deviation_norm):
-                if dev <= 0.0:
-                    continue
-                log_D_req = max(
-                    log_D_req, math.log(dev) - n * log_rho - math.log(report.test_norm)
-                )
+            log_D_req = max(
+                log_D_req, math.log(dev) - n * log_rho - math.log(report.test_norm)
+            )
     if log_D_req == -math.inf:
         log_D = 0.0  # deviations vanish identically; floor at D = 1
     else:

@@ -137,9 +137,10 @@ class RateValue:
 
     status: interior (finite value, vanishing derivative at q_star),
     mean_zero (p is the typical mean, value 0), boundary (p at a domain
-    endpoint within tolerance; value is a certified lower bound), outside
-    (p outside the domain; value is +inf).  ``iterations`` counts the
-    distinct tilts solved, q = 0 included.
+    endpoint within tolerance, or inside the domain with its maximiser
+    beyond the overflow cap ``700 / max|psi - centre|``; either way the
+    value is a lower bound), outside (p outside the domain; value is +inf).
+    ``iterations`` counts the distinct tilts solved, q = 0 included.
     """
 
     p: float
@@ -209,8 +210,6 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
         return level - tilt(q)[1]
 
     def gamma_at(q: float) -> float:
-        if q == 0.0:
-            return 0.0
         return level * q - (tilt(q)[0] - base[0])
 
     d0 = dgamma(0.0)

@@ -138,7 +138,6 @@ class RpfSolution:
     mat-vecs, so it is computed on first read only.
     """
 
-    state_words: tuple
     lam: float
     log_lambda: float
     h: np.ndarray
@@ -277,7 +276,6 @@ def rpf_solve(T: TransferMatrix, start: RpfSolution | None = None) -> RpfSolutio
     lam = float(nu @ z) / denom
     delta = float(nu @ (z - h)) / denom
     return RpfSolution(
-        state_words=T.state_words,
         lam=lam,
         log_lambda=math.log1p(delta),
         h=_frozen(h),
@@ -351,11 +349,11 @@ def normalize_potential(f: Potential) -> Potential:
     the result fixes the constant 1, its eigenvalue is 1 and the equilibrium
     state is unchanged.  The table is built on the minimal sufficient range
     (the eigenfunction correction cancels where it is constant)."""
-    T, sol = solve_potential(f)
+    T, f_e, _ = _edge_matrix(f, max(1, f.r - 1))
+    sol = rpf_solve(T)
     log_h = np.log(sol.h)
     # T's edges are the (k+1)-words, in this order
     words = enumerate_words(f.tm, T.k + 1)
-    f_e = np.array([f.table[w[: f.r]] for w in words])
     values = f_e + log_h[T.src] - log_h[T.dst] - sol.log_lambda
     # trim to the least range whose deeper coordinates do not matter: the
     # variations fall with depth and reach 0.0 at the whole words, each its

@@ -19,12 +19,13 @@ from thermosft import (
     certificate_constants,
     verify_bound,
 )
-from thermosft import potentials
-from thermosft.bounds import RpfConstants
-from thermosft.potentials import prefix_runs
-from thermosft.transfer import solve_potential, state_norms
+from thermosft import potentials, transfer, validate_transitions
+from thermosft.bounds import D_INFLATION, RHO_MARGIN, RpfConstants
+from thermosft.cli import load_model
+from thermosft.potentials import affine_combine, prefix_runs
+from thermosft.transfer import _rpf_bound_report, solve_potential, state_norms
 
-from conftest import make_pot
+from conftest import FIXTURES, make_pot, random_potential
 
 
 def injected(rho, D):
@@ -64,6 +65,15 @@ def test_paper_constants_monotone_in_sup_norm():
     assert hi.log_rho > lo.log_rho  # closer to 1: slower certified decay
 
 
+def test_paper_gap_below_the_subnormal_range():
+    # log_tiny is far below -745: the first-order gap underflows to 0, and
+    # log_rho keeps the strict floor -1e-300 while rho displays as 1.0
+    consts = paper_rpf_constants(0.5, 2, 1, 100, 100)
+    assert consts.log_rho == -1e-300
+    assert consts.rho == 1.0
+    assert math.isfinite(consts.log_D)
+
+
 def test_paper_constants_validation():
     with pytest.raises(BadTheta):
         paper_rpf_constants(1.2, 2, 1, 1.0, 0.0)
@@ -90,6 +100,100 @@ def test_measured_constants_degenerate_family(bernoulli):
     assert consts.log_D == 0.0
     assert consts.rho == pytest.approx(0.55, abs=1e-12)
     assert consts.mode == "measured"
+
+
+def _measured_by_tilt_potentials(phi, psi, q0_probe, n_max=24):
+    """Reference: the measured constants with each probe tilt built as a
+    Potential by ``affine_combine`` and solved on its own state graph, once
+    per state length the battery needs."""
+    theta = phi.theta
+    gap_max, h_norm_max, h_min_min = 0.0, 0.0, math.inf
+    tilts = []
+    for q in (-q0_probe, 0.0, q0_probe):
+        f_q = affine_combine(phi, psi, q)
+        T, sol = solve_potential(f_q)
+        gap_max = max(gap_max, sol.gap_ratio)
+        sup, semi = state_norms(sol.h, prefix_runs(T.state_words), theta)
+        h_norm_max = max(h_norm_max, sup + semi)
+        h_min_min = min(h_min_min, float(np.min(sol.h)))
+        tilts.append((f_q, {T.k: sol}))
+    rho = min(max(gap_max, theta) + RHO_MARGIN, 1.0 - 1e-9)
+    log_rho = math.log(rho)
+    symbols = range(1, phi.tm.size + 1)
+    battery = [
+        psi,
+        make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
+        make_potential(phi.tm, 1, {(a,): 1.0 for a in symbols}, theta),
+    ]
+    log_D_req = -math.inf
+    for f_q, sols in tilts:
+        for g in battery:
+            k = max(1, f_q.r - 1, g.r)
+            if k not in sols:
+                sols[k] = solve_potential(f_q, k_min=k)[1]
+            report = _rpf_bound_report(sols[k], n_max, g)
+            if report.test_norm <= 0.0:
+                continue
+            for n, dev in zip(report.n_values, report.deviation_norm):
+                if dev > 0.0:
+                    log_D_req = max(
+                        log_D_req, math.log(dev) - n * log_rho - math.log(report.test_norm)
+                    )
+    log_D = 0.0 if log_D_req == -math.inf else max(0.0, log_D_req + math.log(D_INFLATION))
+    return (
+        rho,
+        log_rho,
+        log_D,
+        math.log(max(h_norm_max, 1e-300)),
+        math.log(max(h_min_min, 1e-300)),
+    )
+
+
+def _probe_case(name):
+    """(phi, psi) of a measured-constants case: a fixture prepared as the CLI
+    prepares it, chi_K at a pad against Bernoulli(0.6, 0.4) normalised, or a
+    seeded full shift (s0, phi.r, psi.r)."""
+    if name in ("bernoulli", "golden_mean", "random_range3"):
+        model = load_model(str(FIXTURES / f"{name}.json"))
+        return normalize_potential(model.f), shift_nonnegative(model.psi)[0]
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    if name.startswith("chi_k"):
+        f = make_potential(full2, 1, {(1,): math.log(0.6), (2,): math.log(0.4)}, 0.5)
+        pad = int(name[len("chi_k"):])
+        return normalize_potential(f), indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+    s0, r_phi, r_psi = (int(c) for c in name.split("-")[1:])
+    rng = np.random.default_rng(s0 * 100 + r_phi * 10 + r_psi)
+    tm = validate_transitions(np.ones((s0, s0), dtype=int))
+    phi = normalize_potential(random_potential(rng, tm, r_phi))
+    return phi, random_potential(rng, tm, r_psi, lo=0.0, hi=1.0)
+
+
+@pytest.mark.parametrize("name, graphs", [
+    ("bernoulli", 1), ("golden_mean", 1), ("random_range3", 2),
+    ("chi_k6", 2), ("chi_k8", 2), ("chi_k10", 2),
+    ("full-3-3-2", 1), ("full-3-2-4", 2), ("full-2-4-4", 2), ("full-4-1-3", 2),
+])
+def test_measured_constants_match_per_tilt_potentials(monkeypatch, name, graphs):
+    """The probes solved on the tilted family give every measured constant
+    bit for bit as tilts built as potentials did, from one state graph, or
+    two when psi is longer than the family's states."""
+    phi, psi = _probe_case(name)
+    q0_probe = 1.0 / psi.b
+    expected = _measured_by_tilt_potentials(phi, psi, q0_probe)
+    builds = []
+    state_graph = transfer.state_graph
+
+    def spy(tm, k):
+        builds.append(k)
+        return state_graph(tm, k)
+
+    monkeypatch.setattr(transfer, "state_graph", spy)
+    consts = measured_rpf_constants(phi, psi, q0_probe)
+    got = (consts.rho, consts.log_rho, consts.log_D, consts.log_h_norm_bound,
+           consts.log_h_min_bound)
+    assert got == expected
+    assert len(builds) == graphs
+    assert builds[-1] == (psi.r if graphs == 2 else max(1, phi.r - 1, psi.r - 1))
 
 
 def test_measured_never_worse_than_paper(bernoulli, golden_model):

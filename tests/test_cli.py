@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import thermosft
-from thermosft import MissingWord, NotAperiodic, ParseError, SchemaError, potentials, transfer
+from thermosft import (
+    BoundViolated,
+    MissingWord,
+    NotAperiodic,
+    ParseError,
+    RateValue,
+    SchemaError,
+    bounds,
+    potentials,
+    transfer,
+)
 from thermosft.cli import load_model, run_command
 
 from conftest import FIXTURES
@@ -100,6 +110,35 @@ def test_bound_command(tmp_path):
     assert lines[0] == "p,I,bound,pass,mode"
     assert all(line.split(",")[3] == "true" for line in lines[1:])
     assert all(line.split(",")[4] == "measured" for line in lines[1:])
+
+
+def test_violated_bound_still_writes_the_report(tmp_path, capsys, monkeypatch):
+    def zero_rates(phi, psi, levels, spread=None):
+        return tuple(RateValue(p=p, value=0.0, q_star=0.0, status="interior", iterations=1)
+                     for p in levels)
+
+    monkeypatch.setattr(bounds, "rate_levels", zero_rates)
+    out = tmp_path / "report.csv"
+    code = run(["bound", "--config", FIXTURES / "bernoulli.json", "--delta0", 0.1,
+                "--constants", "measured", "--p-grid", "0.1:0.9:0.2", "--out", out])
+    assert code == 3
+    assert "certificate violated" in capsys.readouterr().err
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[3] == "false" for row in rows)
+
+
+def test_violation_without_a_report_writes_no_csv(tmp_path, capsys, monkeypatch):
+    def sandwich_fails(*args):
+        raise BoundViolated("integer sandwich failed")
+
+    monkeypatch.setattr(bounds, "certificate_constants", sandwich_fails)
+    out = tmp_path / "report.csv"
+    code = run(["bound", "--config", FIXTURES / "bernoulli.json", "--delta0", 0.1,
+                "--constants", "measured", "--p-grid", "0.1:0.9:0.2", "--out", out])
+    assert code == 3
+    assert "integer sandwich failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_constants_command_paper_mode(tmp_path):

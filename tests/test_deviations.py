@@ -178,6 +178,17 @@ def test_monte_carlo_tracks_exact_mass(coin):
     assert failures <= 1
 
 
+def test_monte_carlo_off_lattice_tracks_exact_mass(coin, full2):
+    # values with no common lattice: the window is decided on float averages
+    _, _, mu = coin
+    psi = make_pot(full2, 2, {"11": 0.0, "12": 1 / math.pi, "21": math.sqrt(2) / 3, "22": 1.0})
+    exact = brute_window_mass(mu, psi, 8, 0.45, 0.1)
+    trials = 20000
+    wm = sample_paths(mu, psi, 8, trials, 3, 0.45, 0.1)
+    assert abs(wm.mass - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
+    assert sample_paths(mu, psi, 8, trials, 3, 0.45, 0.1) == wm
+
+
 def test_monte_carlo_respects_golden_structure(golden):
     phi = normalize_potential(make_pot(golden, 1, {"1": 0.0, "2": 0.0}))
     psi = make_pot(golden, 1, {"1": 1.0, "2": 0.0})

@@ -429,3 +429,18 @@ def test_tilt_eval_on_a_nearly_periodic_golden_mean_tilt(golden):
     assert time.perf_counter() - start < 1.0
     ref_pr, ref_mean = _dense_tilt(phi, psi, 5.0)
     assert abs(pr - ref_pr) <= 1e-12 and abs(mean - ref_mean) <= 1e-12
+
+
+def test_level_beyond_the_overflow_cap_reports_boundary(bernoulli, full2):
+    """psi spreads over [0, 1], but its two mixed words sit at 1e-4: a level
+    just above 0 needs a tilt past the overflow cap 700 / max|psi - 1/2|, so
+    it reports ``boundary`` with the objective at the cap, a lower bound
+    above the rate at the reachable level 2e-4."""
+    phi, _ = bernoulli
+    psi = make_pot(full2, 2, {"11": 0.0, "12": 1e-4, "21": 1e-4, "22": 1.0})
+    reachable = rate_function(phi, psi, 2e-4)
+    assert reachable.status == "interior"
+    capped = rate_function(phi, psi, 3e-5)
+    assert capped.status == "boundary" and capped.q_star is None
+    assert math.isfinite(capped.value)
+    assert capped.value > reachable.value
