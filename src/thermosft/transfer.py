@@ -66,7 +66,11 @@ class TransferMatrix:
     the (k+1)-word w the two states overlap in; for an equilibrium chain,
     the transition probability.  Applying the operator to a state vector g sums
     over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
-    the edges into v; ``adjoint`` is the transposed action.
+    the edges into v; ``adjoint`` is the transposed action.  ``apply_both``
+    applies both to the two rows of a block at once, through the paired
+    index arrays ``block_edges``: ``src`` then ``dst + size`` to gather,
+    ``dst`` then ``src + size`` to scatter.  They depend on the graph only,
+    so they are built with it and kept by every ``replace`` of the weights.
     """
 
     tm: TransitionMatrix
@@ -76,6 +80,14 @@ class TransferMatrix:
     src: np.ndarray
     dst: np.ndarray
     edge_weights: np.ndarray
+    block_edges: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.block_edges is None:
+            n = self.size
+            gather = _frozen(np.concatenate((self.src, self.dst + n)))
+            scatter = _frozen(np.concatenate((self.dst, self.src + n)))
+            object.__setattr__(self, "block_edges", (gather, scatter))
 
     @property
     def size(self) -> int:
@@ -86,6 +98,19 @@ class TransferMatrix:
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.src, weights=self.edge_weights * x[self.dst], minlength=self.size)
+
+    def apply_both(self, X: np.ndarray) -> np.ndarray:
+        """``[apply(X[0]), adjoint(X[1])]`` of a C-contiguous (2, size)
+        block, from one gather, one product and one bincount; each bin adds
+        its terms in edge order, so the rows are those of the two calls bit
+        for bit."""
+        gather, scatter = self.block_edges
+        products = self._paired_weights * X.ravel()[gather]
+        return np.bincount(scatter, weights=products, minlength=2 * self.size).reshape(2, -1)
+
+    @cached_property
+    def _paired_weights(self) -> np.ndarray:
+        return np.concatenate((self.edge_weights, self.edge_weights))
 
 
 def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
@@ -150,88 +175,119 @@ class RpfSolution:
         return _gap_estimate(self.transfer, self.lam, self.h, self.nu)
 
 
-def _power_iterate(matvec, size: int, start=None) -> tuple:
-    """Deterministic power iteration from ``start`` (a positive vector,
-    l1-normalised here; the all-ones vector when None); returns the
-    l1-normalised positive eigenvector and the step count.
+class _Row:
+    """What ``_power_iterate`` keeps per row between steps."""
 
+    __slots__ = ("shifted", "unshifted", "streak", "res_prev", "recent", "plain_rate",
+                 "peak", "last_peak")
+
+    def __init__(self):
+        # plain steps until the streak, shifted steps, then plain for good
+        # once the shift has measured slower
+        self.shifted = self.unshifted = False
+        self.streak = 0
+        self.res_prev = math.inf
+        self.recent = deque(maxlen=_SHIFT_AFTER + 1)
+        self.plain_rate = 0.0
+        self.peak = 0.0
+        self.last_peak = None
+
+
+def _power_iterate(step, X: np.ndarray) -> tuple:
+    """Deterministic power iteration of each row of the block X (positive
+    start vectors of unit sum) under its own operator; returns the
+    l1-normalised positive eigenvectors as the rows of one array and each
+    row's step count.  ``step(X, rows)`` maps the block of the rows still
+    iterating, whose indices are ``rows``, to their images.  A single
+    vector is a one-row block.
+
+    Each row follows these rules on its own and stops, frozen, at the step
+    its residual reaches ``RESIDUAL_TOL``; the others go on without it.
     Plain steps ``x -> Tx / sum(Tx)`` contract the error by |lambda2/lambda1|
     per step, which tends to 1 on nearly periodic matrices (lambda2 near
     -lambda1).  Once ``_SHIFT_AFTER`` consecutive steps each point against
-    the previous step and shrink the residual by less than half, the solve
+    the previous step and shrink the residual by less than half, the row
     iterates ``T + s*I`` with s the running Perron estimate ``sum(Tx)``
     (Wilkinson's origin shift): same Perron vector, and the component at
     -lambda1 is damped to about 0.  The shift also slows a positive
     eigenvalue just below lambda1, so the plain contraction per step over
     that streak is kept, and once the shifted residual shrinks more slowly
-    over ``_SHIFT_AFTER`` steps the solve returns to plain steps for good.
+    over ``_SHIFT_AFTER`` steps the row returns to plain steps for good.
     The residual is that of T in every mode.
 
     Besides the hard cap ``MAX_ITERATIONS``, the solve fails fast: at steps
     ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
-    window since the last check is compared with that of the window before,
-    and when that contraction, kept up for every step left under the cap,
-    cannot bring the residual to ``RESIDUAL_TOL``, ``NoConvergence`` is
+    row's window since the last check is compared with that of the window
+    before, and when that contraction, kept up for every step left under the
+    cap, cannot bring the residual to ``RESIDUAL_TOL``, ``NoConvergence`` is
     raised at once.  Window peaks, not single residuals, keep an oscillating
     residual from reading as stagnation.
     """
-    x = np.full(size, 1.0 / size) if start is None else start / start.sum()
-    x_prev = None
-    # plain steps until the streak, shifted steps, then plain for good once
-    # the shift has measured slower
-    shifted = unshifted = False
-    streak = 0
-    res_prev = math.inf
-    recent = deque(maxlen=_SHIFT_AFTER + 1)
-    plain_rate = 0.0
+    rows = list(range(len(X)))
+    state = [_Row() for _ in rows]
+    out = np.empty_like(X)
+    iterations = [0] * len(X)
+    X_prev = None
     check_at = _FIRST_CHECK
-    start_at, peak = 1, 0.0
-    last_start, last_peak = 0, None
+    start_at, last_start = 1, 0
     for it in range(1, MAX_ITERATIONS + 1):
-        y = matvec(x)
-        total = y.sum()
-        if total <= 0.0 or not np.isfinite(total):
+        Y = step(X, rows)
+        totals = Y.sum(axis=1)
+        if not all(0.0 < total < math.inf for total in totals.tolist()):
             raise NoConvergence("power iteration lost positivity")
-        residual = np.abs(y - total * x).max() / total
-        recent.append(residual)
-        if shifted:
-            y = y + total * x
-            x_new = y / y.sum()
-            if len(recent) > _SHIFT_AFTER and residual > plain_rate * recent[0]:
-                shifted, unshifted = False, True
-                last_peak = None
-        else:
-            x_new = y / total
-            if residual > 0.5 * res_prev and float((x_new - x) @ (x - x_prev)) < 0.0:
-                streak += 1
-                if streak == _SHIFT_AFTER and not unshifted:
+        column = totals[:, None]
+        residuals = (np.abs(Y - column * X).max(axis=1) / totals).tolist()
+        X_new = Y / column
+        done = []
+        for i, row in enumerate(rows):
+            st, residual, x = state[row], residuals[i], X[i]
+            st.recent.append(residual)
+            if st.shifted:
+                y = Y[i] + totals[i] * x
+                X_new[i] = y / y.sum()
+                if len(st.recent) > _SHIFT_AFTER and residual > st.plain_rate * st.recent[0]:
+                    st.shifted, st.unshifted = False, True
+                    st.last_peak = None
+            elif residual > 0.5 * st.res_prev and float((X_new[i] - x) @ (x - X_prev[i])) < 0.0:
+                st.streak += 1
+                if st.streak == _SHIFT_AFTER and not st.unshifted:
                     # residual ratio over the streak, per _SHIFT_AFTER steps
-                    plain_rate = residual / recent[0]
-                    shifted = True
-                    recent.clear()
-                    recent.append(residual)
-                    last_peak = None
+                    st.plain_rate = residual / st.recent[0]
+                    st.shifted = True
+                    st.recent.clear()
+                    st.recent.append(residual)
+                    st.last_peak = None
             else:
-                streak = 0
-        res_prev = residual
-        x_prev, x = x, x_new
-        if residual <= RESIDUAL_TOL:
-            return x, it
-        peak = max(peak, residual)
+                st.streak = 0
+            st.res_prev = residual
+            if residual <= RESIDUAL_TOL:
+                out[row] = X_new[i]
+                iterations[row] = it
+                done.append(i)
+                continue
+            st.peak = max(st.peak, residual)
+            if it == check_at:
+                if st.last_peak is not None:
+                    # log contraction per step between the two windows'
+                    # peaks; a decaying residual peaks where its window starts
+                    rate = math.log(st.peak / st.last_peak) / (start_at - last_start)
+                    if math.log(st.peak / RESIDUAL_TOL) + (MAX_ITERATIONS - it) * rate > 0.0:
+                        raise NoConvergence(
+                            f"power iteration residual {residual:.3e} after {it} steps cannot "
+                            f"reach {RESIDUAL_TOL} within {MAX_ITERATIONS} steps at its "
+                            f"measured contraction {math.exp(rate):.12g} per step"
+                        )
+                st.last_peak, st.peak = st.peak, 0.0
         if it == check_at:
-            if last_peak is not None:
-                # log contraction per step between the two windows' peaks;
-                # a decaying residual peaks where its window starts
-                rate = math.log(peak / last_peak) / (start_at - last_start)
-                if math.log(peak / RESIDUAL_TOL) + (MAX_ITERATIONS - it) * rate > 0.0:
-                    raise NoConvergence(
-                        f"power iteration residual {residual:.3e} after {it} steps cannot "
-                        f"reach {RESIDUAL_TOL} within {MAX_ITERATIONS} steps at its "
-                        f"measured contraction {math.exp(rate):.12g} per step"
-                    )
-            last_start, last_peak = start_at, peak
-            start_at, peak = it + 1, 0.0
+            last_start, start_at = start_at, it + 1
             check_at *= 2
+        if done:
+            keep = [i for i in range(len(rows)) if i not in done]
+            if not keep:
+                return out, tuple(iterations)
+            rows = [rows[i] for i in keep]
+            X, X_new = X[keep], X_new[keep]
+        X_prev, X = X, X_new
     raise NoConvergence(
         f"power iteration residual above {RESIDUAL_TOL} after {MAX_ITERATIONS} steps"
     )
@@ -260,15 +316,31 @@ def _gap_estimate(T: TransferMatrix, lam: float, h: np.ndarray, nu: np.ndarray) 
     return min(ratio, 1.0 - 1e-12)
 
 
-def rpf_solve(T: TransferMatrix, start: RpfSolution | None = None) -> RpfSolution:
+def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
     """Perron data of a transfer matrix with deterministic iteration.
 
-    ``start``, an earlier solution on the same state graph (a nearby tilt),
-    gives the right iteration its ``h`` and the left its ``nu`` as start
-    vectors; without it both start from the all-ones vector.  The stopping
-    rule is the same either way, so only the step count depends on it."""
-    h_raw, it_h = _power_iterate(T.apply, T.size, None if start is None else start.h)
-    nu_raw, it_nu = _power_iterate(T.adjoint, T.size, None if start is None else start.nu)
+    The right vector h (under ``apply``) and the left vector nu (under
+    ``adjoint``) are the two rows of one block iteration, each with its own
+    stopping rule; while both run, a step is one ``apply_both``.  ``start``,
+    any object with positive ``h`` and ``nu`` on the same state graph (an
+    earlier solution at a nearby tilt, or an interpolation of several),
+    gives the rows their start vectors; without it both start from the
+    all-ones vector.  The stopping rule is the same either way, so only the
+    step count depends on it."""
+    n = T.size
+    if start is None:
+        X = np.full((2, n), 1.0 / n)
+    else:
+        X = np.stack((start.h, start.nu))
+        X /= X.sum(axis=1, keepdims=True)
+    single = (T.apply, T.adjoint)
+
+    def step(X, rows):
+        if len(rows) == 2:
+            return T.apply_both(X)
+        return single[rows[0]](X[0])[None]
+
+    (h_raw, nu_raw), (it_h, it_nu) = _power_iterate(step, X)
     nu = nu_raw / nu_raw.sum()
     h = h_raw / float(h_raw @ nu)
     z = T.apply(h)

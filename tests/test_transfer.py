@@ -382,10 +382,10 @@ def _orbit_words(orbit, r):
     return [tuple(ext[j : j + r]) for j in range(len(orbit))]
 
 
-def test_shifted_power_iteration_on_planted_tilt():
-    # full 4-shift, range-5 tables: 256 transfer states.  psi is 0 along the
-    # orbit 123 and 1 along 1122, so strong tilts concentrate on a periodic
-    # orbit and plain power iteration slows down
+def _planted_family():
+    """Full 4-shift, range-5 tables: 256 transfer states.  psi is 0 along
+    the orbit 123 and 1 along 1122, so strong tilts concentrate on a
+    periodic orbit and plain power iteration slows down."""
     rng = np.random.default_rng(0)
     words = list(itertools.product(range(1, 5), repeat=5))
     f = {w: float(rng.uniform(-0.5, 0.5)) for w in words}
@@ -396,6 +396,18 @@ def test_shifted_power_iteration_on_planted_tilt():
     phi = normalize_potential(make_potential(tm, 5, f, 0.5))
     family = tilted_family(phi, make_potential(tm, 5, psi, 0.5))
     assert family.base.size == 256
+    return family
+
+
+def _one_row(matvec, start):
+    """``_power_iterate`` on the one-row block of ``start``, a vector of
+    unit sum: (eigenvector, step count)."""
+    X, (steps,) = transfer._power_iterate(lambda X, rows: matvec(X[0])[None], start[None])
+    return X[0], steps
+
+
+def test_shifted_power_iteration_on_planted_tilt():
+    family = _planted_family()
     # the tilts of rate levels inside the spread, where the shift must not
     # engage at a cost, and q = -4, near the orbit 123, where it must.  At
     # q = -2 and 3 a positive eigenvalue sits just below the oscillating
@@ -403,11 +415,38 @@ def test_shifted_power_iteration_on_planted_tilt():
     for q in (-4.0, -2.0, -1.0, -0.8, 0.6, 1.0, 3.0):
         T = family.at(q)
         for matvec in (T.apply, T.adjoint):
-            shifted = transfer._power_iterate(matvec, T.size)[1]
+            shifted = _one_row(matvec, np.full(T.size, 1.0 / T.size))[1]
             plain = _plain_power_steps(matvec, T.size)
             assert shifted <= 1.1 * plain, (q, shifted, plain)
             if q == -4.0:
                 assert 10 * shifted < plain, (shifted, plain)
+
+
+def test_rpf_solve_equals_two_single_row_iterations(bernoulli_model, golden_model, random_model):
+    """The block iteration of h and nu gives the vectors and step count of
+    one single-row iteration per vector, bit for bit; at the planted q = 5
+    the right row stops at step 87 and the left one runs on alone to
+    17118."""
+    cases = [(build_transfer_matrix(normalize_potential(m.f)), None)
+             for m in (bernoulli_model, golden_model, random_model)]
+    family = _planted_family()
+    cases += [(family.at(q), None) for q in (-4.0, -2.0, 3.0, 5.0)]
+    cases.append((family.at(0.6), family.solve(0.5)))
+    steps = []
+    for T, start in cases:
+        sol = rpf_solve(T, start)
+        if start is None:
+            h0 = nu0 = np.full(T.size, 1.0 / T.size)
+        else:
+            h0, nu0 = start.h / start.h.sum(), start.nu / start.nu.sum()
+        h_raw, it_h = _one_row(T.apply, h0)
+        nu_raw, it_nu = _one_row(T.adjoint, nu0)
+        nu = nu_raw / nu_raw.sum()
+        h = h_raw / float(h_raw @ nu)
+        assert sol.h.tobytes() == h.tobytes() and sol.nu.tobytes() == nu.tobytes()
+        assert sol.iterations == max(it_h, it_nu)
+        steps.append((it_h, it_nu))
+    assert steps[6] == (87, 17118)
 
 
 def test_power_iteration_fails_fast_when_the_cap_is_out_of_reach(full2):
