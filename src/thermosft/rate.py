@@ -16,13 +16,19 @@ from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
 once per call of ``rate_levels`` (``rate_function`` is its one-level form);
-within a level each tilt is solved once, reused for both the objective and
-its derivative, and started from the level's solved tilt nearest in q.
+within a level each tilt is solved once and reused for both the objective
+and its derivative.  A tilt strictly inside the range of the level's solved
+tilts starts from the quadratic (Lagrange) interpolation of h and nu through
+the three solved tilts nearest it; any other tilt, or one whose interpolated
+start is not positive, starts from the nearest solved tilt.  The doubling
+probes ``±2**j`` that bracket a level each start from the one before, so
+they form one chain for the whole grid and are solved once per grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +52,9 @@ MAX_BISECTIONS = 300
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
 #: tilted matrices approach a periodic structure the solver cannot handle
 BOUNDARY_Q_CAP = 20.0
+
+#: start vectors of a Perron solve interpolated between solved tilts
+_Start = namedtuple("_Start", "h nu")
 
 
 def tilt_eval(phi: Potential, psi: Potential, q: float) -> tuple:
@@ -159,8 +168,10 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     by doubling and its root found to TOL_GRAD by inverse quadratic steps,
     Illinois regula falsi where they are refused.
     The tilted family, the normalisation check, the spread, the centring and
-    the base solve are done once for the whole grid; each level keeps its own
-    tilt memo, so every result equals ``rate_function`` at that level.
+    the base solve are done once for the whole grid, and so is each doubling
+    probe, which is the same solve at every level that reaches it.  Each
+    level keeps its own tilt memo, the probes it used copied in, so every
+    result equals ``rate_function`` at that level.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family.base)
@@ -173,6 +184,7 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     family = replace(family, psi_e=family.psi_e - centre)
     q_cap = 700.0 / max(float(np.max(np.abs(family.psi_e))), 1e-12)
     base = None
+    probes = {}
     results = []
     for p in p_grid:
         if p < spread.min_mean - TOL_END or p > spread.max_mean + TOL_END:
@@ -185,7 +197,7 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
         at_boundary = (
             abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
         )
-        results.append(_maximise(family, base, p, p - centre, at_boundary, q_cap))
+        results.append(_maximise(family, base, probes, p, p - centre, at_boundary, q_cap))
     return tuple(results)
 
 
@@ -194,17 +206,26 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     return rate_levels(phi, psi, (p,), spread)[0]
 
 
-def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_cap: float):
+def _maximise(
+    family, base: tuple, probes: dict, p: float, level: float, at_boundary: bool, q_cap: float
+):
     """sup over q of ``level*q - (P(q) - P(0))`` on the centred family, whose
-    tilt at q = 0 is ``base``."""
+    tilt at q = 0 is ``base``; ``probes`` holds the grid's doubling probes
+    solved so far, by tilt."""
     solved = {0.0: base}
 
     def tilt(q: float) -> tuple:
         if q not in solved:
-            # the solve starts from the solved tilt nearest in q
-            near = min(solved, key=lambda s: abs(s - q))
-            solved[q] = family.tilt(q, solved[near][2])
+            solved[q] = family.tilt(q, _start(solved, q))
         return solved[q]
+
+    def probe(q: float) -> float:
+        # q = ±2**j lies beyond every tilt the level has solved, so its solve
+        # starts from the probe before it at every level of the grid
+        if q not in probes:
+            probes[q] = tilt(q)
+        solved[q] = probes[q]
+        return q
 
     def dgamma(q: float) -> float:
         return level - tilt(q)[1]
@@ -224,7 +245,7 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
         q_hi = direction
         while abs(q_hi) <= BOUNDARY_Q_CAP:
             try:
-                best_gamma = max(best_gamma, gamma_at(q_hi))
+                best_gamma = max(best_gamma, gamma_at(probe(q_hi)))
             except NoConvergence:
                 break
             q_hi *= 2.0
@@ -243,7 +264,7 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
             return RateValue(
                 p=p, value=value, q_star=None, status="boundary", iterations=len(solved)
             )
-        d_hi = dgamma(q_hi)
+        d_hi = dgamma(probe(q_hi))
         if (d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0):
             break
         best_gamma = max(best_gamma, gamma_at(q_hi))
@@ -284,6 +305,27 @@ def _maximise(family, base: tuple, p: float, level: float, at_boundary: bool, q_
 
     value = gamma_at(q_star)
     return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
+
+
+def _start(solved: dict, q: float):
+    """Start vectors of the solve at q from a level's solved tilts (each
+    ``(pressure, mean, solution)``): strictly inside their range, the
+    Lagrange interpolation of h and nu through the three nearest (two when
+    only two are solved); otherwise, or when an interpolated entry is not
+    positive, the nearest solution."""
+    near = sorted(solved, key=lambda s: abs(s - q))
+    nearest = solved[near[0]][2]
+    if not min(solved) < q < max(solved):
+        return nearest
+    nodes = near[:3]
+    h = nu = 0.0
+    for s in nodes:
+        weight = math.prod((q - t) / (s - t) for t in nodes if t != s)
+        h = h + weight * solved[s][2].h
+        nu = nu + weight * solved[s][2].nu
+    if h.min() <= 0.0 or nu.min() <= 0.0:
+        return nearest
+    return _Start(h, nu)
 
 
 def _inverse_quadratic(a: float, fa: float, b: float, fb: float, c: float, fc: float):

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -400,6 +401,51 @@ def test_rate_levels_equal_rate_function_bit_for_bit():
             assert (rv.q_star is None and one.q_star is None) or (
                 rv.q_star.hex() == one.q_star.hex()
             )
+
+
+def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
+    """On the bernoulli fixture's grid 0.05:0.95:0.05 the doubling probes are
+    shared by the levels, so the sweep makes fewer Perron solves than one
+    ``rate_function`` per level, fewer even than the levels' own tilts after
+    one shared base solve, and every value is the same."""
+    model = load_model(FIXTURES / "bernoulli.json")
+    phi = normalize_potential(model.f)
+    grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    solves = []
+    solve = transfer.rpf_solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(transfer, "rpf_solve", counted)
+    swept = rate_levels(phi, model.psi, grid)
+    in_sweep = len(solves)
+    one_by_one = [rate_function(phi, model.psi, p) for p in grid]
+    assert [repr(rv) for rv in swept] == [repr(rv) for rv in one_by_one]
+    assert len(solves) - in_sweep == sum(rv.iterations for rv in swept)
+    assert in_sweep < 1 + sum(rv.iterations - 1 for rv in swept), in_sweep
+
+
+def test_interpolated_start_falls_back_to_the_nearest_solution():
+    """Strictly inside the solved tilts the start is the Lagrange
+    interpolation through the three nearest; an interpolated entry <= 0, or
+    a tilt outside their range, gives the nearest solution."""
+
+    def solved(h2):
+        sols = [SimpleNamespace(h=np.array(h), nu=np.array([0.5, 0.5]))
+                for h in ([1.0, 1.0], [0.01, 1.0], h2)]
+        return {q: (0.0, 0.0, sol) for q, sol in zip((0.0, 1.0, 2.0), sols)}
+
+    # Lagrange weights at q = 0.4 through 0, 1 and 2: 0.48, 0.64 and -0.12
+    positive = solved([1.0, 1.0])
+    start = rate._start(positive, 0.4)
+    assert np.allclose(start.h, [0.48 + 0.64 * 0.01 - 0.12, 1.0])
+    assert np.allclose(start.nu, [0.5, 0.5])
+    assert rate._start(positive, 3.0) is positive[2.0][2]
+    # 0.48 + 0.0064 - 0.12 * 10 < 0
+    negative = solved([10.0, 1.0])
+    assert rate._start(negative, 0.4) is negative[0.0][2]
 
 
 def test_interior_level_raises_when_a_tilt_fails(monkeypatch, bernoulli):
