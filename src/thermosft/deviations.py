@@ -79,17 +79,21 @@ def _log_rate(mass: float, n: int) -> float:
 
 
 def _edge_data(mu: MarkovMeasure, psi: Potential):
-    """Markov chain refined so every edge determines one observable value;
-    returns (measure, value of psi on each edge of its chain)."""
+    """(Markov chain refined so every edge determines one observable value,
+    the value of psi on each edge of its chain, their ``_lattice_steps``).
+    The values and their lattice are kept on the refined measure per
+    observable, so repeated calls on one measure build them once."""
     if not mu.chain.tm.same_space(psi.tm) or mu.theta != psi.theta:
         raise ModelMismatch("measure and observable live over different shift spaces")
     mu = refine_measure(mu, psi.r - 1)
-    words = mu.chain.state_words
-    values = [
-        psi.table[(words[u] + words[v][-1:])[: psi.r]]
-        for u, v in zip(mu.chain.src.tolist(), mu.chain.dst.tolist())
-    ]
-    return mu, values
+    if psi not in mu._observed:
+        words = mu.chain.state_words
+        values = tuple(
+            psi.table[(words[u] + words[v][-1:])[: psi.r]]
+            for u, v in zip(mu.chain.src.tolist(), mu.chain.dst.tolist())
+        )
+        mu._observed[psi] = (values, _lattice_steps(values))
+    return (mu, *mu._observed[psi])
 
 
 def _lattice_steps(values):
@@ -257,13 +261,12 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
         raise ValidationError(f"n must be >= 1, got {min(horizons)}")
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    mu, values = _edge_data(mu, psi)
+    mu, values, lattice = _edge_data(mu, psi)
 
     def fits(n, top):
         return mu.chain.size * (n * top + 1) * 8 <= DP_BUDGET_BYTES
 
     found = {}
-    lattice = _lattice_steps(values)
     exact = set()
     if lattice is not None:
         top = max(lattice[0])
@@ -466,8 +469,7 @@ def sample_paths(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    mu, values = _edge_data(mu, psi)
-    lattice = _lattice_steps(values)
+    mu, values, lattice = _edge_data(mu, psi)
     # on a lattice each path sums integer steps, so the window test is exact
     steps = np.array(values if lattice is None else lattice[0])
     sums, _ = _walk_paths(mu, steps, n, trials, seed)

@@ -112,6 +112,15 @@ class TransferMatrix:
     def _paired_weights(self) -> np.ndarray:
         return np.concatenate((self.edge_weights, self.edge_weights))
 
+    @cached_property
+    def _word_weights(self) -> dict:
+        """Edge weight by the (k+1)-word the edge's two states overlap in."""
+        words = self.state_words
+        return {
+            words[u] + words[v][-1:]: wt
+            for u, v, wt in zip(self.src.tolist(), self.dst.tolist(), self.edge_weights.tolist())
+        }
+
 
 def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
     """(transfer matrix of f on k-word states, f on its edges, [each
@@ -387,11 +396,11 @@ class TiltedFamily:
     def at(self, q: float) -> TransferMatrix:
         return replace(self.base, edge_weights=_frozen(np.exp(self.phi_e + q * self.psi_e)))
 
-    def solve(self, q: float, start: RpfSolution | None = None) -> RpfSolution:
+    def solve(self, q: float, start=None) -> RpfSolution:
         """Perron solve at tilt q, started from ``start`` (see ``rpf_solve``)."""
         return rpf_solve(self.at(q), start)
 
-    def tilt(self, q: float, start: RpfSolution | None = None) -> tuple:
+    def tilt(self, q: float, start=None) -> tuple:
         """(log pressure, mean of psi under the tilted equilibrium state,
         the solution), the solve started from ``start``.
 
@@ -458,13 +467,15 @@ class MarkovMeasure:
     h * nu.  The state graph (``tm``, ``k``, ``state_words``, ``index``,
     ``size``) is read from ``chain``.  ``_refined`` holds the refinements
     ``refine_measure`` has built, by state length, so a measure is refined
-    once per length.
+    once per length; ``_observed`` holds, per observable, what
+    ``deviations`` reads off the chain's edges, so that is built once too.
     """
 
     theta: float
     pi: np.ndarray
     chain: TransferMatrix
     _refined: dict = field(default_factory=dict, init=False, repr=False)
+    _observed: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
@@ -509,10 +520,9 @@ def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
 def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
     """Measure of the cylinder of w; 0 for inadmissible words by convention
     (that keeps window sums free of special cases).  Long products are summed
-    in log space to survive hundreds of factors.  Step t takes the chain's
-    edge out of state ``w[t : t + k]`` whose rank among that state's
-    out-edges is the rank of ``w[t + k]`` among the successors of
-    ``w[t + k - 1]``."""
+    in log space to survive hundreds of factors.  Step t multiplies by the
+    probability of the chain's edge whose overlap word is
+    ``w[t : t + k + 1]``."""
     w = tuple(w)
     chain = mu.chain
     k = chain.k
@@ -520,11 +530,10 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
         return 0.0
     if len(w) < k:
         return float(sum(mu.pi[i] for i, sw in enumerate(chain.state_words) if sw[: len(w)] == w))
-    ranks = [chain.tm.successors(a).index(b) for a, b in zip(w[k - 1 :], w[k:])]
-    edges = chain.src.searchsorted([chain.index[w[t : t + k]] for t in range(len(w) - k)])
-    edges += np.array(ranks, dtype=np.intp)
+    probs = chain._word_weights
     log_mass = math.log(mu.pi[chain.index[w[:k]]])
-    for p in chain.edge_weights[edges].tolist():
+    for t in range(len(w) - k):
+        p = probs[w[t : t + k + 1]]
         if p <= 0.0:
             return 0.0
         log_mass += math.log(p)

@@ -278,7 +278,7 @@ def test_binned_read_out_past_int64(coin, full2):
     values = [base + u * math.ulp(base) for u in (0, 3, 7, 10)]
     psi = make_potential(full2, 2, dict(zip(enumerate_words(full2, 2), values)), 0.5)
     p, delta = integrate(mu, psi), 4e-10
-    fine, edge_values = deviations._edge_data(mu, psi)
+    fine, edge_values, _ = deviations._edge_data(mu, psi)
     width = delta / deviations.BINS_PER_DELTA
     quant = [round(v / width) for v in edge_values]
     offset = min(quant)
@@ -312,8 +312,8 @@ def test_scan_splits_horizons_at_the_memory_budget(random_model, monkeypatch):
     n_list, p, delta = [16, 8, 24, 12, 8], 0.55, 0.05
     # the lattice table fits up to n=8; bins of delta/100 are coarser than
     # the 1e-4 value lattice, so every binned table up to n=24 fits
-    fine, values = deviations._edge_data(mu, psi)
-    top = max(deviations._lattice_steps(values)[0])
+    fine, _, lattice = deviations._edge_data(mu, psi)
+    top = max(lattice[0])
     monkeypatch.setattr(deviations, "DP_BUDGET_BYTES", fine.chain.size * 8 * (8 * top + 1))
     singles = [exact_window_mass(mu, psi, n, p, delta) for n in n_list]
     assert [wm.method for wm in singles] == [
@@ -399,8 +399,8 @@ def test_dp_on_reachable_keys_matches_full_width_update():
         tm = random_aperiodic(rng, int(rng.integers(2, 4)))
         phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
         psi = random_potential(rng, tm, int(rng.integers(1, 4)), lo=0.0, hi=1.0, lattice=lattice)
-        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
-        steps = deviations._lattice_steps(values)[0]
+        mu, _, lattice = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        steps = lattice[0]
         horizons = {1, 3, 7, 12}
         want = _full_width_dp(mu, steps, horizons)
         for n, masses in deviations._dp_masses(mu, steps, _whole_rows(horizons, steps)):
@@ -430,8 +430,9 @@ def test_rank_layer_dp_matches_edge_loop(golden, monkeypatch, block_bytes):
         phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 3))))
         r = 4 if tm is full3 else int(rng.integers(2, 4))
         psi = random_potential(rng, tm, r, lo=0.0, hi=1.0, lattice=lattice)
-        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
-        on_lattice = deviations._lattice_steps(values)
+        mu, values, on_lattice = deviations._edge_data(
+            equilibrium_measure(phi, k=max(1, phi.r - 1)), psi
+        )
         assert (on_lattice is not None) == bool(lattice)
         steps = on_lattice[0] if lattice else _binned_steps(values, 0.2)[0]
         fillers += int((deviations._rank_layers(mu.chain, steps)[2] == 0.0).sum())
@@ -445,8 +446,7 @@ def test_rank_layer_dp_matches_edge_loop(golden, monkeypatch, block_bytes):
 
 def _loop_window_masses(mu, psi, n, p, delta):
     """Reference read-outs: Python loops over the keys of the per-edge DP."""
-    fine, values = deviations._edge_data(mu, psi)
-    lattice = deviations._lattice_steps(values)
+    fine, values, lattice = deviations._edge_data(mu, psi)
     if lattice is not None:
         masses = _full_width_dp(fine, lattice[0], {n})[n]
         lo, hi = deviations._window_keys(n, p, delta, lattice)
@@ -515,7 +515,7 @@ def test_window_band_matches_full_width_dp(monkeypatch, block_bytes):
     rng = np.random.default_rng(101)
     methods, empty, slack = set(), 0, 0
     for mu, psi in _band_models(rng):
-        lattice = deviations._lattice_steps(deviations._edge_data(mu, psi)[1])
+        lattice = deviations._edge_data(mu, psi)[2]
         for p, delta in BAND_WINDOWS:
             for n in (1, 2, 6, 11):
                 wm = exact_window_mass(mu, psi, n, p, delta)
@@ -626,9 +626,10 @@ def test_column_walk_matches_two_d_stepping(bernoulli_model, golden_model, rando
     sizes = []
     for j, (f, psi) in enumerate(models + [(f, lattice_psi)]):
         phi = normalize_potential(f)
-        mu, values = deviations._edge_data(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        mu, values, lattice = deviations._edge_data(
+            equilibrium_measure(phi, k=max(1, phi.r - 1)), psi
+        )
         sizes.append(mu.chain.size)
-        lattice = deviations._lattice_steps(values)
         # float values, and integer lattice steps where psi has a lattice
         for steps in [np.array(values)] + ([np.array(lattice[0])] if lattice else []):
             sums, ends = deviations._walk_paths(mu, steps, 23, 3000, 100 + j)
@@ -652,11 +653,15 @@ def test_chain_is_refined_once_per_measure(random_model, monkeypatch):
         return state_graph(*args)
 
     monkeypatch.setattr(transfer, "state_graph", counted)
+    # the edge values and their lattice fit are kept with the refinement
+    fits = []
+    lattice_steps = deviations._lattice_steps
+    monkeypatch.setattr(deviations, "_lattice_steps", lambda v: fits.append(v) or lattice_steps(v))
     first = [exact_window_mass(mu, psi, n, 0.55, 0.05) for n in (8, 20)]
     first.append(sample_paths(mu, psi, 20, 200, 3, 0.55, 0.05))
-    assert len(graphs) == 1
+    assert len(graphs) == 1 and len(fits) == 1
     again = [exact_window_mass(mu, psi, n, 0.55, 0.05) for n in (8, 20)]
     again.append(sample_paths(mu, psi, 20, 200, 3, 0.55, 0.05))
-    assert len(graphs) == 1
+    assert len(graphs) == 1 and len(fits) == 1
     assert [wm.mass.hex() for wm in again] == [wm.mass.hex() for wm in first]
     assert [wm.slack.hex() for wm in again] == [wm.slack.hex() for wm in first]
