@@ -9,12 +9,15 @@ from thermosft import (
     Delta0OutOfRange,
     ValidationError,
     constants_for,
+    equilibrium_measure,
     family_c0,
+    ldp_scan,
     indicator_example,
     make_potential,
     measured_rpf_constants,
     normalize_potential,
     paper_rpf_constants,
+    rate_function,
     shift_nonnegative,
     certificate_constants,
     verify_bound,
@@ -343,6 +346,34 @@ def test_measured_certificate_at_chi_k_depth(full2):
     before = float.fromhex("0x1.eba60f88294b9p-1")
     assert abs(report.psi_tilde - before) <= 4 * math.ulp(before)
     assert elapsed < 3.0
+
+
+def test_chi_k_certificate_ladder(full2):
+    """PAPER.md's chi_K from pad 4 to 10 (64 to 4096 word states) against
+    Bernoulli(0.6, 0.4) normalised: the spread at its closed form
+    [1 - 3/(pad+1), 1], both constants modes, ``verify_bound`` on
+    0.1:0.9:0.2 and one exact window of ``ldp`` at n = 40, the whole
+    ladder within a runtime budget."""
+    f = make_potential(full2, 1, {(1,): math.log(0.6), (2,): math.log(0.4)}, 0.5)
+    phi = normalize_potential(f)
+    mu = equilibrium_measure(phi, k=1)
+    grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    start = time.perf_counter()
+    for pad in range(4, 11):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        measured = constants_for(phi, psi, "measured")
+        paper = constants_for(phi, psi, "paper")
+        assert measured.rho <= paper.rho
+        report = verify_bound(phi, psi, 0.05, grid, measured)
+        assert abs(report.spread.min_mean - (1.0 - 3.0 / (pad + 1))) <= 1e-12
+        assert abs(report.spread.max_mean - 1.0) <= 1e-12
+        outside = [p for p in grid if abs(p - report.psi_tilde) > 0.05]
+        assert [v.p for v in report.verdicts] == outside and report.all_pass
+        scan = ldp_scan(mu, psi, lambda p: rate_function(phi, psi, p), [40], 0.9, 0.05)
+        (entry,) = scan.entries
+        assert entry.method == "exact_dp" and 0.0 < entry.mass <= 1.0
+        assert scan.reference <= 0.0
+    assert time.perf_counter() - start < 6.0
 
 
 def test_family_c0(bernoulli):
