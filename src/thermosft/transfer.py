@@ -241,11 +241,13 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
     start_at, last_start = 1, 0
     for it in range(1, MAX_ITERATIONS + 1):
         Y = step(X, rows)
-        totals = Y.sum(axis=1)
+        # ufunc reductions: the sums and maxima of ndarray.sum/max, without
+        # their Python-level wrappers
+        totals = np.add.reduce(Y, axis=1)
         if not all(0.0 < total < math.inf for total in totals.tolist()):
             raise NoConvergence("power iteration lost positivity")
         column = totals[:, None]
-        residuals = (np.abs(Y - column * X).max(axis=1) / totals).tolist()
+        residuals = (np.maximum.reduce(np.abs(Y - column * X), axis=1) / totals).tolist()
         X_new = Y / column
         done = []
         for i, row in enumerate(rows):
@@ -340,8 +342,8 @@ def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
     if start is None:
         X = np.full((2, n), 1.0 / n)
     else:
-        X = np.stack((start.h, start.nu))
-        X /= X.sum(axis=1, keepdims=True)
+        X = np.array((start.h, start.nu))
+        X /= np.add.reduce(X, axis=1, keepdims=True)
     single = (T.apply, T.adjoint)
 
     def step(X, rows):
