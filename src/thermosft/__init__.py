@@ -73,6 +73,7 @@ from .transfer import (
     normalize_potential,
     refine_measure,
     rpf_solve,
+    rpf_solve_block,
     tilted_family,
     verify_rpf_bounds,
     verify_tilted_family,

@@ -31,10 +31,13 @@ from .potentials import (
 from .rate import rate_levels
 from .transfer import (
     TiltedFamily,
+    _all_solved,
     _edge_matrix,
-    _rpf_bound_report,
+    _gap_estimate,
+    _rpf_bound_reports,
     equilibrium_measure,
     integrate,
+    rpf_solve_block,
     state_norms,
     tilted_family,
 )
@@ -162,26 +165,34 @@ def measured_rpf_constants(
         make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
         make_potential(phi.tm, 1, {(a,): 1.0 for a in symbols}, theta),
     )
-    gap_max = 0.0
+    # the probes are one block solve per family, their gap estimates one
+    # block, and the reports one block per state graph; of failed probes,
+    # the first in the order -q0, 0, q0 (each before its psi-family twin)
+    # is raised
+    qs = (-q0_probe, 0.0, q0_probe)
+    sols = rpf_solve_block([family.at(q) for q in qs])
+    psi_sols = sols if psi_family is None else rpf_solve_block([psi_family.at(q) for q in qs])
+    _all_solved([sol for pair in zip(sols, psi_sols) for sol in pair])
+    gap_max = max(0.0, *_gap_estimate(sols))
     h_norm_max = 0.0
     h_min_min = math.inf
-    # (solution, test function); the range-1 entries share the probe's solve
-    tests = []
-    for q in (-q0_probe, 0.0, q0_probe):
-        sol = family.solve(q)
-        gap_max = max(gap_max, sol.gap_ratio)
+    for sol in sols:
         sup, semi = state_norms(sol.h, runs, theta)
         h_norm_max = max(h_norm_max, sup + semi)
         h_min_min = min(h_min_min, float(np.min(sol.h)))
-        tests.append((sol if psi_family is None else psi_family.solve(q), psi))
-        tests.extend((sol, g) for g in battery)
+    # (solution, test function); the range-1 entries share the probe's solve
+    battery_pairs = [(sol, g) for sol in sols for g in battery]
+    psi_pairs = [(sol, psi) for sol in psi_sols]
+    if psi_family is None:
+        reports = _rpf_bound_reports(psi_pairs + battery_pairs, n_max)
+    else:
+        reports = _rpf_bound_reports(psi_pairs, n_max) + _rpf_bound_reports(battery_pairs, n_max)
 
     rho = min(max(gap_max, theta) + RHO_MARGIN, 1.0 - 1e-9)
     log_rho = math.log(rho)
 
     log_D_req = -math.inf
-    for sol, g in tests:
-        report = _rpf_bound_report(sol, n_max, g)
+    for report in reports:
         if report.test_norm <= 0.0:
             continue
         for n, dev in zip(report.n_values, report.deviation_norm):
@@ -356,13 +367,13 @@ def verify_bound(
     family = tilted_family(phi, psi)
     direct = q0 >= Q0_DIRECT_MIN
     if direct:
-        base = family.tilt(0.0)[0]
-        dpr_plus = family.tilt(q0)[0] - base
-        dpr_minus = family.tilt(-q0)[0] - base
+        base, plus, minus = _all_solved(family.tilts((0.0, q0, -q0)))
+        dpr_plus = plus[0] - base[0]
+        dpr_minus = minus[0] - base[0]
     else:
         q_eval = max(q0, Q_BRACKET_EVAL)
-        mean_plus = family.tilt(q_eval)[1]
-        mean_minus = family.tilt(-q_eval)[1]
+        plus, minus = _all_solved(family.tilts((q_eval, -q_eval)))
+        mean_plus, mean_minus = plus[1], minus[1]
 
     levels = [p for p in map(float, p_grid) if not lo <= p <= hi]
     verdicts = []

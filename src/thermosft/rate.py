@@ -22,7 +22,11 @@ tilts starts from the quadratic (Lagrange) interpolation of h and nu through
 the three solved tilts nearest it; any other tilt, or one whose interpolated
 start is not positive, starts from the nearest solved tilt.  The doubling
 probes ``±2**j`` that bracket a level each start from the one before, so
-they form one chain for the whole grid and are solved once per grid.
+they form one chain for the whole grid and are solved once per grid.  The
+levels of a grid run in lockstep: each level is a generator that yields the
+tilt it needs next, and each round solves the tilts of every running level
+as one block (``TiltedFamily.tilts``), so a step of the power iteration
+serves them all.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import ModelMismatch, NoConvergence, ValidationError
 from .potentials import Potential, require_not_constant
 from .transfer import (
     TransferMatrix,
+    _all_solved,
     equilibrium_measure,
     integrate,
     solve_potential,
@@ -168,10 +173,13 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     by doubling and its root found to TOL_GRAD by inverse quadratic steps,
     Illinois regula falsi where they are refused.
     The tilted family, the normalisation check, the spread, the centring and
-    the base solve are done once for the whole grid, and so is each doubling
-    probe, which is the same solve at every level that reaches it.  Each
-    level keeps its own tilt memo, the probes it used copied in, so every
-    result equals ``rate_function`` at that level.
+    the base solve are done once for the whole grid.  The levels then run in
+    lockstep: each round solves the next tilt of every level still running
+    as one block (``TiltedFamily.tilts``), and a doubling probe, the same
+    solve at every level that reaches it, is solved once.  Each level keeps
+    its own tilt memo, the probes it used copied in, so every result equals
+    ``rate_function`` at that level.  When a level inside the spread fails,
+    the error of the first failing level in grid order is raised.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family.base)
@@ -186,18 +194,21 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     base = None
     probes = {}
     results = []
-    for p in p_grid:
+    levels = {}
+    for i, p in enumerate(p_grid):
         if p < spread.min_mean - TOL_END or p > spread.max_mean + TOL_END:
             results.append(
                 RateValue(p=p, value=math.inf, q_star=None, status="outside", iterations=0)
             )
             continue
         if base is None:
-            base = family.tilt(0.0)
+            (base,) = _all_solved(family.tilts((0.0,)))
         at_boundary = (
             abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
         )
-        results.append(_maximise(family, base, probes, p, p - centre, at_boundary, q_cap))
+        results.append(None)
+        levels[i] = _maximise(base, probes, p, p - centre, at_boundary, q_cap)
+    _lockstep(family, levels, results)
     return tuple(results)
 
 
@@ -206,34 +217,72 @@ def rate_function(phi: Potential, psi: Potential, p: float, spread=None) -> Rate
     return rate_levels(phi, psi, (p,), spread)[0]
 
 
-def _maximise(
-    family, base: tuple, probes: dict, p: float, level: float, at_boundary: bool, q_cap: float
-):
+def _lockstep(family, levels: dict, results: list) -> None:
+    """Run the ``_maximise`` generators of ``levels`` (by grid position) to
+    their ``RateValue``s in ``results``.  A round sends every running level
+    the result of the tilt it asked for, collects the tilts they ask for
+    next and solves them as one block; a doubling probe asked for by
+    several levels is solved once, from the start they share."""
+    replies = dict.fromkeys(levels)
+    errors = {}
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
+            if errors and i > min(errors):
+                continue  # a level before it fails, so its result is not needed
+            try:
+                asks[i] = levels[i].send(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except NoConvergence as err:  # raised below, in grid order
+                errors[i] = err
+        if not asks:
+            break
+        block = {}
+        for i, (q, start, shared) in asks.items():
+            block.setdefault((q, None if shared else i), start)
+        solved = dict(zip(block, family.tilts([q for q, _ in block], list(block.values()))))
+        replies = {i: solved[q, None if shared else i] for i, (q, _, shared) in asks.items()}
+    if errors:
+        raise errors[min(errors)]
+
+
+def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bool, q_cap: float):
     """sup over q of ``level*q - (P(q) - P(0))`` on the centred family, whose
     tilt at q = 0 is ``base``; ``probes`` holds the grid's doubling probes
-    solved so far, by tilt."""
+    solved so far, by tilt, a failed one as its ``NoConvergence``.
+
+    A generator: it yields each tilt it needs solved as ``(q, start,
+    shared)``, ``shared`` for a doubling probe, is sent the solved
+    ``(pressure, mean, solution)`` or the ``NoConvergence`` of the solve,
+    and returns the ``RateValue``."""
     solved = {0.0: base}
 
-    def tilt(q: float) -> tuple:
+    def tilt(q: float):
         if q not in solved:
-            solved[q] = family.tilt(q, _start(solved, q))
+            result = yield q, _start(solved, q), False
+            if isinstance(result, NoConvergence):
+                raise result
+            solved[q] = result
         return solved[q]
 
-    def probe(q: float) -> float:
+    def probe(q: float):
         # q = ±2**j lies beyond every tilt the level has solved, so its solve
         # starts from the probe before it at every level of the grid
         if q not in probes:
-            probes[q] = tilt(q)
+            probes[q] = yield q, _start(solved, q), True
+        if isinstance(probes[q], NoConvergence):
+            raise probes[q]
         solved[q] = probes[q]
         return q
 
-    def dgamma(q: float) -> float:
-        return level - tilt(q)[1]
+    def dgamma(q: float):
+        return level - (yield from tilt(q))[1]
 
-    def gamma_at(q: float) -> float:
-        return level * q - (tilt(q)[0] - base[0])
+    def gamma_at(q: float):
+        return level * q - ((yield from tilt(q))[0] - base[0])
 
-    d0 = dgamma(0.0)
+    d0 = yield from dgamma(0.0)
     if abs(d0) <= TOL_GRAD:
         return RateValue(p=p, value=0.0, q_star=0.0, status="mean_zero", iterations=len(solved))
 
@@ -245,7 +294,7 @@ def _maximise(
         q_hi = direction
         while abs(q_hi) <= BOUNDARY_Q_CAP:
             try:
-                best_gamma = max(best_gamma, gamma_at(probe(q_hi)))
+                best_gamma = max(best_gamma, (yield from gamma_at((yield from probe(q_hi)))))
             except NoConvergence:
                 break
             q_hi *= 2.0
@@ -260,14 +309,14 @@ def _maximise(
         if abs(q_hi) > q_cap:
             # derivative never changed sign inside the overflow-safe window:
             # numerically p sits at the edge of the reachable means
-            value = max(best_gamma, gamma_at(math.copysign(q_cap, direction)))
+            value = max(best_gamma, (yield from gamma_at(math.copysign(q_cap, direction))))
             return RateValue(
                 p=p, value=value, q_star=None, status="boundary", iterations=len(solved)
             )
-        d_hi = dgamma(probe(q_hi))
+        d_hi = yield from dgamma((yield from probe(q_hi)))
         if (d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0):
             break
-        best_gamma = max(best_gamma, gamma_at(q_hi))
+        best_gamma = max(best_gamma, (yield from gamma_at(q_hi)))
         q_lo, d_lo = q_hi, d_hi
         q_hi *= 2.0
 
@@ -282,7 +331,7 @@ def _maximise(
     fa, fb = ta, tb
     kept = None
     q_star = _secant(a, fa, b, fb)
-    d_star = dgamma(q_star)
+    d_star = yield from dgamma(q_star)
     last_step = older_step = b - a
     for _ in range(MAX_BISECTIONS):
         if abs(d_star) <= TOL_GRAD or (b - a) <= 1e-14 * max(1.0, abs(b)):
@@ -301,9 +350,9 @@ def _maximise(
         q_next = _next_tilt(guess, q_star, older_step, a, fa, b, fb)
         older_step, last_step = last_step, abs(q_next - q_star)
         q_star = q_next
-        d_star = dgamma(q_star)
+        d_star = yield from dgamma(q_star)
 
-    value = gamma_at(q_star)
+    value = yield from gamma_at(q_star)
     return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
 
 

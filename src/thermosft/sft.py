@@ -49,8 +49,9 @@ class TransitionMatrix:
         for s in word:
             if not (1 <= s <= self.size):
                 return False
+        successors = self._successors
         for a, b in zip(word, word[1:]):
-            if not self.allows(a, b):
+            if b not in successors[a - 1]:
                 return False
         return True
 

@@ -12,7 +12,11 @@ of two states, at most s0 per row, so a mat-vec is a single
 ``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves
 and rate functions is one ``TiltedFamily``: the state graph and both edge
 tables are built once per (phi, psi), and each tilt only re-exponentiates
-``phi_e + q*psi_e``.  An equilibrium Markov chain is a ``TransferMatrix``
+``phi_e + q*psi_e``.  Independent tilts on one graph are solved as one
+block (``rpf_solve_block``, of which ``rpf_solve`` is the one-matrix case):
+a power step is one gather, product and bincount for every row of every
+tilt still running, and the gap estimates and bound reports of several
+solutions stack the same way.  An equilibrium Markov chain is a ``TransferMatrix``
 too, its edge weights the transition probabilities, so the deviation DP and
 the sampler walk the same edge arrays.  Measures work on edges as well: the
 (k+1)-word states of a refinement are the k-word chain's edges, so refining
@@ -66,11 +70,10 @@ class TransferMatrix:
     the (k+1)-word w the two states overlap in; for an equilibrium chain,
     the transition probability.  Applying the operator to a state vector g sums
     over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
-    the edges into v; ``adjoint`` is the transposed action.  ``apply_both``
-    applies both to the two rows of a block at once, through the paired
-    index arrays ``block_edges``: ``src`` then ``dst + size`` to gather,
-    ``dst`` then ``src + size`` to scatter.  They depend on the graph only,
-    so they are built with it and kept by every ``replace`` of the weights.
+    the edges into v; ``adjoint`` is the transposed action.  A step of many
+    rows at once (``_block_step``) gathers and scatters through the stacked
+    index arrays of ``stacked_edges``; they depend on the graph only, so they
+    are kept in ``stacks``, which every ``replace`` of the weights shares.
     """
 
     tm: TransitionMatrix
@@ -80,14 +83,11 @@ class TransferMatrix:
     src: np.ndarray
     dst: np.ndarray
     edge_weights: np.ndarray
-    block_edges: tuple = field(default=None, repr=False)
+    stacks: dict = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.block_edges is None:
-            n = self.size
-            gather = _frozen(np.concatenate((self.src, self.dst + n)))
-            scatter = _frozen(np.concatenate((self.dst, self.src + n)))
-            object.__setattr__(self, "block_edges", (gather, scatter))
+        if self.stacks is None:
+            object.__setattr__(self, "stacks", {})
 
     @property
     def size(self) -> int:
@@ -99,18 +99,20 @@ class TransferMatrix:
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.src, weights=self.edge_weights * x[self.dst], minlength=self.size)
 
-    def apply_both(self, X: np.ndarray) -> np.ndarray:
-        """``[apply(X[0]), adjoint(X[1])]`` of a C-contiguous (2, size)
-        block, from one gather, one product and one bincount; each bin adds
-        its terms in edge order, so the rows are those of the two calls bit
-        for bit."""
-        gather, scatter = self.block_edges
-        products = self._paired_weights * X.ravel()[gather]
-        return np.bincount(scatter, weights=products, minlength=2 * self.size).reshape(2, -1)
-
-    @cached_property
-    def _paired_weights(self) -> np.ndarray:
-        return np.concatenate((self.edge_weights, self.edge_weights))
+    def stacked_edges(self, kinds: tuple) -> tuple:
+        """(gather, scatter) index arrays of a block whose row i steps under
+        ``apply`` (kind 0: gather ``src``, scatter ``dst``) or ``adjoint``
+        (kind 1: the reverse), each offset by ``i * size`` into the
+        flattened block; built once per graph and tuple of kinds."""
+        edges = self.stacks.get(kinds)
+        if edges is None:
+            pick = np.array(kinds)
+            ends = np.array((self.src, self.dst))
+            offsets = np.arange(0, len(kinds) * self.size, self.size)[:, None]
+            gather = (ends[pick] + offsets).ravel()
+            scatter = (ends[1 - pick] + offsets).ravel()
+            edges = self.stacks[kinds] = (_frozen(gather), _frozen(scatter))
+        return edges
 
     @cached_property
     def _word_weights(self) -> dict:
@@ -120,6 +122,26 @@ class TransferMatrix:
             words[u] + words[v][-1:]: wt
             for u, v, wt in zip(self.src.tolist(), self.dst.tolist(), self.edge_weights.tolist())
         }
+
+
+def _block_step(Ts, tilts, kinds):
+    """The map of a block X, on the state graph of the matrices ``Ts``, to
+    its images: row i under ``Ts[tilts[i]]``, by ``apply`` or ``adjoint`` as
+    ``kinds[i]`` says.  One gather, one product and one bincount; each bin
+    adds its terms in edge order, so every row is that of its own one-row
+    step bit for bit."""
+    gather, scatter = Ts[0].stacked_edges(tuple(kinds))
+    weights = np.concatenate([Ts[j].edge_weights for j in tilts])
+    length, shape = len(kinds) * Ts[0].size, (len(kinds), -1)
+    return lambda X: np.bincount(
+        scatter, weights=weights * X.ravel()[gather], minlength=length
+    ).reshape(shape)
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B, as one batched
+    matmul; each equals the row pair's own ``@`` bit for bit."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
@@ -181,7 +203,7 @@ class RpfSolution:
 
     @cached_property
     def gap_ratio(self) -> float:
-        return _gap_estimate(self.transfer, self.lam, self.h, self.nu)
+        return _gap_estimate((self,))[0]
 
 
 class _Row:
@@ -210,6 +232,12 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
     iterating, whose indices are ``rows``, to their images.  A single
     vector is a one-row block.
 
+    Rows 2j and 2j+1 belong to one tilt j (a lone row is a tilt of its
+    own).  A row that fails stops its tilt: both rows' counts are replaced
+    by the ``NoConvergence`` the tilt's own iteration raises, which is its
+    first failure (lost positivity before the per-row rules within a step,
+    row 2j before row 2j+1).  The other tilts go on.
+
     Each row follows these rules on its own and stops, frozen, at the step
     its residual reaches ``RESIDUAL_TOL``; the others go on without it.
     Plain steps ``x -> Tx / sum(Tx)`` contract the error by |lambda2/lambda1|
@@ -228,14 +256,16 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
     ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
     row's window since the last check is compared with that of the window
     before, and when that contraction, kept up for every step left under the
-    cap, cannot bring the residual to ``RESIDUAL_TOL``, ``NoConvergence`` is
-    raised at once.  Window peaks, not single residuals, keep an oscillating
-    residual from reading as stagnation.
+    cap, cannot bring the residual to ``RESIDUAL_TOL``, the row fails at once.
+    Window peaks, not single residuals, keep an oscillating residual from
+    reading as stagnation.
     """
-    rows = list(range(len(X)))
+    count = len(X)
+    rows = list(range(count))
     state = [_Row() for _ in rows]
     out = np.empty_like(X)
-    iterations = [0] * len(X)
+    iterations = [0] * count
+    failed = {}
     X_prev = None
     check_at = _FIRST_CHECK
     start_at, last_start = 1, 0
@@ -245,21 +275,30 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
         # their Python-level wrappers
         totals = np.add.reduce(Y, axis=1)
         if not all(0.0 < total < math.inf for total in totals.tolist()):
-            raise NoConvergence("power iteration lost positivity")
+            for i, total in enumerate(totals.tolist()):
+                if not 0.0 < total < math.inf:
+                    lost = NoConvergence("power iteration lost positivity")
+                    failed.setdefault(rows[i] // 2, lost)
+                    totals[i] = 1.0  # the row is dropped below; this keeps its arithmetic quiet
         column = totals[:, None]
         residuals = (np.maximum.reduce(np.abs(Y - column * X), axis=1) / totals).tolist()
         X_new = Y / column
         done = []
         for i, row in enumerate(rows):
-            st, residual, x = state[row], residuals[i], X[i]
+            if failed and row // 2 in failed:
+                continue
+            st, residual = state[row], residuals[i]
             st.recent.append(residual)
             if st.shifted:
-                y = Y[i] + totals[i] * x
+                y = Y[i] + totals[i] * X[i]
                 X_new[i] = y / y.sum()
                 if len(st.recent) > _SHIFT_AFTER and residual > st.plain_rate * st.recent[0]:
                     st.shifted, st.unshifted = False, True
                     st.last_peak = None
-            elif residual > 0.5 * st.res_prev and float((X_new[i] - x) @ (x - X_prev[i])) < 0.0:
+            elif (
+                residual > 0.5 * st.res_prev
+                and float((X_new[i] - X[i]) @ (X[i] - X_prev[i])) < 0.0
+            ):
                 st.streak += 1
                 if st.streak == _SHIFT_AFTER and not st.unshifted:
                     # residual ratio over the streak, per _SHIFT_AFTER steps
@@ -276,82 +315,116 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
                 iterations[row] = it
                 done.append(i)
                 continue
-            st.peak = max(st.peak, residual)
+            if residual > st.peak:
+                st.peak = residual
             if it == check_at:
                 if st.last_peak is not None:
                     # log contraction per step between the two windows'
                     # peaks; a decaying residual peaks where its window starts
                     rate = math.log(st.peak / st.last_peak) / (start_at - last_start)
                     if math.log(st.peak / RESIDUAL_TOL) + (MAX_ITERATIONS - it) * rate > 0.0:
-                        raise NoConvergence(
+                        failed[row // 2] = NoConvergence(
                             f"power iteration residual {residual:.3e} after {it} steps cannot "
                             f"reach {RESIDUAL_TOL} within {MAX_ITERATIONS} steps at its "
                             f"measured contraction {math.exp(rate):.12g} per step"
                         )
+                        continue
                 st.last_peak, st.peak = st.peak, 0.0
         if it == check_at:
             last_start, start_at = start_at, it + 1
             check_at *= 2
-        if done:
-            keep = [i for i in range(len(rows)) if i not in done]
+        if done or failed:
+            keep = [i for i, row in enumerate(rows) if i not in done and row // 2 not in failed]
             if not keep:
-                return out, tuple(iterations)
+                break
             rows = [rows[i] for i in keep]
             X, X_new = X[keep], X_new[keep]
         X_prev, X = X, X_new
-    raise NoConvergence(
-        f"power iteration residual above {RESIDUAL_TOL} after {MAX_ITERATIONS} steps"
-    )
+    else:
+        for row in rows:
+            failed.setdefault(row // 2, NoConvergence(
+                f"power iteration residual above {RESIDUAL_TOL} after {MAX_ITERATIONS} steps"
+            ))
+    return out, tuple(failed.get(row // 2, iterations[row]) for row in range(count))
 
 
-def _gap_estimate(T: TransferMatrix, lam: float, h: np.ndarray, nu: np.ndarray) -> float:
-    """Deflated power iteration: average log growth of the component
-    complementary to the Perron direction, divided by the eigenvalue."""
-    start = np.ones(T.size)
+def _gap_estimate(sols) -> list:
+    """Deflated power iteration of each solution, all on one state graph,
+    as the rows of one block: the average log growth of the component
+    complementary to the Perron direction, divided by the eigenvalue.  Row
+    dots and norms are batched matmuls (``_row_dots``), so each row is its
+    own one-row iteration bit for bit."""
+    H = np.array([sol.h for sol in sols])
+    NU = np.array([sol.nu for sol in sols])
+    LH = np.array([sol.lam for sol in sols])[:, None] * H
+    start = np.ones(H.shape[1])
     start[1::2] = -1.0
     # h > 0, so one parity class of w has entries of size >= 1: w is never 0
-    w = start - h * float(nu @ start)
-    w = w / np.linalg.norm(w)
-    logs = []
-    for step in range(GAP_WARMUP + GAP_MEASURE):
-        y = T.apply(w) - lam * h * float(nu @ w)
-        norm = np.linalg.norm(y)
-        if norm < 1e-280:
-            return 0.0
-        if step >= GAP_WARMUP:
-            logs.append(math.log(norm))
-        w = y / norm
-    ratio = math.exp(sum(logs) / len(logs)) / lam
-    if ratio < 1e-12:
-        return 0.0
-    return min(ratio, 1.0 - 1e-12)
+    W = start - H * _row_dots(NU, np.tile(start, (len(sols), 1)))[:, None]
+    W = W / np.sqrt(_row_dots(W, W))[:, None]
+    step = _block_step([sol.transfer for sol in sols], range(len(sols)), (0,) * len(sols))
+    logs = [[] for _ in sols]
+    vanished = set()
+    for it in range(GAP_WARMUP + GAP_MEASURE):
+        Y = step(W) - LH * _row_dots(NU, W)[:, None]
+        norms = np.sqrt(_row_dots(Y, Y))
+        for row, norm in enumerate(norms.tolist()):
+            if row in vanished or norm < 1e-280:
+                # no complementary component: ratio 0; the row runs on, unread
+                vanished.add(row)
+                norms[row] = 1.0
+            elif it >= GAP_WARMUP:
+                logs[row].append(math.log(norm))
+        if len(vanished) == len(sols):
+            break
+        W = Y / norms[:, None]
+    ratios = []
+    for row, sol in enumerate(sols):
+        ratio = 0.0 if row in vanished else math.exp(sum(logs[row]) / len(logs[row])) / sol.lam
+        ratios.append(0.0 if ratio < 1e-12 else min(ratio, 1.0 - 1e-12))
+    return ratios
 
 
-def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
-    """Perron data of a transfer matrix with deterministic iteration.
+def rpf_solve_block(Ts, starts=None) -> list:
+    """Perron data of several transfer matrices on one state graph (tilts of
+    one family, say) from one block iteration.
 
-    The right vector h (under ``apply``) and the left vector nu (under
-    ``adjoint``) are the two rows of one block iteration, each with its own
-    stopping rule; while both run, a step is one ``apply_both``.  ``start``,
-    any object with positive ``h`` and ``nu`` on the same state graph (an
-    earlier solution at a nearby tilt, or an interpolation of several),
-    gives the rows their start vectors; without it both start from the
-    all-ones vector.  The stopping rule is the same either way, so only the
-    step count depends on it."""
-    n = T.size
-    if start is None:
-        X = np.full((2, n), 1.0 / n)
-    else:
-        X = np.array((start.h, start.nu))
-        X /= np.add.reduce(X, axis=1, keepdims=True)
-    single = (T.apply, T.adjoint)
+    Rows 2j and 2j+1 of the block are the right vector h (under ``apply``)
+    and the left vector nu (under ``adjoint``) of ``Ts[j]``, each with its
+    own stopping rule, and a step is one ``_block_step`` of every row still
+    running.  ``starts[j]``, any object with positive ``h`` and ``nu`` on the
+    same state graph (an earlier solution at a nearby tilt, or an
+    interpolation of several), gives the rows of ``Ts[j]`` their start
+    vectors; without it (``None``) both start from the all-ones vector.  The
+    stopping rule is the same either way, so only the step count depends on
+    it.  Each row iterates as it would alone, so every matrix gets the
+    solution of its own solve bit for bit, or, where that solve fails, the
+    ``NoConvergence`` it raises in place of the solution; a failure stops
+    only its own matrix's rows."""
+    n = Ts[0].size
+    X = np.empty((2 * len(Ts), n))
+    for j, start in enumerate(starts or (None,) * len(Ts)):
+        if start is None:
+            X[2 * j : 2 * j + 2] = 1.0 / n
+        else:
+            pair = np.array((start.h, start.nu))
+            X[2 * j : 2 * j + 2] = pair / np.add.reduce(pair, axis=1, keepdims=True)
+    current = [None, None]
 
     def step(X, rows):
-        if len(rows) == 2:
-            return T.apply_both(X)
-        return single[rows[0]](X[0])[None]
+        if current[0] is not rows:
+            current[:] = rows, _block_step(Ts, [r // 2 for r in rows], [r % 2 for r in rows])
+        return current[1](X)
 
-    (h_raw, nu_raw), (it_h, it_nu) = _power_iterate(step, X)
+    out, steps = _power_iterate(step, X)
+    return [
+        steps[2 * j] if isinstance(steps[2 * j], NoConvergence)
+        else _solution(T, out[2 * j], out[2 * j + 1], max(steps[2 * j], steps[2 * j + 1]))
+        for j, T in enumerate(Ts)
+    ]
+
+
+def _solution(T: TransferMatrix, h_raw: np.ndarray, nu_raw: np.ndarray, iterations: int):
     nu = nu_raw / nu_raw.sum()
     h = h_raw / float(h_raw @ nu)
     z = T.apply(h)
@@ -363,9 +436,24 @@ def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
         log_lambda=math.log1p(delta),
         h=_frozen(h),
         nu=_frozen(nu),
-        iterations=max(it_h, it_nu),
+        iterations=iterations,
         transfer=T,
     )
+
+
+def _all_solved(results) -> list:
+    """The results of block solves, once none of them is a failure; the
+    first failure in their order is raised."""
+    for result in results:
+        if isinstance(result, NoConvergence):
+            raise result
+    return results
+
+
+def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
+    """Perron data of a transfer matrix with deterministic iteration: the
+    one-matrix case of ``rpf_solve_block``, its failure raised."""
+    return _all_solved(rpf_solve_block((T,), (start,)))[0]
 
 
 def solve_potential(f: Potential, k_min: int = 1):
@@ -404,11 +492,21 @@ class TiltedFamily:
 
     def tilt(self, q: float, start=None) -> tuple:
         """(log pressure, mean of psi under the tilted equilibrium state,
-        the solution), the solve started from ``start``.
+        the solution), the solve started from ``start``."""
+        return self._tilt_of(self.solve(q, start))
 
-        The equilibrium mass of edge u -> v is ``h[u] * w * nu[v]``
+    def tilts(self, qs, starts=None) -> list:
+        """``tilt`` at each q of qs, from one ``rpf_solve_block`` of them all;
+        a tilt whose solve fails gives its ``NoConvergence`` in place of the
+        tuple."""
+        return [
+            sol if isinstance(sol, NoConvergence) else self._tilt_of(sol)
+            for sol in rpf_solve_block([self.at(q) for q in qs], starts)
+        ]
+
+    def _tilt_of(self, sol: RpfSolution) -> tuple:
+        """The equilibrium mass of edge u -> v is ``h[u] * w * nu[v]``
         normalised, so the mean is one weighted sum over the edges."""
-        sol = self.solve(q, start)
         T = sol.transfer
         flow = sol.h[T.src] * T.edge_weights * sol.nu[T.dst]
         return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum()), sol
@@ -562,7 +660,25 @@ def state_norms(vec: np.ndarray, runs, theta: float) -> tuple:
     """(sup, theta-seminorm) of a function given as a vector over k-word
     states; the seminorm scans the variation within the prefix ``runs`` of
     the state words (``potentials.prefix_runs``)."""
-    return float(np.max(np.abs(vec))), hoelder_seminorm(variations(vec, runs), theta)
+    return _block_norms(vec[None], runs, (theta,))[0]
+
+
+def _block_norms(V: np.ndarray, runs, thetas) -> list:
+    """``state_norms`` of each row of the block V, row i with ``thetas[i]``,
+    from one reduction per prefix depth for all rows.  Maxima and minima
+    are exact and ``max(0.0, .)`` gives a zero variation one sign, so each
+    row's norms are those of ``potentials.variations`` on the row alone."""
+    sups = np.maximum.reduce(np.abs(V), axis=1).tolist()
+    depths = [
+        np.maximum.reduce(
+            np.maximum.reduceat(V, starts, axis=1) - np.minimum.reduceat(V, starts, axis=1), axis=1
+        ).tolist()
+        for starts in runs
+    ]
+    return [
+        (sup, hoelder_seminorm([max(0.0, var[i]) for var in depths], theta))
+        for i, (sup, theta) in enumerate(zip(sups, thetas))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,54 +735,73 @@ def _rpf_bound_report(
     sol: RpfSolution, n_max: int, test_g: Potential, consts=None
 ) -> RpfBoundReport:
     """``verify_rpf_bounds`` on a solved transfer matrix whose states are at
-    least ``test_g.r`` symbols long."""
-    T = sol.transfer
+    least ``test_g.r`` symbols long: the one-pair case of
+    ``_rpf_bound_reports``."""
+    return _rpf_bound_reports(((sol, test_g),), n_max, consts)[0]
+
+
+def _rpf_bound_reports(pairs, n_max: int, consts=None) -> list:
+    """The report of each (solution, test function) pair, the solutions on
+    one state graph whose states are at least as long as every test's range,
+    from one block iteration.  Row i iterates the test function of pair i
+    under its solution's matrix; one more row per distinct solution iterates
+    the constant 1 for the eigenvalue sandwich.  At each n the pairs'
+    envelopes are checked in order, then the sandwiches."""
+    T = pairs[0][0].transfer
     words = T.state_words
-    theta = test_g.theta
-
-    g_vec = np.array([test_g.table[w[: test_g.r]] for w in words])
     runs = prefix_runs(words)
-    g_sup, g_semi = state_norms(g_vec, runs, theta)
-    g_norm = g_sup + g_semi
-    target = sol.h * float(sol.nu @ g_vec)
+    sols = list({id(sol): sol for sol, _ in pairs}.values())
+    slot = {id(sol): j for j, sol in enumerate(sols)}
+    tilts = [slot[id(sol)] for sol, _ in pairs] + list(range(len(sols)))
+    step = _block_step([sol.transfer for sol in sols], tilts, (0,) * len(tilts))
+    lams = np.array([sols[j].lam for j in tilts])[:, None]
 
-    log_test_norm = math.log(max(g_norm, 1e-300))
-    sup_list, semi_list, norm_list = [], [], []
-    v = g_vec.copy()
-    u = np.ones(T.size)
-    ratio_lo = float(np.min(sol.h) / np.max(sol.h))
-    ratio_hi = float(np.max(sol.h) / np.min(sol.h))
+    G = np.array([[g.table[w[: g.r]] for w in words] for _, g in pairs])
+    thetas = [g.theta for _, g in pairs]
+    test_norms = [sup + semi for sup, semi in _block_norms(G, runs, thetas)]
+    log_test_norms = [math.log(max(norm, 1e-300)) for norm in test_norms]
+    targets = np.array([sol.h * float(sol.nu @ g_vec) for (sol, _), g_vec in zip(pairs, G)])
+    ratio_lo = [float(np.min(sol.h) / np.max(sol.h)) for sol in sols]
+    ratio_hi = [float(np.max(sol.h) / np.min(sol.h)) for sol in sols]
+    series = [([], [], []) for _ in pairs]
+    V = np.concatenate((G, np.ones((len(sols), T.size))))
     n_values = tuple(range(1, n_max + 1))
     for n in n_values:
-        v = T.apply(v) / sol.lam
-        dev = v - target
-        sup, semi = state_norms(dev, runs, theta)
-        norm = sup + semi
-        sup_list.append(sup)
-        semi_list.append(semi)
-        norm_list.append(norm)
-        if consts is not None and norm > 0.0:
-            envelope = consts.log_D + n * consts.log_rho + log_test_norm
-            if math.log(norm) > envelope + CHECK_SLACK:
-                raise BoundViolated(
-                    f"deviation norm {norm:.3e} exceeds geometric envelope at n={n}"
-                )
-        u = T.apply(u) / sol.lam
-        if float(np.min(u)) < ratio_lo * (1.0 - CHECK_SLACK) or float(np.max(u)) > ratio_hi * (
-            1.0 + CHECK_SLACK
+        V = step(V) / lams
+        deviations = _block_norms(V[: len(pairs)] - targets, runs, thetas)
+        for i, ((sup, semi), (sup_list, semi_list, norm_list)) in enumerate(
+            zip(deviations, series)
         ):
-            raise BoundViolated(f"eigenvalue sandwich for iterated 1 fails at n={n}")
+            norm = sup + semi
+            sup_list.append(sup)
+            semi_list.append(semi)
+            norm_list.append(norm)
+            if consts is not None and norm > 0.0:
+                envelope = consts.log_D + n * consts.log_rho + log_test_norms[i]
+                if math.log(norm) > envelope + CHECK_SLACK:
+                    raise BoundViolated(
+                        f"deviation norm {norm:.3e} exceeds geometric envelope at n={n}"
+                    )
+        U = V[len(pairs) :]
+        lows = np.minimum.reduce(U, axis=1).tolist()
+        highs = np.maximum.reduce(U, axis=1).tolist()
+        for lo, hi, low, high in zip(ratio_lo, ratio_hi, lows, highs):
+            if low < lo * (1.0 - CHECK_SLACK) or high > hi * (1.0 + CHECK_SLACK):
+                raise BoundViolated(f"eigenvalue sandwich for iterated 1 fails at n={n}")
 
-    return RpfBoundReport(
-        n_values=n_values,
-        deviation_sup=tuple(sup_list),
-        deviation_semi=tuple(semi_list),
-        deviation_norm=tuple(norm_list),
-        test_norm=g_norm,
-        paper_bound_checked=consts is not None,
-        sandwich_checked=True,
-        solution=sol,
-    )
+    return [
+        RpfBoundReport(
+            n_values=n_values,
+            deviation_sup=tuple(sup_list),
+            deviation_semi=tuple(semi_list),
+            deviation_norm=tuple(norm_list),
+            test_norm=test_norm,
+            paper_bound_checked=consts is not None,
+            sandwich_checked=True,
+            solution=sol,
+        )
+        for (sol, _), test_norm, (sup_list, semi_list, norm_list) in zip(pairs, test_norms, series)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

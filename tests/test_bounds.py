@@ -22,7 +22,7 @@ from thermosft import (
     certificate_constants,
     verify_bound,
 )
-from thermosft import potentials, transfer, validate_transitions
+from thermosft import bounds, potentials, transfer, validate_transitions
 from thermosft.bounds import D_INFLATION, RHO_MARGIN, RpfConstants
 from thermosft.cli import load_model
 from thermosft.potentials import affine_combine, prefix_runs
@@ -197,6 +197,48 @@ def test_measured_constants_match_per_tilt_potentials(monkeypatch, name, graphs)
     assert got == expected
     assert len(builds) == graphs
     assert builds[-1] == (psi.r if graphs == 2 else max(1, phi.r - 1, psi.r - 1))
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("bernoulli", [(9, 3)]), ("random_range3", [(3, 3), (6, 3)]), ("chi_k6", [(3, 3), (6, 3)]),
+])
+def test_measured_constants_stack_gaps_and_reports(monkeypatch, name, blocks):
+    """Measured constants estimate the three probes' gaps as one block,
+    each equal to the solution's own ``gap_ratio`` by ``float.hex``, and
+    iterate their (solution, test) pairs as one block per state graph, with
+    one sandwich row per distinct solution, not one per test."""
+    phi, psi = _probe_case(name)
+    gaps, rows, inside = [], [], []
+    gap_estimate, bound_reports, block_step = (
+        bounds._gap_estimate, bounds._rpf_bound_reports, transfer._block_step
+    )
+
+    def gap_spy(sols):
+        gaps.append((sols, gap_estimate(sols)))
+        return gaps[-1][1]
+
+    def reports_spy(pairs, n_max, consts=None):
+        inside.append(pairs)
+        try:
+            return bound_reports(pairs, n_max, consts)
+        finally:
+            inside.pop()
+
+    def step_spy(Ts, tilts, kinds):
+        if inside:
+            pairs = inside[-1]
+            rows.append((len(pairs), len(tilts) - len(pairs)))
+            assert len({id(sol) for sol, _ in pairs}) == len(tilts) - len(pairs)
+        return block_step(Ts, tilts, kinds)
+
+    monkeypatch.setattr(bounds, "_gap_estimate", gap_spy)
+    monkeypatch.setattr(bounds, "_rpf_bound_reports", reports_spy)
+    monkeypatch.setattr(transfer, "_block_step", step_spy)
+    measured_rpf_constants(phi, psi, 1.0 / psi.b)
+    ((sols, ratios),) = gaps
+    assert len(sols) == 3
+    assert [r.hex() for r in ratios] == [sol.gap_ratio.hex() for sol in sols]
+    assert rows == blocks
 
 
 def test_measured_never_worse_than_paper(bernoulli, golden_model):

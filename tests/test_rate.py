@@ -412,19 +412,67 @@ def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     phi = normalize_potential(model.f)
     grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
     solves = []
-    solve = transfer.rpf_solve
+    tilts = transfer.TiltedFamily.tilts
 
-    def counted(*args):
-        solves.append(args)
-        return solve(*args)
+    def counted(self, qs, starts=None):
+        solves.extend(qs)
+        return tilts(self, qs, starts)
 
-    monkeypatch.setattr(transfer, "rpf_solve", counted)
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", counted)
     swept = rate_levels(phi, model.psi, grid)
     in_sweep = len(solves)
     one_by_one = [rate_function(phi, model.psi, p) for p in grid]
     assert [repr(rv) for rv in swept] == [repr(rv) for rv in one_by_one]
     assert len(solves) - in_sweep == sum(rv.iterations for rv in swept)
     assert in_sweep < 1 + sum(rv.iterations - 1 for rv in swept), in_sweep
+
+
+def test_rate_levels_solve_a_grid_in_lockstep(monkeypatch):
+    """On the bernoulli fixture's grid 0.05:0.95:0.05 the base is one block
+    solve and each further round one block for all levels still running, so
+    the sweep makes at most ``1 + max(iterations - 1)`` block solves."""
+    model = load_model(FIXTURES / "bernoulli.json")
+    phi = normalize_potential(model.f)
+    grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    blocks = []
+    tilts = transfer.TiltedFamily.tilts
+
+    def counted(self, qs, starts=None):
+        blocks.append(len(qs))
+        return tilts(self, qs, starts)
+
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", counted)
+    swept = rate_levels(phi, model.psi, grid)
+    assert all(rv.status in ("interior", "mean_zero") for rv in swept)
+    assert len(blocks) <= 1 + max(rv.iterations - 1 for rv in swept), blocks
+    assert max(blocks) > 1
+
+
+def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(monkeypatch, bernoulli):
+    """A grid of outside, boundary, interior and mean_zero levels, with the
+    solve of q = 8 forced to fail: only the boundary sweep at p = 1 reaches
+    that probe, so it stops there with the lower bound of the probes before
+    it, as ``rate_function`` does under the same failure, and every other
+    level equals its ``rate_function``."""
+    phi, psi = bernoulli
+    grid = (-0.1, 0.0, 0.3, 0.5, 0.8, 1.0, 1.2)
+    free = [rate_function(phi, psi, p) for p in grid]
+    assert [rv.status for rv in free] == [
+        "outside", "boundary", "interior", "mean_zero", "interior", "boundary", "outside"
+    ]
+    tilts = transfer.TiltedFamily.tilts
+
+    def failing(self, qs, starts=None):
+        solved = tilts(self, qs, starts)
+        return [NoConvergence("forced") if q == 8.0 else t for q, t in zip(qs, solved)]
+
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", failing)
+    swept = rate_levels(phi, psi, grid)
+    forced = rate_function(phi, psi, 1.0)
+    assert forced.status == "boundary" and forced.iterations < free[5].iterations
+    assert repr(swept[5]) == repr(forced)
+    for i in (0, 1, 2, 3, 4, 6):
+        assert repr(swept[i]) == repr(free[i]), grid[i]
 
 
 def test_interpolated_start_falls_back_to_the_nearest_solution():
@@ -451,14 +499,13 @@ def test_interpolated_start_falls_back_to_the_nearest_solution():
 def test_interior_level_raises_when_a_tilt_fails(monkeypatch, bernoulli):
     # a solver failure inside the spread is an error, not a boundary value
     phi, psi = bernoulli
-    tilt = transfer.TiltedFamily.tilt
+    tilts = transfer.TiltedFamily.tilts
 
-    def failing(self, q, start=None):
-        if q != 0.0:
-            raise NoConvergence("forced")
-        return tilt(self, q, start)
+    def failing(self, qs, starts=None):
+        solved = tilts(self, qs, starts)
+        return [t if q == 0.0 else NoConvergence("forced") for q, t in zip(qs, solved)]
 
-    monkeypatch.setattr(transfer.TiltedFamily, "tilt", failing)
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", failing)
     with pytest.raises(NoConvergence):
         rate_function(phi, psi, 0.8)
     assert rate_function(phi, psi, 1.0).status == "boundary"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,22 @@ def test_cylinder_distance_errors():
         cylinder_distance((1, 2), (1, 2, 1), 0.5)
     with pytest.raises(BadTheta):
         cylinder_distance((1,), (2,), 1.5)
+
+
+@pytest.mark.parametrize("fixture", ["bernoulli_model", "golden_model", "random_model"])
+def test_admissibility_from_successors_matches_the_matrix(fixture, request):
+    """``is_admissible`` answers from the cached successor lists what the
+    matrix entries (``allows``) answer, on every symbol pair and every word
+    up to length 6 of each fixture, and refuses any word with a symbol
+    outside 1..s0."""
+    tm = request.getfixturevalue(fixture).f.tm
+    s0 = tm.size
+    for a, b in itertools.product(range(1, s0 + 1), repeat=2):
+        assert tm.is_admissible((a, b)) == tm.allows(a, b)
+    for length in range(1, 7):
+        for word in itertools.product(range(1, s0 + 1), repeat=length):
+            expected = all(tm.allows(a, b) for a, b in zip(word, word[1:]))
+            assert tm.is_admissible(word) == expected, word
+    for word in [(), (0,), (s0 + 1,), (-1, 1), (1, 0), (0, 1), (1, s0 + 1), (s0 + 1, 1),
+                 (1, 1, s0 + 2), (1, 1, -1)]:
+        assert not tm.is_admissible(word), word
