@@ -30,9 +30,7 @@ from .potentials import (
 )
 from .rate import rate_levels
 from .transfer import (
-    TiltedFamily,
     _all_solved,
-    _edge_matrix,
     _gap_estimate,
     _rpf_bound_reports,
     equilibrium_measure,
@@ -142,7 +140,8 @@ def measured_rpf_constants(
 
     Every probe is a Perron solve of the ``TiltedFamily`` of (phi, psi),
     and of a second family on ``psi.r``-word states when psi, tested on its
-    own states, is longer than the first family's.
+    own states, is longer than the first family's; the probe at 0 is each
+    family's kept ``zero`` solve.
 
     rho is the largest measured contraction ratio, floored at theta (the
     operator on Hoelder functions never contracts the non-constant part
@@ -155,24 +154,28 @@ def measured_rpf_constants(
         raise ValidationError(f"n_max must be >= 8 for a meaningful fit, got {n_max}")
     theta = phi.theta
     family = tilted_family(phi, psi)
-    psi_family = None
-    if psi.r > family.base.k:
-        base, phi_e, (psi_e,) = _edge_matrix(phi, psi.r, psi)
-        psi_family = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+    # the same family, unless psi is longer than its states
+    psi_family = tilted_family(phi, psi, k_min=psi.r)
     runs = prefix_runs(family.base.state_words)
     symbols = range(1, phi.tm.size + 1)
     battery = (
         make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
         make_potential(phi.tm, 1, {(a,): 1.0 for a in symbols}, theta),
     )
-    # the probes are one block solve per family, their gap estimates one
-    # block, and the reports one block per state graph; of failed probes,
-    # the first in the order -q0, 0, q0 (each before its psi-family twin)
-    # is raised
-    qs = (-q0_probe, 0.0, q0_probe)
-    sols = rpf_solve_block([family.at(q) for q in qs])
-    psi_sols = sols if psi_family is None else rpf_solve_block([psi_family.at(q) for q in qs])
-    _all_solved([sol for pair in zip(sols, psi_sols) for sol in pair])
+    # the probes ±q0 are one block solve per family, their gap estimates
+    # one block, and the reports one block per state graph; of failed
+    # probes, the first in the order -q0, 0, q0 (each before its psi-family
+    # twin) is raised
+    qs = (-q0_probe, q0_probe)
+    minus, plus = rpf_solve_block([family.at(q) for q in qs])
+    psi_minus, psi_plus = (
+        (minus, plus) if psi_family is family
+        else rpf_solve_block([psi_family.at(q) for q in qs])
+    )
+    _all_solved((minus, psi_minus))
+    sols = (minus, family.zero, plus)
+    psi_sols = (psi_minus, psi_family.zero, psi_plus)
+    _all_solved((plus, psi_plus))
     gap_max = max(0.0, *_gap_estimate(sols))
     h_norm_max = 0.0
     h_min_min = math.inf
@@ -183,7 +186,7 @@ def measured_rpf_constants(
     # (solution, test function); the range-1 entries share the probe's solve
     battery_pairs = [(sol, g) for sol in sols for g in battery]
     psi_pairs = [(sol, psi) for sol in psi_sols]
-    if psi_family is None:
+    if psi_family is family:
         reports = _rpf_bound_reports(psi_pairs + battery_pairs, n_max)
     else:
         reports = _rpf_bound_reports(psi_pairs, n_max) + _rpf_bound_reports(battery_pairs, n_max)
@@ -367,9 +370,10 @@ def verify_bound(
     family = tilted_family(phi, psi)
     direct = q0 >= Q0_DIRECT_MIN
     if direct:
-        base, plus, minus = _all_solved(family.tilts((0.0, q0, -q0)))
-        dpr_plus = plus[0] - base[0]
-        dpr_minus = minus[0] - base[0]
+        base = family.zero.log_lambda
+        plus, minus = _all_solved(family.tilts((q0, -q0)))
+        dpr_plus = plus[0] - base
+        dpr_minus = minus[0] - base
     else:
         q_eval = max(q0, Q_BRACKET_EVAL)
         plus, minus = _all_solved(family.tilts((q_eval, -q_eval)))

@@ -360,10 +360,6 @@ class LdpScan:
     reference: float
     psi_mean: float
 
-    @property
-    def log_rates(self) -> tuple:
-        return tuple(e.log_rate for e in self.entries)
-
     def increasing_from(self, n_from: int) -> bool:
         rates = [e.log_rate for e in self.entries if e.n >= n_from]
         return all(b > a for a, b in zip(rates, rates[1:]))

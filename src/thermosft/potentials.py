@@ -11,7 +11,7 @@ not propagate it into certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,10 @@ class Potential:
     ``sup_norm`` is max |value|; ``hoelder_seminorm`` is the largest
     ``var_k / theta**k`` over 0 <= k <= r-2 (zero for r = 1, since a range-1
     function cannot vary between points sharing their first coordinate);
-    ``b`` is ``max(1, hoelder_seminorm)``.
+    ``b`` is ``max(1, hoelder_seminorm)``.  ``_families`` holds the tilted
+    families ``transfer.tilted_family`` has built on this potential, by
+    observable and state length, so each is built, and solved at q = 0,
+    once for as long as the potential lives.
     """
 
     tm: TransitionMatrix
@@ -49,17 +52,12 @@ class Potential:
     sup_norm: float
     hoelder_seminorm: float
     b: float
+    _families: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def norm(self) -> float:
         """Full Hoelder norm: seminorm plus sup norm."""
         return self.hoelder_seminorm + self.sup_norm
-
-    def value(self, word: Word) -> float:
-        """Value on any word carrying at least the first r coordinates."""
-        if len(word) < self.r:
-            raise WordTooShort(f"need {self.r} coordinates, got {len(word)}")
-        return self.table[word[: self.r]]
 
     def truncation_tail_bound(self) -> float:
         """Worst-case value shift if this table were the range-r conditioning
@@ -68,9 +66,6 @@ class Potential:
 
     def min_value(self) -> float:
         return min(self.table.values())
-
-    def max_value(self) -> float:
-        return max(self.table.values())
 
 
 def prefix_runs(words) -> list:

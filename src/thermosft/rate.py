@@ -15,7 +15,8 @@ alike), which leaves the rate unchanged and keeps the tilts that overflow far
 from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
-once per call of ``rate_levels`` (``rate_function`` is its one-level form);
+once per ``(phi, psi)`` and kept on phi with its q = 0 solve, which every
+call of ``rate_levels`` (``rate_function`` is its one-level form) shares;
 within a level each tilt is solved once and reused for both the objective
 and its derivative.  A tilt strictly inside the range of the level's solved
 tilts starts from the quadratic (Lagrange) interpolation of h and nu through
@@ -40,8 +41,7 @@ import numpy as np
 from .errors import ModelMismatch, NoConvergence, ValidationError
 from .potentials import Potential, require_not_constant
 from .transfer import (
-    TransferMatrix,
-    _all_solved,
+    TiltedFamily,
     equilibrium_measure,
     integrate,
     solve_potential,
@@ -68,8 +68,8 @@ def tilt_eval(phi: Potential, psi: Potential, q: float) -> tuple:
     return tilted_family(phi, psi).tilt(q)[:2]
 
 
-def _check_normalized(T: TransferMatrix, tol: float = 1e-6) -> None:
-    err = float(np.max(np.abs(T.apply(np.ones(T.size)) - 1.0)))
+def _check_normalized(family: TiltedFamily, tol: float = 1e-6) -> None:
+    err = family.unit_row_error
     if err > tol:
         raise ModelMismatch(
             f"potential is not normalised (unit row action violated by {err:.3e})"
@@ -114,7 +114,7 @@ def pressure_curve(phi: Potential, psi: Potential, q_grid) -> PressureCurve:
     """Pressure of phi + q*psi along a sorted grid together with the exact
     derivative (the mean of psi under the tilted equilibrium state)."""
     family = tilted_family(phi, psi)
-    _check_normalized(family.base)
+    _check_normalized(family)
     grid = tuple(float(q) for q in q_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError("q grid must be sorted ascending")
@@ -138,7 +138,7 @@ def gamma(phi: Potential, psi: Potential, p: float, q: float) -> tuple:
     at q = 0 by construction; the derivative is p minus the tilted mean.
     """
     family = tilted_family(phi, psi)
-    base, mean, _ = family.tilt(0.0)
+    base, mean, _ = family.tilt_of(family.zero)
     if q == 0.0:
         return 0.0, p - mean
     pr, mean, _ = family.tilt(q)
@@ -172,25 +172,27 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     reports a lower bound.  Inside, the slope of the objective is bracketed
     by doubling and its root found to TOL_GRAD by inverse quadratic steps,
     Illinois regula falsi where they are refused.
-    The tilted family, the normalisation check, the spread, the centring and
-    the base solve are done once for the whole grid.  The levels then run in
-    lockstep: each round solves the next tilt of every level still running
-    as one block (``TiltedFamily.tilts``), and a doubling probe, the same
-    solve at every level that reaches it, is solved once.  Each level keeps
+    The spread and the centring are done once for the whole grid, and the
+    tilted family, its normalisation check and its base solve once per
+    ``(phi, psi)``: they are kept on phi and shared by every later call.
+    The levels then run in lockstep: each round solves the next tilt of
+    every level still running as one block (``TiltedFamily.tilts``), and a
+    doubling probe, the same solve at every level that reaches it, is
+    solved once.  Each level keeps
     its own tilt memo, the probes it used copied in, so every result equals
     ``rate_function`` at that level.  When a level inside the spread fails,
     the error of the first failing level in grid order is raised.
     """
     family = tilted_family(phi, psi)
-    _check_normalized(family.base)
+    _check_normalized(family)
     if spread is None:
         spread = require_not_constant(psi)
     # the rate is unchanged when psi and p shift by one constant; centring
     # psi on its spread makes the overflow cap on q scale with the spread,
     # not with psi's distance from 0
     centre = 0.5 * (spread.min_mean + spread.max_mean)
-    family = replace(family, psi_e=family.psi_e - centre)
-    q_cap = 700.0 / max(float(np.max(np.abs(family.psi_e))), 1e-12)
+    centred = replace(family, psi_e=family.psi_e - centre)
+    q_cap = 700.0 / max(float(np.max(np.abs(centred.psi_e))), 1e-12)
     base = None
     probes = {}
     results = []
@@ -202,13 +204,13 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
             )
             continue
         if base is None:
-            (base,) = _all_solved(family.tilts((0.0,)))
+            base = centred.tilt_of(family.zero)
         at_boundary = (
             abs(p - spread.min_mean) <= TOL_END or abs(p - spread.max_mean) <= TOL_END
         )
         results.append(None)
         levels[i] = _maximise(base, probes, p, p - centre, at_boundary, q_cap)
-    _lockstep(family, levels, results)
+    _lockstep(centred, levels, results)
     return tuple(results)
 
 

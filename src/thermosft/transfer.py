@@ -9,9 +9,10 @@ numerical verification of the spectral convergence bounds.
 
 A matrix is held as its edge arrays only: one entry per admissible overlap
 of two states, at most s0 per row, so a mat-vec is a single
-``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves
-and rate functions is one ``TiltedFamily``: the state graph and both edge
-tables are built once per (phi, psi), and each tilt only re-exponentiates
+``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves,
+rate functions and the certificate is one ``TiltedFamily``, kept on phi: the
+state graph, both edge tables and the q = 0 solve are made once per (phi,
+psi) and state length, and each tilt only re-exponentiates
 ``phi_e + q*psi_e``.  Independent tilts on one graph are solved as one
 block (``rpf_solve_block``, of which ``rpf_solve`` is the one-matrix case):
 a power step is one gather, product and bincount for every row of every
@@ -469,19 +470,32 @@ def solve_potential(f: Potential, k_min: int = 1):
 
 @dataclass(frozen=True, eq=False)
 class TiltedFamily:
-    """The potentials ``phi + q*psi`` on one graph of k-word states,
-    k = max(1, phi.r - 1, psi.r - 1).
+    """The potentials ``phi + q*psi`` on one graph of k-word states.
 
     Both potentials are read on the (k+1)-word edges (``phi_e``, ``psi_e``),
     so psi need not be a function of the state.  ``base`` is the transfer
     matrix of phi; ``at(q)`` shares its graph and only re-exponentiates the
     edge log-weights, so no potential, state graph or dense matrix is built
-    per tilt.
+    per tilt.  ``zero``, the solve of ``base`` from the all-ones start, and
+    ``unit_row_error`` are computed on first read and kept; ``at(0.0)``
+    carries the bits of ``base``'s weights, so ``zero`` is the q = 0 solve of
+    ``tilts`` bit for bit.  A failing solve keeps nothing and raises again on
+    the next read.
     """
 
     base: TransferMatrix
     phi_e: np.ndarray
     psi_e: np.ndarray
+
+    @cached_property
+    def zero(self) -> RpfSolution:
+        return rpf_solve(self.base)
+
+    @cached_property
+    def unit_row_error(self) -> float:
+        """Largest deviation of ``base``'s row action from 1: 0 up to
+        rounding exactly when phi is normalised."""
+        return float(np.max(np.abs(self.base.apply(np.ones(self.base.size)) - 1.0)))
 
     def at(self, q: float) -> TransferMatrix:
         return replace(self.base, edge_weights=_frozen(np.exp(self.phi_e + q * self.psi_e)))
@@ -493,31 +507,39 @@ class TiltedFamily:
     def tilt(self, q: float, start=None) -> tuple:
         """(log pressure, mean of psi under the tilted equilibrium state,
         the solution), the solve started from ``start``."""
-        return self._tilt_of(self.solve(q, start))
+        return self.tilt_of(self.solve(q, start))
 
     def tilts(self, qs, starts=None) -> list:
         """``tilt`` at each q of qs, from one ``rpf_solve_block`` of them all;
         a tilt whose solve fails gives its ``NoConvergence`` in place of the
         tuple."""
         return [
-            sol if isinstance(sol, NoConvergence) else self._tilt_of(sol)
+            sol if isinstance(sol, NoConvergence) else self.tilt_of(sol)
             for sol in rpf_solve_block([self.at(q) for q in qs], starts)
         ]
 
-    def _tilt_of(self, sol: RpfSolution) -> tuple:
-        """The equilibrium mass of edge u -> v is ``h[u] * w * nu[v]``
-        normalised, so the mean is one weighted sum over the edges."""
+    def tilt_of(self, sol: RpfSolution) -> tuple:
+        """``tilt`` of a solution of one of this family's matrices.  The
+        equilibrium mass of edge u -> v is ``h[u] * w * nu[v]`` normalised,
+        so the mean is one weighted sum over the edges."""
         T = sol.transfer
         flow = sol.h[T.src] * T.edge_weights * sol.nu[T.dst]
         return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum()), sol
 
 
-def tilted_family(phi: Potential, psi: Potential) -> TiltedFamily:
-    """Build the tilted family of phi along the observable psi."""
+def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamily:
+    """The tilted family of phi along the observable psi on k-word states,
+    k = max(k_min, phi.r - 1, psi.r - 1, 1).  It is built on the first call
+    and kept on phi, by psi and k, so every later call for the same pair and
+    state length returns the same family, its ``zero`` solve included."""
     if not phi.tm.same_space(psi.tm) or phi.theta != psi.theta:
         raise ModelMismatch("potentials live over different shift spaces")
-    base, phi_e, (psi_e,) = _edge_matrix(phi, max(1, phi.r - 1, psi.r - 1), psi)
-    return TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+    k = max(k_min, phi.r - 1, psi.r - 1, 1)
+    family = phi._families.get((psi, k))
+    if family is None:
+        base, phi_e, (psi_e,) = _edge_matrix(phi, k, psi)
+        family = phi._families[psi, k] = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +845,7 @@ def verify_tilted_family(
     qs = (-q0, 0.0, q0)
     log_lams, mins, maxs = [], [], []
     for q in qs:
-        sol = family.solve(q)
+        sol = family.solve(q) if q else family.zero
         log_lams.append(sol.log_lambda)
         mins.append(float(np.min(sol.h)))
         maxs.append(float(np.max(sol.h)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from thermosft import (
     BadTheta,
     Delta0OutOfRange,
+    NoConvergence,
     ValidationError,
     constants_for,
     equilibrium_measure,
@@ -18,6 +20,7 @@ from thermosft import (
     normalize_potential,
     paper_rpf_constants,
     rate_function,
+    rate_levels,
     shift_nonnegative,
     certificate_constants,
     verify_bound,
@@ -437,3 +440,98 @@ def test_tilted_family_envelopes_on_fixtures(bernoulli, golden_model, random_mod
         rep = certificate_constants(phi, psi1, 0.1, consts)
         out = verify_tilted_family(phi, psi1, rep.q0, rep.C0, consts, n_max=24)
         assert all(abs(v) <= rep.q0 * rep.C0 + 1e-12 for v in out.log_lambdas)
+
+
+def _hexed(obj) -> tuple:
+    """The fields of a dataclass instance, floats by ``float.hex``."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v
+        for v in (getattr(obj, f.name) for f in dataclasses.fields(obj))
+    )
+
+
+@pytest.mark.parametrize("stem, grid", [
+    ("bernoulli", (0.1, 0.3, 0.8)), ("golden_mean", (0.05, 0.25, 0.45)),
+    ("random_range3", (0.15, 0.35, 0.75)),
+])
+def test_second_calls_reuse_the_family_and_its_zero_solve(monkeypatch, stem, grid):
+    """Once measured constants, ``rate_function``, ``rate_levels`` and
+    ``verify_bound`` have run on a pair of potentials, running them again
+    builds no tilted family (the rate calls, given the spread, no state
+    graph at all) and solves no tilt at q = 0: each family and its ``zero``
+    solve are kept on phi.  Every result equals, by ``float.hex``, that of
+    fresh copies of the potentials."""
+    model = load_model(FIXTURES / f"{stem}.json")
+    phi = normalize_potential(model.f)
+    psi, _ = shift_nonnegative(model.psi)
+    spread = potentials.cohomology_spread(psi)
+
+    def fresh(g):
+        return make_potential(g.tm, g.r, g.table, g.theta)
+
+    def run(phi, psi):
+        consts = constants_for(phi, psi, "measured")
+        return (
+            _hexed(consts),
+            _hexed(rate_function(phi, psi, grid[1], spread)),
+            [_hexed(rv) for rv in rate_levels(phi, psi, grid, spread)],
+            [_hexed(v) for v in verify_bound(phi, psi, 0.1, grid, consts).verdicts],
+        )
+
+    cold = run(fresh(phi), fresh(psi))
+    assert run(phi, psi) == cold
+    families = [transfer.tilted_family(phi, psi), transfer.tilted_family(phi, psi, psi.r)]
+    graphs, edge_tables, zero_solves = [], [], []
+
+    def spy(fn, log, entry):
+        def wrapped(*args, **kwargs):
+            log.append(entry(*args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (transfer, potentials):
+        monkeypatch.setattr(module, "state_graph", spy(module.state_graph, graphs, lambda *a: a))
+    monkeypatch.setattr(transfer, "_edge_matrix",
+                        spy(transfer._edge_matrix, edge_tables, lambda f, k, *obs: len(obs)))
+    monkeypatch.setattr(transfer, "rpf_solve_block", spy(
+        transfer.rpf_solve_block, zero_solves,
+        lambda Ts, starts=None: [T for T in Ts if any(T is fam.base for fam in families)]))
+    monkeypatch.setattr(transfer.TiltedFamily, "at", spy(
+        transfer.TiltedFamily.at, zero_solves, lambda self, q: [q] if q == 0.0 else []))
+    assert _hexed(rate_function(phi, psi, grid[1], spread)) == cold[1]
+    assert [_hexed(rv) for rv in rate_levels(phi, psi, grid, spread)] == cold[2]
+    assert graphs == []
+    # verify_bound still builds the state graphs of its certificate
+    # constants' equilibrium measure and spread, but no family
+    assert run(phi, psi) == cold
+    assert not any(edge_tables) and not any(zero_solves)
+
+
+def test_a_failed_zero_solve_is_not_kept(monkeypatch, golden_model):
+    """A q = 0 solve that fails raises on every call and keeps nothing: once
+    the solve can succeed, the next call solves it and returns the value of
+    fresh potentials."""
+    phi = normalize_potential(golden_model.f)
+    psi = golden_model.psi
+    spread = potentials.cohomology_spread(psi)
+    want = rate_function(
+        make_potential(phi.tm, phi.r, phi.table, phi.theta), psi, 0.3, spread
+    )
+    monkeypatch.setattr(transfer, "MAX_ITERATIONS", 1)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            rate_function(phi, psi, 0.3, spread)
+    assert "zero" not in vars(transfer.tilted_family(phi, psi))
+    monkeypatch.undo()
+    assert _hexed(rate_function(phi, psi, 0.3, spread)) == _hexed(want)
+
+
+def test_measured_constants_skip_a_test_function_of_norm_zero(bernoulli_model, full2):
+    """An all-zero observable tests nothing (norm 0), so only the battery
+    sets D; the constants are finite and its reports are skipped."""
+    phi = normalize_potential(bernoulli_model.f)
+    zero = make_pot(full2, 1, {"1": 0.0, "2": 0.0})
+    consts = measured_rpf_constants(phi, zero, q0_probe=1.0)
+    assert all(map(math.isfinite, (consts.log_rho, consts.log_D, consts.log_h_norm_bound,
+                                   consts.log_h_min_bound)))
+    assert consts.log_D >= 0.0 and consts.rho < 1.0

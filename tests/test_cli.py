@@ -112,6 +112,45 @@ def test_bound_command(tmp_path):
     assert all(line.split(",")[4] == "measured" for line in lines[1:])
 
 
+@pytest.mark.parametrize("stem, grid, lengths", [
+    ("bernoulli", "0.05:0.95:0.05", [1]), ("random_range3", "0.15:0.75:0.1", [2, 3]),
+])
+def test_bound_builds_one_family_per_state_length(tmp_path, monkeypatch, stem, grid, lengths):
+    """``thermo bound --constants measured`` builds the tilted family once
+    per state length: the measured constants, ``verify_bound`` and its rate
+    levels share it and its one q = 0 solve.  random_range3's observable is
+    longer than the family's states, so it has a second family on
+    ``psi.r``-word states."""
+    built, bases, zero_solves = [], [], []
+    edge_matrix, solve_block, at = (
+        transfer._edge_matrix, transfer.rpf_solve_block, transfer.TiltedFamily.at
+    )
+
+    def edge_spy(f, k, *observables):
+        out = edge_matrix(f, k, *observables)
+        if observables:
+            built.append(k)
+            bases.append(out[0])
+        return out
+
+    def solve_spy(Ts, starts=None):
+        zero_solves.extend(T for T in Ts if any(T is base for base in bases))
+        return solve_block(Ts, starts)
+
+    def at_spy(self, q):
+        assert q != 0.0
+        return at(self, q)
+
+    monkeypatch.setattr(transfer, "_edge_matrix", edge_spy)
+    monkeypatch.setattr(transfer, "rpf_solve_block", solve_spy)
+    monkeypatch.setattr(transfer.TiltedFamily, "at", at_spy)
+    code = run(["bound", "--config", FIXTURES / f"{stem}.json", "--delta0", 0.1,
+                "--constants", "measured", "--p-grid", grid, "--out", tmp_path / "r.csv"])
+    assert code == 0
+    assert built == lengths
+    assert len(zero_solves) == len(lengths)
+
+
 def test_violated_bound_still_writes_the_report(tmp_path, capsys, monkeypatch):
     def zero_rates(phi, psi, levels, spread=None):
         return tuple(RateValue(p=p, value=0.0, q_star=0.0, status="interior", iterations=1)

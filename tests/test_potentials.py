@@ -55,6 +55,17 @@ def test_range_two_seminorm(full2):
     assert g.sup_norm == 1.0
 
 
+def test_truncation_tail_bound_on_a_fixture(random_model):
+    """The tail bound of README's numerical conventions on the range-3
+    fixture observable: its seminorm, recomputed from a brute-force scan of
+    the variations, times ``theta**(r-1)``."""
+    psi = random_model.psi
+    var = brute_variations(psi.tm, psi.r, psi.table)
+    semi = max(v / psi.theta**j for j, v in enumerate(var))
+    assert psi.r == 3 and semi > 0.0
+    assert psi.truncation_tail_bound() == semi * psi.theta ** (psi.r - 1)
+
+
 def test_table_validation(full2, golden):
     with pytest.raises(MissingWord):
         make_pot(full2, 2, {"11": 1.0, "12": 0.0, "21": 0.0})

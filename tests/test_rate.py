@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -406,8 +407,10 @@ def test_rate_levels_equal_rate_function_bit_for_bit():
 def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     """On the bernoulli fixture's grid 0.05:0.95:0.05 the doubling probes are
     shared by the levels, so the sweep makes fewer Perron solves than one
-    ``rate_function`` per level, fewer even than the levels' own tilts after
-    one shared base solve, and every value is the same."""
+    ``rate_function`` per level, fewer even than the levels' own tilts
+    beside the base, and every value is the same.  The base is the family's
+    kept q = 0 solve, shared by the sweep and every later call, so no call
+    solves it through ``tilts``."""
     model = load_model(FIXTURES / "bernoulli.json")
     phi = normalize_potential(model.f)
     grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -423,8 +426,8 @@ def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     in_sweep = len(solves)
     one_by_one = [rate_function(phi, model.psi, p) for p in grid]
     assert [repr(rv) for rv in swept] == [repr(rv) for rv in one_by_one]
-    assert len(solves) - in_sweep == sum(rv.iterations for rv in swept)
-    assert in_sweep < 1 + sum(rv.iterations - 1 for rv in swept), in_sweep
+    assert len(solves) - in_sweep == sum(rv.iterations - 1 for rv in swept)
+    assert in_sweep < sum(rv.iterations - 1 for rv in swept), in_sweep
 
 
 def test_rate_levels_solve_a_grid_in_lockstep(monkeypatch):
@@ -537,3 +540,74 @@ def test_level_beyond_the_overflow_cap_reports_boundary(bernoulli, full2):
     assert capped.status == "boundary" and capped.q_star is None
     assert math.isfinite(capped.value)
     assert capped.value > reachable.value
+
+
+def test_lockstep_raises_a_failed_interpolated_tilt_and_stops_later_levels(
+    monkeypatch, bernoulli
+):
+    """On the 3-level grid (0.3, 0.7, 0.9), the first interpolated tilt of
+    the middle level is answered with a ``NoConvergence``: ``_maximise``
+    raises it (a failed tilt that is not a doubling probe), ``rate_levels``
+    raises that very error, and the last level, still running, is sent
+    nothing from the round the middle level failed in."""
+    phi, psi = bernoulli
+    grid = (0.3, 0.7, 0.9)
+    free = rate_levels(phi, psi, grid)
+    assert [rv.status for rv in free] == ["interior"] * 3
+    err = NoConvergence("forced")
+    sends = {p: 0 for p in grid}
+    finished, injected = set(), []
+    maximise = rate._maximise
+
+    def spied(base, probes, p, level, at_boundary, q_cap):
+        gen = maximise(base, probes, p, level, at_boundary, q_cap)
+        reply = None
+        while True:
+            sends[p] += 1
+            try:
+                ask = gen.send(reply)
+            except StopIteration as stop:
+                finished.add(p)
+                return stop.value
+            reply = yield ask
+            if p == grid[1] and not injected and isinstance(ask[1], rate._Start):
+                injected.append(ask)
+                reply = err
+
+    monkeypatch.setattr(rate, "_maximise", spied)
+    with pytest.raises(NoConvergence) as raised:
+        rate_levels(phi, psi, grid)
+    assert raised.value is err
+    ((q, _, shared),) = injected
+    assert not shared and 0.0 < q
+    # the middle level's last send raised it; the last level, unfinished,
+    # was sent one fewer
+    assert grid[2] not in finished
+    assert sends[grid[2]] == sends[grid[1]] - 1
+
+
+def test_levels_on_shared_potentials_from_threads(random_model):
+    """Threads sweeping fresh potentials at once, with a short switch
+    interval, may each build the kept family; every result still equals the
+    serial one by ``float.hex``."""
+    grid = (0.25, 0.45, 0.65)
+    phi = normalize_potential(random_model.f)
+    psi = random_model.psi
+
+    def sweep(phi):
+        return [(rv.value.hex(), rv.q_star.hex()) for rv in rate_levels(phi, psi, grid)]
+
+    want = sweep(make_potential(phi.tm, phi.r, phi.table, phi.theta))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: got.append(sweep(phi))) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * 4

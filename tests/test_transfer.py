@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,24 @@ def test_cylinder_mass_examples(full2, golden):
 
     mug = equilibrium_measure(make_pot(golden, 1, {"1": 0.0, "2": 0.0}))
     assert cylinder_mass(mug, (1, 1, 2)) == 0.0
+
+
+def test_cylinder_mass_through_an_edge_of_probability_zero(full2):
+    """A hand-built chain on the full 2-shift whose edge 1 -> 2 has
+    probability 0: a word walking that edge is admissible in the shift but
+    has mass 0.0, and the words around it keep their products."""
+    mu = equilibrium_measure(make_pot(full2, 1, {"1": -math.log(2), "2": -math.log(2)}))
+    chain = mu.chain
+    probs = {(1, 1): 1.0, (1, 2): 0.0, (2, 1): 0.5, (2, 2): 0.5}
+    weights = np.array([probs[chain.state_words[u] + chain.state_words[v]]
+                        for u, v in zip(chain.src.tolist(), chain.dst.tolist())])
+    pi = np.array([2.0 / 3.0, 1.0 / 3.0])
+    cut = transfer.MarkovMeasure(
+        theta=mu.theta, pi=pi, chain=replace(chain, edge_weights=weights)
+    )
+    assert cylinder_mass(cut, (1, 2)) == 0.0
+    assert cylinder_mass(cut, (2, 1, 1, 2, 2)) == 0.0
+    assert cylinder_mass(cut, (2, 1, 1)) == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 def test_cylinder_mass_consistency(golden):
