@@ -196,9 +196,8 @@ def measured_rpf_constants(
 
     log_D_req = -math.inf
     for report in reports:
-        if report.test_norm <= 0.0:
-            continue
         for n, dev in zip(report.n_values, report.deviation_norm):
+            # a test function of norm 0 deviates by exactly 0 at every n
             if dev <= 0.0:
                 continue
             log_D_req = max(

@@ -55,7 +55,9 @@ TOL_END = 1e-9
 #: root-finding step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
-#: tilted matrices approach a periodic structure the solver cannot handle
+#: tilted matrices approach a periodic structure.  The shifted Perron solve
+#: converges there, period-4 tilts included, but a higher cap raises the
+#: boundary values (lower bounds), so a change of it is a change of output
 BOUNDARY_Q_CAP = 20.0
 
 #: start vectors of a Perron solve interpolated between solved tilts
@@ -68,9 +70,9 @@ def tilt_eval(phi: Potential, psi: Potential, q: float) -> tuple:
     return tilted_family(phi, psi).tilt(q)[:2]
 
 
-def _check_normalized(family: TiltedFamily, tol: float = 1e-6) -> None:
+def _check_normalized(family: TiltedFamily) -> None:
     err = family.unit_row_error
-    if err > tol:
+    if err > 1e-6:
         raise ModelMismatch(
             f"potential is not normalised (unit row action violated by {err:.3e})"
         )

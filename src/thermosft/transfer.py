@@ -43,8 +43,9 @@ from .sft import TransitionMatrix, Word, enumerate_words, state_graph
 RESIDUAL_TOL = 1e-13
 #: hard cap on power-iteration steps
 MAX_ITERATIONS = 10**6
-#: consecutive oscillating, slowly contracting steps after which the power
-#: iteration switches to the shifted operator
+#: steps of the residual window over which a power-iteration row measures
+#: its contraction: too slow a plain one switches the row to the shifted
+#: operator, and a shifted one slower than that switches it back
 _SHIFT_AFTER = 4
 #: step of the first contraction check of the fail-fast rule; the checks
 #: double from there, so a transient rise in the residual is outlived
@@ -210,28 +211,27 @@ class RpfSolution:
 class _Row:
     """What ``_power_iterate`` keeps per row between steps."""
 
-    __slots__ = ("shifted", "unshifted", "streak", "res_prev", "recent", "plain_rate",
-                 "peak", "last_peak")
+    __slots__ = ("shifted", "unshifted", "recent", "plain_rate", "peak", "last_peak")
 
     def __init__(self):
-        # plain steps until the streak, shifted steps, then plain for good
-        # once the shift has measured slower
+        # plain steps until the window reads slow and oscillating, shifted
+        # steps, then plain for good once the shift has measured slower;
+        # ``recent`` is the residual window, the latest residual last
         self.shifted = self.unshifted = False
-        self.streak = 0
-        self.res_prev = math.inf
         self.recent = deque(maxlen=_SHIFT_AFTER + 1)
         self.plain_rate = 0.0
         self.peak = 0.0
         self.last_peak = None
 
 
-def _power_iterate(step, X: np.ndarray) -> tuple:
+def _power_iterate(build, X: np.ndarray) -> tuple:
     """Deterministic power iteration of each row of the block X (positive
     start vectors of unit sum) under its own operator; returns the
     l1-normalised positive eigenvectors as the rows of one array and each
-    row's step count.  ``step(X, rows)`` maps the block of the rows still
-    iterating, whose indices are ``rows``, to their images.  A single
-    vector is a one-row block.
+    row's step count.  ``build(rows)`` returns the step of the rows still
+    iterating, whose indices are ``rows``: the map of their block to its
+    images.  It is called at the start and again whenever rows stop.  A
+    single vector is a one-row block.
 
     Rows 2j and 2j+1 belong to one tilt j (a lone row is a tilt of its
     own).  A row that fails stops its tilt: both rows' counts are replaced
@@ -243,15 +243,16 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
     its residual reaches ``RESIDUAL_TOL``; the others go on without it.
     Plain steps ``x -> Tx / sum(Tx)`` contract the error by |lambda2/lambda1|
     per step, which tends to 1 on nearly periodic matrices (lambda2 near
-    -lambda1).  Once ``_SHIFT_AFTER`` consecutive steps each point against
-    the previous step and shrink the residual by less than half, the row
-    iterates ``T + s*I`` with s the running Perron estimate ``sum(Tx)``
-    (Wilkinson's origin shift): same Perron vector, and the component at
-    -lambda1 is damped to about 0.  The shift also slows a positive
-    eigenvalue just below lambda1, so the plain contraction per step over
-    that streak is kept, and once the shifted residual shrinks more slowly
-    over ``_SHIFT_AFTER`` steps the row returns to plain steps for good.
-    The residual is that of T in every mode.
+    -lambda1).  Once the residual has shrunk by less than half per step
+    over the last ``_SHIFT_AFTER`` steps, or grown, and the latest step
+    points against the one before, the row iterates ``T + s*I`` with s the
+    running Perron estimate ``sum(Tx)`` (Wilkinson's origin shift): same
+    Perron vector, and the components at -lambda1, and at any eigenvalue
+    of modulus near lambda1 off the positive axis, are damped.  The shift
+    also slows a positive eigenvalue just below lambda1, so the plain
+    contraction over that window is kept, and once the shifted residual
+    shrinks more slowly over ``_SHIFT_AFTER`` steps the row returns to
+    plain steps for good.  The residual is that of T in every mode.
 
     Besides the hard cap ``MAX_ITERATIONS``, the solve fails fast: at steps
     ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
@@ -270,8 +271,9 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
     X_prev = None
     check_at = _FIRST_CHECK
     start_at, last_start = 1, 0
+    step = build(rows)
     for it in range(1, MAX_ITERATIONS + 1):
-        Y = step(X, rows)
+        Y = step(X)
         # ufunc reductions: the sums and maxima of ndarray.sum/max, without
         # their Python-level wrappers
         totals = np.add.reduce(Y, axis=1)
@@ -297,20 +299,17 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
                     st.shifted, st.unshifted = False, True
                     st.last_peak = None
             elif (
-                residual > 0.5 * st.res_prev
+                not st.unshifted
+                and len(st.recent) > _SHIFT_AFTER
+                and residual > 0.5**_SHIFT_AFTER * st.recent[0]
                 and float((X_new[i] - X[i]) @ (X[i] - X_prev[i])) < 0.0
             ):
-                st.streak += 1
-                if st.streak == _SHIFT_AFTER and not st.unshifted:
-                    # residual ratio over the streak, per _SHIFT_AFTER steps
-                    st.plain_rate = residual / st.recent[0]
-                    st.shifted = True
-                    st.recent.clear()
-                    st.recent.append(residual)
-                    st.last_peak = None
-            else:
-                st.streak = 0
-            st.res_prev = residual
+                # residual ratio over the window, per _SHIFT_AFTER steps
+                st.plain_rate = residual / st.recent[0]
+                st.shifted = True
+                st.recent.clear()
+                st.recent.append(residual)
+                st.last_peak = None
             if residual <= RESIDUAL_TOL:
                 out[row] = X_new[i]
                 iterations[row] = it
@@ -338,8 +337,10 @@ def _power_iterate(step, X: np.ndarray) -> tuple:
             keep = [i for i, row in enumerate(rows) if i not in done and row // 2 not in failed]
             if not keep:
                 break
-            rows = [rows[i] for i in keep]
-            X, X_new = X[keep], X_new[keep]
+            if len(keep) < len(rows):
+                rows = [rows[i] for i in keep]
+                X, X_new = X[keep], X_new[keep]
+                step = build(rows)
         X_prev, X = X, X_new
     else:
         for row in rows:
@@ -410,14 +411,9 @@ def rpf_solve_block(Ts, starts=None) -> list:
         else:
             pair = np.array((start.h, start.nu))
             X[2 * j : 2 * j + 2] = pair / np.add.reduce(pair, axis=1, keepdims=True)
-    current = [None, None]
-
-    def step(X, rows):
-        if current[0] is not rows:
-            current[:] = rows, _block_step(Ts, [r // 2 for r in rows], [r % 2 for r in rows])
-        return current[1](X)
-
-    out, steps = _power_iterate(step, X)
+    out, steps = _power_iterate(
+        lambda rows: _block_step(Ts, [r // 2 for r in rows], [r % 2 for r in rows]), X
+    )
     return [
         steps[2 * j] if isinstance(steps[2 * j], NoConvergence)
         else _solution(T, out[2 * j], out[2 * j + 1], max(steps[2 * j], steps[2 * j + 1]))
@@ -727,8 +723,8 @@ class RpfBoundReport:
         return _fit_ratio(self.n_values, self.deviation_norm)
 
 
-def _fit_ratio(n_values, norms, n_from: int = 5):
-    pts = [(n, math.log(d)) for n, d in zip(n_values, norms) if n >= n_from and d > 1e-300]
+def _fit_ratio(n_values, norms):
+    pts = [(n, math.log(d)) for n, d in zip(n_values, norms) if n >= 5 and d > 1e-300]
     if len(pts) < 2:
         return None
     ns = np.array([p[0] for p in pts])
