@@ -38,8 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Infeasible, ModelMismatch, ValidationError
+from .errors import Infeasible, ValidationError
 from .potentials import Potential
+from .sft import require_same_space
 from .transfer import MarkovMeasure, integrate, refine_measure
 
 #: memory budget for the DP mass table
@@ -83,8 +84,7 @@ def _edge_data(mu: MarkovMeasure, psi: Potential):
     the value of psi on each edge of its chain, their ``_lattice_steps``).
     The values and their lattice are kept on the refined measure per
     observable, so repeated calls on one measure build them once."""
-    if not mu.chain.tm.same_space(psi.tm) or mu.theta != psi.theta:
-        raise ModelMismatch("measure and observable live over different shift spaces")
+    require_same_space(mu.chain.tm, mu.theta, psi, "measure and observable")
     mu = refine_measure(mu, psi.r - 1)
     if psi not in mu._observed:
         words = mu.chain.state_words

@@ -20,11 +20,10 @@ from .errors import (
     CohomologousConstant,
     InadmissibleWord,
     MissingWord,
-    ModelMismatch,
     NoConvergence,
     WordTooShort,
 )
-from .sft import TransitionMatrix, Word, enumerate_words, state_graph
+from .sft import TransitionMatrix, Word, enumerate_words, require_same_space, state_graph
 
 #: spread below which an observable is treated as cohomologous to a constant
 TOL_COB = 1e-9
@@ -144,8 +143,7 @@ def birkhoff_sum(g: Potential, w: Word, n: int) -> float:
 
 def affine_combine(phi: Potential, psi: Potential, q: float) -> Potential:
     """The potential phi + q*psi on words of the larger range."""
-    if not phi.tm.same_space(psi.tm) or phi.theta != psi.theta:
-        raise ModelMismatch("potentials live over different shift spaces")
+    require_same_space(phi.tm, phi.theta, psi, "potentials")
     r = max(phi.r, psi.r)
     table = {}
     for w in enumerate_words(phi.tm, r):
@@ -179,14 +177,13 @@ class CohomologySpread:
     ``min_mean``/``max_mean`` are the endpoints of the interval of possible
     ergodic averages; each is the recomputed average along its witness cycle
     (a periodic symbol sequence).  ``is_constant`` flags a spread at or below
-    ``tol``, in which case rate-function queries are refused.
+    ``TOL_COB``, in which case rate-function queries are refused.
     """
 
     min_mean: float
     max_mean: float
     witness_min: tuple
     witness_max: tuple
-    tol: float
 
     @property
     def width(self) -> float:
@@ -194,7 +191,7 @@ class CohomologySpread:
 
     @property
     def is_constant(self) -> bool:
-        return self.width <= self.tol
+        return self.width <= TOL_COB
 
 
 def _out_edges(psi: Potential) -> tuple:
@@ -285,7 +282,7 @@ def _min_cycle_mean(heads, weights) -> tuple:
     return mean, states
 
 
-def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
+def cohomology_spread(psi: Potential) -> CohomologySpread:
     """Extreme cycle means of psi: Howard's policy iteration on the edge
     arrays of its word graph, run on psi and on -psi, in memory linear in the
     graph.  Each witness is the periodic symbol sequence of a simple cycle,
@@ -302,15 +299,14 @@ def cohomology_spread(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
         max_mean=0.0 - hi_neg,
         witness_min=tuple(words[s][0] for s in cyc_lo),
         witness_max=tuple(words[s][0] for s in cyc_hi),
-        tol=tol,
     )
 
 
-def require_not_constant(psi: Potential, tol: float = TOL_COB) -> CohomologySpread:
-    spread = cohomology_spread(psi, tol)
+def require_not_constant(psi: Potential) -> CohomologySpread:
+    spread = cohomology_spread(psi)
     if spread.is_constant:
         raise CohomologousConstant(
-            f"cycle-mean spread {spread.width:.3e} is at or below tolerance {tol:.1e}"
+            f"cycle-mean spread {spread.width:.3e} is at or below tolerance {TOL_COB:.1e}"
         )
     return spread
 

@@ -55,9 +55,9 @@ TOL_END = 1e-9
 #: root-finding step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
 #: tilt sweep cap for boundary levels, where the maximiser runs away and the
-#: tilted matrices approach a periodic structure.  The shifted Perron solve
-#: converges there, period-4 tilts included, but a higher cap raises the
-#: boundary values (lower bounds), so a change of it is a change of output
+#: tilted matrices approach a periodic structure.  The re-arming shift lets
+#: the Perron solve converge there, but a higher cap would raise the boundary
+#: values (lower bounds): a change of output, to be measured on its own
 BOUNDARY_Q_CAP = 20.0
 
 #: start vectors of a Perron solve interpolated between solved tilts

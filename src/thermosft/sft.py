@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadTheta, DeadSymbol, LengthMismatch, NotAperiodic, NotZeroOne
+from .errors import BadTheta, DeadSymbol, LengthMismatch, ModelMismatch, NotAperiodic, NotZeroOne
 
 Word = tuple  # tuple of 1-based symbols
 
@@ -57,6 +57,12 @@ class TransitionMatrix:
 
     def same_space(self, other: "TransitionMatrix") -> bool:
         return self.size == other.size and np.array_equal(self.entries, other.entries)
+
+
+def require_same_space(tm: TransitionMatrix, theta: float, g, what: str) -> None:
+    """Raise ModelMismatch, naming ``what``, unless the potential g is on (tm, theta)."""
+    if not tm.same_space(g.tm) or theta != g.theta:
+        raise ModelMismatch(f"{what} live over different shift spaces")
 
 
 def validate_transitions(raw) -> TransitionMatrix:

@@ -35,9 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundViolated, ModelMismatch, NoConvergence, ValidationError
+from .errors import BoundViolated, NoConvergence, ValidationError
 from .potentials import Potential, hoelder_seminorm, make_potential, prefix_runs, variations
-from .sft import TransitionMatrix, Word, enumerate_words, state_graph
+from .sft import TransitionMatrix, Word, enumerate_words, require_same_space, state_graph
 
 #: relative residual at which the power iteration declares convergence
 RESIDUAL_TOL = 1e-13
@@ -211,13 +211,13 @@ class RpfSolution:
 class _Row:
     """What ``_power_iterate`` keeps per row between steps."""
 
-    __slots__ = ("shifted", "unshifted", "recent", "plain_rate", "peak", "last_peak")
+    __slots__ = ("shifted", "recent", "plain_rate", "peak", "last_peak")
 
     def __init__(self):
-        # plain steps until the window reads slow and oscillating, shifted
-        # steps, then plain for good once the shift has measured slower;
-        # ``recent`` is the residual window, the latest residual last
-        self.shifted = self.unshifted = False
+        # plain or shifted steps, as the window rules say; each mode change
+        # restarts ``recent``, the residual window (the latest residual
+        # last), and leaves the fail-fast ``peak`` and ``last_peak`` alone
+        self.shifted = False
         self.recent = deque(maxlen=_SHIFT_AFTER + 1)
         self.plain_rate = 0.0
         self.peak = 0.0
@@ -252,7 +252,8 @@ def _power_iterate(build, X: np.ndarray) -> tuple:
     also slows a positive eigenvalue just below lambda1, so the plain
     contraction over that window is kept, and once the shifted residual
     shrinks more slowly over ``_SHIFT_AFTER`` steps the row returns to
-    plain steps for good.  The residual is that of T in every mode.
+    plain steps, where the same test may shift it again: either mode
+    change restarts the window.  The residual is that of T in every mode.
 
     Besides the hard cap ``MAX_ITERATIONS``, the solve fails fast: at steps
     ``_FIRST_CHECK``, twice that, and so on, the largest residual of the
@@ -260,7 +261,7 @@ def _power_iterate(build, X: np.ndarray) -> tuple:
     before, and when that contraction, kept up for every step left under the
     cap, cannot bring the residual to ``RESIDUAL_TOL``, the row fails at once.
     Window peaks, not single residuals, keep an oscillating residual from
-    reading as stagnation.
+    reading as stagnation; mode changes leave these windows alone.
     """
     count = len(X)
     rows = list(range(count))
@@ -295,21 +296,20 @@ def _power_iterate(build, X: np.ndarray) -> tuple:
             if st.shifted:
                 y = Y[i] + totals[i] * X[i]
                 X_new[i] = y / y.sum()
-                if len(st.recent) > _SHIFT_AFTER and residual > st.plain_rate * st.recent[0]:
-                    st.shifted, st.unshifted = False, True
-                    st.last_peak = None
-            elif (
-                not st.unshifted
-                and len(st.recent) > _SHIFT_AFTER
-                and residual > 0.5**_SHIFT_AFTER * st.recent[0]
-                and float((X_new[i] - X[i]) @ (X[i] - X_prev[i])) < 0.0
-            ):
-                # residual ratio over the window, per _SHIFT_AFTER steps
+                switch = len(st.recent) > _SHIFT_AFTER and residual > st.plain_rate * st.recent[0]
+            else:
+                switch = (
+                    len(st.recent) > _SHIFT_AFTER
+                    and residual > 0.5**_SHIFT_AFTER * st.recent[0]
+                    and float((X_new[i] - X[i]) @ (X[i] - X_prev[i])) < 0.0
+                )
+            if switch:
+                # residual ratio over the window, per _SHIFT_AFTER steps: the
+                # shifted steps must beat it, so only an engagement's is read
                 st.plain_rate = residual / st.recent[0]
-                st.shifted = True
+                st.shifted = not st.shifted
                 st.recent.clear()
                 st.recent.append(residual)
-                st.last_peak = None
             if residual <= RESIDUAL_TOL:
                 out[row] = X_new[i]
                 iterations[row] = it
@@ -528,8 +528,7 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
     k = max(k_min, phi.r - 1, psi.r - 1, 1).  It is built on the first call
     and kept on phi, by psi and k, so every later call for the same pair and
     state length returns the same family, its ``zero`` solve included."""
-    if not phi.tm.same_space(psi.tm) or phi.theta != psi.theta:
-        raise ModelMismatch("potentials live over different shift spaces")
+    require_same_space(phi.tm, phi.theta, psi, "potentials")
     k = max(k_min, phi.r - 1, psi.r - 1, 1)
     family = phi._families.get((psi, k))
     if family is None:
@@ -661,8 +660,7 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
 def integrate(mu: MarkovMeasure, g: Potential) -> float:
     """Exact integral of a finite-range potential against the measure: a sum
     over the states of the measure refined to ``g.r``-word states."""
-    if not mu.chain.tm.same_space(g.tm) or mu.theta != g.theta:
-        raise ModelMismatch("measure and potential live over different shift spaces")
+    require_same_space(mu.chain.tm, mu.theta, g, "measure and potential")
     mu = refine_measure(mu, g.r)
     return float(
         sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.chain.state_words))
@@ -743,8 +741,7 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    if not f.tm.same_space(test_g.tm) or f.theta != test_g.theta:
-        raise ModelMismatch("potential and test function live over different shift spaces")
+    require_same_space(f.tm, f.theta, test_g, "potential and test function")
     _, sol = solve_potential(f, k_min=max(1, f.r - 1, test_g.r))
     return _rpf_bound_report(sol, n_max, test_g, consts)
 

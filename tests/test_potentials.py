@@ -17,10 +17,16 @@ from thermosft import (
     birkhoff_sum,
     cohomology_spread,
     enumerate_words,
+    equilibrium_measure,
+    exact_window_mass,
     indicator_example,
+    integrate,
     make_potential,
+    normalize_potential,
+    rate_function,
     shift_nonnegative,
     validate_transitions,
+    verify_rpf_bounds,
 )
 from thermosft import potentials
 from thermosft.potentials import prefix_runs, variations
@@ -132,6 +138,25 @@ def test_affine_combine(full2):
 
     with pytest.raises(ModelMismatch):
         affine_combine(phi, make_pot(full2, 1, {"1": 1.0, "2": 0.0}, theta=0.25), 1.0)
+
+
+@pytest.mark.parametrize("route", ["rate_function", "integrate", "verify_rpf_bounds", "window"])
+def test_operands_of_another_theta_are_refused(full2, route):
+    """Each guard of a second operand: the tilted family (through
+    ``rate_function``), ``integrate``, ``verify_rpf_bounds`` and the
+    observed chain of the window masses, each given an operand over the
+    same shift with theta 0.25 against 0.5."""
+    phi = normalize_potential(make_pot(full2, 1, {"1": 0.2, "2": 0.0}))
+    other = make_pot(full2, 2, {"11": 1.0, "12": 0.0, "21": 0.5, "22": 0.0}, theta=0.25)
+    mu = equilibrium_measure(phi)
+    calls = {
+        "rate_function": lambda: rate_function(phi, other, 0.5),
+        "integrate": lambda: integrate(mu, other),
+        "verify_rpf_bounds": lambda: verify_rpf_bounds(phi, 3, other),
+        "window": lambda: exact_window_mass(mu, other, 4, 0.5, 0.1),
+    }
+    with pytest.raises(ModelMismatch, match="different shift spaces"):
+        calls[route]()
 
 
 def test_affine_combine_linearity(full2):

@@ -11,12 +11,14 @@ import pytest
 from thermosft import (
     NoConvergence,
     build_transfer_matrix,
+    cohomology_spread,
     cylinder_mass,
     enumerate_words,
     equilibrium_measure,
     integrate,
     make_potential,
     normalize_potential,
+    rate_levels,
     refine_measure,
     rpf_solve,
     rpf_solve_block,
@@ -403,9 +405,9 @@ def _orbit_words(orbit, r):
     return [tuple(ext[j : j + r]) for j in range(len(orbit))]
 
 
-def _planted_family():
-    """Full 4-shift, range-5 tables: 256 transfer states.  psi is 0 along
-    the orbit 123 and 1 along 1122, so strong tilts concentrate on a
+def _planted_potentials():
+    """(phi, psi): full 4-shift, range-5 tables, phi normalised.  psi is 0
+    along the orbit 123 and 1 along 1122, so strong tilts concentrate on a
     periodic orbit and plain power iteration slows down."""
     rng = np.random.default_rng(0)
     words = list(itertools.product(range(1, 5), repeat=5))
@@ -415,7 +417,12 @@ def _planted_family():
     psi.update({w: 1.0 for w in _orbit_words([1, 1, 2, 2], 5)})
     tm = validate_transitions(np.ones((4, 4), dtype=int))
     phi = normalize_potential(make_potential(tm, 5, f, 0.5))
-    family = tilted_family(phi, make_potential(tm, 5, psi, 0.5))
+    return phi, make_potential(tm, 5, psi, 0.5)
+
+
+def _planted_family():
+    """The tilted family of ``_planted_potentials``: 256 transfer states."""
+    family = tilted_family(*_planted_potentials())
     assert family.base.size == 256
     return family
 
@@ -432,10 +439,14 @@ def test_shifted_power_iteration_on_planted_tilt():
     # the tilts of rate levels inside the spread, where the shift must not
     # engage at a cost, and q = -4, near the orbit 123, where it must.  At
     # q = -2 and 3 a positive eigenvalue sits just below the oscillating
-    # ones, so the shift engages, measures slower than plain and turns off.
+    # ones, so the shift can measure slower than plain and switch back; it
+    # re-arms, and at q = 3 it changes mode seven times in 103 steps.
     # From q = 5 on, near the orbit 1122, the spectrum is nearly of period
     # 4: plain steps of the left row number 17118 at q = 5 and 113389 at
-    # q = 6, and pass the cap at q = 8 and 10, where the shift must engage
+    # q = 6, and pass the cap at q = 8 and 10, where the shift must engage.
+    # At q = -32, -20, -16, 4, 20 and 32 some row's opening transient
+    # engages the shift, which switches back within a few steps, so only a
+    # shift that engages again converges there in under 200 steps
     for q in (-4.0, -2.0, -1.0, -0.8, 0.6, 1.0, 3.0, 5.0):
         T = family.at(q)
         for matvec in (T.apply, T.adjoint):
@@ -444,11 +455,26 @@ def test_shifted_power_iteration_on_planted_tilt():
             assert shifted <= 1.1 * plain, (q, shifted, plain)
             if q == -4.0:
                 assert 10 * shifted < plain, (shifted, plain)
-    for q in (5.0, 6.0, 8.0, 10.0):
+    for q in (-32.0, -20.0, -16.0, 4.0, 5.0, 6.0, 8.0, 10.0, 16.0, 20.0, 32.0):
         T = family.at(q)
         for matvec in (T.apply, T.adjoint):
             steps = _one_row(matvec, np.full(T.size, 1.0 / T.size))[1]
             assert steps < 200, (q, steps)
+
+
+def test_boundary_sweep_on_planted_tilts_reaches_the_cap():
+    """At the top of the planted spread the sweep of ``rate_levels`` solves
+    q = 0, 1, 2, 4, 8 and 16 (32 is past ``BOUNDARY_Q_CAP``), each probe
+    started from the one before, and reports the best of them: the value
+    of cold solves of the same tilts."""
+    phi, psi = _planted_potentials()
+    p = cohomology_spread(psi).max_mean
+    (rv,) = rate_levels(phi, psi, [p])
+    assert rv.status == "boundary" and rv.iterations == 6
+    family = tilted_family(phi, psi)
+    p0 = family.solve(0.0).log_lambda
+    best = max(p * q - (family.solve(q).log_lambda - p0) for q in (1.0, 2.0, 4.0, 8.0, 16.0))
+    assert abs(rv.value - best) <= 1e-12, (rv.value, best)
 
 
 def test_rpf_solve_equals_two_single_row_iterations(bernoulli_model, golden_model, random_model):
