@@ -11,6 +11,7 @@ not propagate it into certificates.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,10 @@ class Potential:
     ``var_k / theta**k`` over 0 <= k <= r-2 (zero for r = 1, since a range-1
     function cannot vary between points sharing their first coordinate);
     ``b`` is ``max(1, hoelder_seminorm)``.  ``_families`` holds the tilted
-    families ``transfer.tilted_family`` has built on this potential, by
-    observable and state length, so each is built, and solved at q = 0,
-    once for as long as the potential lives.
+    families ``transfer.tilted_family`` has built on this potential, weakly
+    keyed by observable and then by state length, so each is built, and
+    solved at q = 0, once for as long as the potential and the observable
+    live.
     """
 
     tm: TransitionMatrix
@@ -51,7 +53,9 @@ class Potential:
     sup_norm: float
     hoelder_seminorm: float
     b: float
-    _families: dict = field(default_factory=dict, init=False, repr=False)
+    _families: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    )
 
     @property
     def norm(self) -> float:

@@ -22,8 +22,10 @@ and its derivative.  A tilt strictly inside the range of the level's solved
 tilts starts from the quadratic (Lagrange) interpolation of h and nu through
 the three solved tilts nearest it; any other tilt, or one whose interpolated
 start is not positive, starts from the nearest solved tilt.  The doubling
-probes ``±2**j`` that bracket a level each start from the one before, so
-they form one chain for the whole grid and are solved once per grid.  The
+probes ``±min(1, q_cap) * 2**j``, ending at the overflow cap ``±q_cap``,
+each start from the one before, so they form one chain for the whole grid
+and are solved once per grid; a level at a spread endpoint sweeps them all
+and reports their best objective, a lower bound near the endpoint rate.  The
 levels of a grid run in lockstep: each level is a generator that yields the
 tilt it needs next, and each round solves the tilts of every running level
 as one block (``TiltedFamily.tilts``), so a step of the power iteration
@@ -54,11 +56,6 @@ TOL_GRAD = 1e-10
 TOL_END = 1e-9
 #: root-finding step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
-#: tilt sweep cap for boundary levels, where the maximiser runs away and the
-#: tilted matrices approach a periodic structure.  The re-arming shift lets
-#: the Perron solve converge there, but a higher cap would raise the boundary
-#: values (lower bounds): a change of output, to be measured on its own
-BOUNDARY_Q_CAP = 20.0
 
 #: start vectors of a Perron solve interpolated between solved tilts
 _Start = namedtuple("_Start", "h nu")
@@ -154,8 +151,9 @@ class RateValue:
     status: interior (finite value, vanishing derivative at q_star),
     mean_zero (p is the typical mean, value 0), boundary (p at a domain
     endpoint within tolerance, or inside the domain with its maximiser
-    beyond the overflow cap ``700 / max|psi - centre|``; either way the
-    value is a lower bound), outside (p outside the domain; value is +inf).
+    beyond the overflow cap ``q_cap = 700 / max|psi - centre|``; either way
+    the value is the best objective over the doubling probes up to
+    ``±q_cap``, a lower bound), outside (p outside the domain; value +inf).
     ``iterations`` counts the distinct tilts solved, q = 0 included.
     """
 
@@ -171,8 +169,9 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
 
     Refuses observables whose cycle-mean spread is below tolerance; a level
     outside the open spread interval reports +inf, a level at an endpoint
-    reports a lower bound.  Inside, the slope of the objective is bracketed
-    by doubling and its root found to TOL_GRAD by inverse quadratic steps,
+    the best objective over the doubling probes up to the overflow cap, a
+    lower bound.  Inside, the slope of the objective is bracketed by those
+    probes and its root found to TOL_GRAD by inverse quadratic steps,
     Illinois regula falsi where they are refused.
     The spread and the centring are done once for the whole grid, and the
     tilted family, its normalisation check and its base solve once per
@@ -180,10 +179,10 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     The levels then run in lockstep: each round solves the next tilt of
     every level still running as one block (``TiltedFamily.tilts``), and a
     doubling probe, the same solve at every level that reaches it, is
-    solved once.  Each level keeps
-    its own tilt memo, the probes it used copied in, so every result equals
-    ``rate_function`` at that level.  When a level inside the spread fails,
-    the error of the first failing level in grid order is raised.
+    solved once.  Each level keeps its own tilt memo, the probes it used
+    copied in, so every result equals ``rate_function`` at that level.
+    When a level inside the spread fails, the error of the first failing
+    level in grid order is raised.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family)
@@ -256,73 +255,60 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
     tilt at q = 0 is ``base``; ``probes`` holds the grid's doubling probes
     solved so far, by tilt, a failed one as its ``NoConvergence``.
 
+    An interior level brackets its root at the first probe where the slope
+    changes sign; an endpoint level never does, and a failed probe ends its
+    sweep.  A sweep without a bracket reports its probes' best objective.
+
     A generator: it yields each tilt it needs solved as ``(q, start,
     shared)``, ``shared`` for a doubling probe, is sent the solved
     ``(pressure, mean, solution)`` or the ``NoConvergence`` of the solve,
     and returns the ``RateValue``."""
     solved = {0.0: base}
 
-    def tilt(q: float):
+    def tilt(q: float, shared: bool = False):
+        # (objective, slope) at q.  A probe lies beyond every tilt the level
+        # has solved, so its solve starts from the probe before it at every
+        # level of the grid
         if q not in solved:
-            result = yield q, _start(solved, q), False
+            if shared:
+                if q not in probes:
+                    probes[q] = yield q, _start(solved, q), True
+                result = probes[q]
+            else:
+                result = yield q, _start(solved, q), False
             if isinstance(result, NoConvergence):
                 raise result
             solved[q] = result
-        return solved[q]
+        pr, mean, _ = solved[q]
+        return level * q - (pr - base[0]), level - mean
 
-    def probe(q: float):
-        # q = ±2**j lies beyond every tilt the level has solved, so its solve
-        # starts from the probe before it at every level of the grid
-        if q not in probes:
-            probes[q] = yield q, _start(solved, q), True
-        if isinstance(probes[q], NoConvergence):
-            raise probes[q]
-        solved[q] = probes[q]
-        return q
+    def rate_value(value: float, q_star, status: str) -> RateValue:
+        return RateValue(p=p, value=value, q_star=q_star, status=status, iterations=len(solved))
 
-    def dgamma(q: float):
-        return level - (yield from tilt(q))[1]
-
-    def gamma_at(q: float):
-        return level * q - ((yield from tilt(q))[0] - base[0])
-
-    d0 = yield from dgamma(0.0)
+    _, d0 = yield from tilt(0.0)
     if abs(d0) <= TOL_GRAD:
-        return RateValue(p=p, value=0.0, q_star=0.0, status="mean_zero", iterations=len(solved))
+        return rate_value(0.0, 0.0, "mean_zero")
 
-    direction = 1.0 if d0 > 0.0 else -1.0
-    if at_boundary:
-        # the supremum runs away along q; a short sweep gives a certified
-        # lower bound without driving the solver into the periodic limit
-        best_gamma = 0.0
-        q_hi = direction
-        while abs(q_hi) <= BOUNDARY_Q_CAP:
-            try:
-                best_gamma = max(best_gamma, (yield from gamma_at((yield from probe(q_hi)))))
-            except NoConvergence:
-                break
-            q_hi *= 2.0
-        return RateValue(
-            p=p, value=best_gamma, q_star=None, status="boundary", iterations=len(solved)
-        )
-
-    q_lo, d_lo = 0.0, d0
-    q_hi = direction
-    best_gamma = 0.0
+    q_lo, d_lo, best = 0.0, d0, 0.0
+    q_hi = math.copysign(min(1.0, q_cap), d0)
     while True:
-        if abs(q_hi) > q_cap:
-            # derivative never changed sign inside the overflow-safe window:
-            # numerically p sits at the edge of the reachable means
-            value = max(best_gamma, (yield from gamma_at(math.copysign(q_cap, direction))))
-            return RateValue(
-                p=p, value=value, q_star=None, status="boundary", iterations=len(solved)
-            )
-        d_hi = yield from dgamma((yield from probe(q_hi)))
-        if (d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0):
+        try:
+            g_hi, d_hi = yield from tilt(q_hi, shared=True)
+        except NoConvergence:
+            if not at_boundary:
+                raise
+            # the supremum runs away along q; the probes so far give a
+            # certified lower bound
+            return rate_value(best, None, "boundary")
+        if not at_boundary and ((d0 > 0.0 and d_hi < 0.0) or (d0 < 0.0 and d_hi > 0.0)):
             break
-        best_gamma = max(best_gamma, (yield from gamma_at(q_hi)))
+        best = max(best, g_hi)
+        if abs(q_hi) == q_cap:
+            # no sign change inside the overflow-safe window: numerically p
+            # sits at the edge of the reachable means
+            return rate_value(best, None, "boundary")
         q_lo, d_lo = q_hi, d_hi
-        q_hi *= 2.0
+        q_hi = math.copysign(min(2.0 * abs(q_hi), q_cap), d0)
 
     # root of the monotone (decreasing) slope, positive at a and negative at
     # b.  Each step tries inverse quadratic interpolation through the
@@ -335,7 +321,7 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
     fa, fb = ta, tb
     kept = None
     q_star = _secant(a, fa, b, fb)
-    d_star = yield from dgamma(q_star)
+    g_star, d_star = yield from tilt(q_star)
     last_step = older_step = b - a
     for _ in range(MAX_BISECTIONS):
         if abs(d_star) <= TOL_GRAD or (b - a) <= 1e-14 * max(1.0, abs(b)):
@@ -354,10 +340,8 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
         q_next = _next_tilt(guess, q_star, older_step, a, fa, b, fb)
         older_step, last_step = last_step, abs(q_next - q_star)
         q_star = q_next
-        d_star = yield from dgamma(q_star)
-
-    value = yield from gamma_at(q_star)
-    return RateValue(p=p, value=value, q_star=q_star, status="interior", iterations=len(solved))
+        g_star, d_star = yield from tilt(q_star)
+    return rate_value(g_star, q_star, "interior")
 
 
 def _start(solved: dict, q: float):

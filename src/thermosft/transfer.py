@@ -494,7 +494,17 @@ class TiltedFamily:
         return float(np.max(np.abs(self.base.apply(np.ones(self.base.size)) - 1.0)))
 
     def at(self, q: float) -> TransferMatrix:
-        return replace(self.base, edge_weights=_frozen(np.exp(self.phi_e + q * self.psi_e)))
+        # an overflowing weight is inf, which ``tilt`` and ``tilts`` refuse
+        # and a solve meets as lost positivity at its first step
+        with np.errstate(over="ignore"):
+            weights = np.exp(self.phi_e + q * self.psi_e)
+        return replace(self.base, edge_weights=_frozen(weights))
+
+    def _finite_at(self, q: float) -> TransferMatrix:
+        T = self.at(q)
+        if not T.edge_weights.max() < math.inf:
+            raise NoConvergence(f"tilt q = {q!r} overflows: exp(phi + q*psi) is infinite")
+        return T
 
     def solve(self, q: float, start=None) -> RpfSolution:
         """Perron solve at tilt q, started from ``start`` (see ``rpf_solve``)."""
@@ -502,8 +512,9 @@ class TiltedFamily:
 
     def tilt(self, q: float, start=None) -> tuple:
         """(log pressure, mean of psi under the tilted equilibrium state,
-        the solution), the solve started from ``start``."""
-        return self.tilt_of(self.solve(q, start))
+        the solution), the solve started from ``start``.  A tilt with an
+        infinite edge weight raises ``NoConvergence`` before any step."""
+        return self.tilt_of(rpf_solve(self._finite_at(q), start))
 
     def tilts(self, qs, starts=None) -> list:
         """``tilt`` at each q of qs, from one ``rpf_solve_block`` of them all;
@@ -511,7 +522,7 @@ class TiltedFamily:
         tuple."""
         return [
             sol if isinstance(sol, NoConvergence) else self.tilt_of(sol)
-            for sol in rpf_solve_block([self.at(q) for q in qs], starts)
+            for sol in rpf_solve_block([self._finite_at(q) for q in qs], starts)
         ]
 
     def tilt_of(self, sol: RpfSolution) -> tuple:
@@ -527,13 +538,15 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
     """The tilted family of phi along the observable psi on k-word states,
     k = max(k_min, phi.r - 1, psi.r - 1, 1).  It is built on the first call
     and kept on phi, by psi and k, so every later call for the same pair and
-    state length returns the same family, its ``zero`` solve included."""
+    state length returns the same family, its ``zero`` solve included.  psi
+    is a weak key: its families go when psi does."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
     k = max(k_min, phi.r - 1, psi.r - 1, 1)
-    family = phi._families.get((psi, k))
+    families = phi._families.setdefault(psi, {})
+    family = families.get(k)
     if family is None:
         base, phi_e, (psi_e,) = _edge_matrix(phi, k, psi)
-        family = phi._families[psi, k] = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+        family = families[k] = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
     return family
 
 

@@ -535,3 +535,12 @@ def test_measured_constants_skip_a_test_function_of_norm_zero(bernoulli_model, f
     assert all(map(math.isfinite, (consts.log_rho, consts.log_D, consts.log_h_norm_bound,
                                    consts.log_h_min_bound)))
     assert consts.log_D >= 0.0 and consts.rho < 1.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda phi, psi: measured_rpf_constants(phi, psi, 1.0, n_max=7), "n_max must be >= 8"),
+    (lambda phi, psi: constants_for(phi, psi, "guessed"), "unknown constants mode 'guessed'"),
+])
+def test_constants_refuse_bad_arguments(bernoulli, build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(*bernoulli)

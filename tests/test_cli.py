@@ -289,6 +289,58 @@ def test_potential_outside_the_float_range_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_overflowing_pressure_tilt_exits_4(tmp_path, capsys):
+    """exp(phi + 1000*psi) overflows on the golden-mean fixture: the tilt is
+    refused as ``NoConvergence`` naming q, with no numpy warning."""
+    out = tmp_path / "curve.csv"
+    code = run(["pressure", "--config", FIXTURES / "golden_mean.json",
+                "--q-min", 0, "--q-max", 1000, "--q-step", 500, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4 and "RuntimeWarning" not in err
+    assert err.startswith("error: tilt q = 1000.0 overflows")
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (lambda raw: {**raw, "observable_psi": {"range": 1, "values": {"1": 1.0, "x": 0.0}}},
+     [], "word key 'x' is not a symbol string"),
+    (lambda raw: {**raw, "theta": "half"}, [], "model.theta: expected a number"),
+    (lambda raw: {**raw, "transitions": "11"}, [], "model.transitions: expected list"),
+    (lambda raw: None, [], "cannot read"),
+    (lambda raw: [raw], [], "top level must be a JSON object"),
+    (lambda raw: {**raw, "schema_version": 2}, [], "schema_version: expected 1, got 2"),
+    (lambda raw: raw, ["--p-grid", "0.1:0.9"], "must have the form start:stop:step"),
+    (lambda raw: raw, ["--p-grid", "0.1:x:0.2"], "has non-numeric parts"),
+    (lambda raw: raw, ["--p-grid", "0.1:0.9:0"], "range step must be positive"),
+])
+def test_bad_model_or_range_exits_2(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "model.json"
+    raw = config(json.loads((FIXTURES / "bernoulli.json").read_text()))
+    if raw is not None:
+        cfg.write_text(json.dumps(raw))
+    out = tmp_path / "rate.csv"
+    argv = argv or ["--p-grid", "0.2:0.8:0.2"]
+    assert run(["rate", "--config", cfg, "--out", out] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_symbols_above_nine_round_trip_with_comma_keys(tmp_path):
+    """On a 10-symbol alphabet ``normalize`` writes comma-separated word
+    keys, which load back to the same observable table."""
+    words = [f"{a},{b}" for a in range(1, 11) for b in range(1, 11)]
+    cfg = tmp_path / "ten.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "theta": 0.5, "transitions": [[1] * 10] * 10,
+        "potential_f": {"range": 2, "values": {w: 0.1 * (w == "1,10") for w in words}},
+        "observable_psi": {"range": 2, "values": {w: float(w == "10,10") for w in words}},
+    }))
+    out = tmp_path / "normalized.json"
+    assert run(["normalize", "--config", cfg, "--out", out]) == 0
+    assert "10,10" in json.loads(out.read_text())["observable_psi"]["values"]
+    model = load_model(str(out))
+    assert model.psi.table == load_model(str(cfg)).psi.table
+
+
 def test_power_iteration_budget_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(transfer, "MAX_ITERATIONS", 3)
     out = tmp_path / "norm.json"

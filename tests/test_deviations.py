@@ -9,6 +9,7 @@ import pytest
 from thermosft import deviations, transfer
 from thermosft import (
     Infeasible,
+    ValidationError,
     enumerate_words,
     equilibrium_measure,
     exact_window_mass,
@@ -665,3 +666,14 @@ def test_chain_is_refined_once_per_measure(random_model, monkeypatch):
     assert len(graphs) == 1 and len(fits) == 1
     assert [wm.mass.hex() for wm in again] == [wm.mass.hex() for wm in first]
     assert [wm.slack.hex() for wm in again] == [wm.slack.hex() for wm in first]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mu, psi: exact_window_mass(mu, psi, 0, 0.5, 0.1), "n must be >= 1"),
+    (lambda mu, psi: exact_window_mass(mu, psi, 10, 0.5, 0.0), "delta must be positive"),
+    (lambda mu, psi: sample_paths(mu, psi, 10, 0, 1, 0.5, 0.1), "trials must be >= 1"),
+])
+def test_window_masses_refuse_bad_arguments(coin, call, message):
+    _, psi, mu = coin
+    with pytest.raises(ValidationError, match=message):
+        call(mu, psi)

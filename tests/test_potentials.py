@@ -392,3 +392,13 @@ def test_indicator_seminorm_grows_with_depth(full2):
 def test_indicator_rejects_inadmissible(golden):
     with pytest.raises(InadmissibleWord):
         indicator_example(golden, [(1, 1)], pad=0, theta=0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tm: indicator_example(tm, [(1, 1)], pad=-1, theta=0.5), "pad must be >= 0"),
+    (lambda tm: indicator_example(tm, [], pad=2, theta=0.5), "need at least one target"),
+    (lambda tm: make_potential(tm, 0, {}, 0.5), "range must be >= 1"),
+])
+def test_potential_builders_refuse_bad_arguments(full2, build, message):
+    with pytest.raises(InadmissibleWord, match=message):
+        build(full2)

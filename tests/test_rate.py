@@ -2,6 +2,8 @@ import math
 import sys
 import threading
 import time
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +11,15 @@ import pytest
 
 from thermosft import (
     CohomologousConstant,
+    ModelMismatch,
     NoConvergence,
+    ValidationError,
     affine_combine,
     build_transfer_matrix,
     cohomology_spread,
     entropy,
     gamma,
+    indicator_example,
     make_potential,
     normalize_potential,
     pressure,
@@ -540,6 +545,72 @@ def test_level_beyond_the_overflow_cap_reports_boundary(bernoulli, full2):
     assert capped.status == "boundary" and capped.q_star is None
     assert math.isfinite(capped.value)
     assert capped.value > reachable.value
+
+
+def test_maximiser_between_the_last_doubling_probe_and_the_cap(bernoulli, full2):
+    """With the psi above the cap is 1400, and at p = 5.05e-5 the maximiser
+    lies near -1305, past the last doubling probe -1024: the slope changes
+    sign at the probe -1400, so the level is interior, with its slope at
+    q* within TOL_GRAD of 0 on a cold solve of the centred family."""
+    phi, _ = bernoulli
+    psi = make_pot(full2, 2, {"11": 0.0, "12": 1e-4, "21": 1e-4, "22": 1.0})
+    p = 5.05e-5
+    rv = rate_function(phi, psi, p)
+    assert rv.status == "interior" and -1400.0 < rv.q_star < -1024.0
+    family = tilted_family(phi, psi)
+    _, mean, _ = replace(family, psi_e=family.psi_e - 0.5).tilt(rv.q_star)
+    assert abs((p - 0.5) - mean) <= rate.TOL_GRAD
+
+
+def test_probes_stay_inside_a_cap_below_one(bernoulli, full2):
+    """psi = {1: 0, 2: 2000} puts the overflow cap at 0.7, inside the probe
+    ±1: p = 1 brackets at the cap and equals the fair coin's rate at head
+    frequency 1/2000, and the endpoint p = 0 stops at the cap with no
+    overflow warning."""
+    phi, _ = bernoulli
+    psi = make_pot(full2, 1, {"1": 0.0, "2": 2000.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inside, end = rate_levels(phi, psi, (1.0, 0.0))
+    f = 1.0 / 2000.0
+    assert inside.status == "interior"
+    assert abs(inside.value - (f * math.log(2 * f) + (1 - f) * math.log(2 * (1 - f)))) <= 1e-12
+    assert end.status == "boundary" and math.isfinite(end.value)
+
+
+def test_endpoint_values_reach_the_endpoint_rate(bernoulli, full2):
+    """An endpoint level sweeps its probes up to the overflow cap, so its
+    lower bound reaches the rate of the extreme orbit: log 2 at both ends
+    for the fair coin, and -log 0.4, the rate of the fixed point 2^inf, at
+    the lower end of PAPER.md's chi_K against Bernoulli(0.6, 0.4)."""
+    phi, psi = bernoulli
+    for rv in rate_levels(phi, psi, (0.0, 1.0)):
+        assert rv.status == "boundary" and abs(rv.value - math.log(2)) <= 1e-12, rv
+    phi = normalize_potential(make_pot(full2, 1, {"1": math.log(0.6), "2": math.log(0.4)}))
+    for pad in (4, 6, 8, 10):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        (rv,) = rate_levels(phi, psi, [1.0 - 3.0 / (pad + 1)])
+        assert rv.status == "boundary" and abs(rv.value + math.log(0.4)) <= 1e-12, (pad, rv)
+
+
+def test_overflowing_tilt_raises_no_convergence(bernoulli_model):
+    """exp(phi + 800*psi) is infinite on the bernoulli fixture: the tilt is
+    refused, naming q, before any step and without a numpy warning."""
+    phi = normalize_potential(bernoulli_model.f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="q = 800.0"):
+            tilt_eval(phi, bernoulli_model.psi, 800.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda f, psi: rate_function(f, psi, 0.5), ModelMismatch),
+    (lambda f, psi: pressure_curve(normalize_potential(f), psi, (0.0, 1.0, 0.5)), ValidationError),
+])
+def test_rate_refuses_bad_arguments(bernoulli_model, call, error):
+    # the fixture's f = 0 is not normalised; the grid is not sorted
+    with pytest.raises(error):
+        call(bernoulli_model.f, bernoulli_model.psi)
 
 
 def test_lockstep_raises_a_failed_interpolated_tilt_and_stops_later_levels(

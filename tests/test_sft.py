@@ -139,3 +139,13 @@ def test_admissibility_from_successors_matches_the_matrix(fixture, request):
     for word in [(), (0,), (s0 + 1,), (-1, 1), (1, 0), (0, 1), (1, s0 + 1), (s0 + 1, 1),
                  (1, 1, s0 + 2), (1, 1, -1)]:
         assert not tm.is_admissible(word), word
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: enumerate_words(validate_transitions([[1, 1], [1, 1]]), 0), LengthMismatch,
+     "word length must be >= 1"),
+    (lambda: validate_transitions([[1]]), NotZeroOne, "alphabet size must be at least 2"),
+])
+def test_shift_helpers_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import time
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ import pytest
 
 from thermosft import (
     NoConvergence,
+    ValidationError,
     build_transfer_matrix,
     cohomology_spread,
     cylinder_mass,
@@ -464,16 +467,25 @@ def test_shifted_power_iteration_on_planted_tilt():
 
 def test_boundary_sweep_on_planted_tilts_reaches_the_cap():
     """At the top of the planted spread the sweep of ``rate_levels`` solves
-    q = 0, 1, 2, 4, 8 and 16 (32 is past ``BOUNDARY_Q_CAP``), each probe
-    started from the one before, and reports the best of them: the value
-    of cold solves of the same tilts."""
+    q = 0, 1, 2, 4, ..., 1024 and the overflow cap 700 / max|psi - 1/2| =
+    1400, each probe started from the one before, and reports the best of
+    them: the value of cold solves of the same tilts of the family centred
+    on the spread (uncentred tilts past about 700 overflow)."""
     phi, psi = _planted_potentials()
-    p = cohomology_spread(psi).max_mean
+    spread = cohomology_spread(psi)
+    p = spread.max_mean
     (rv,) = rate_levels(phi, psi, [p])
-    assert rv.status == "boundary" and rv.iterations == 6
+    assert rv.status == "boundary" and rv.iterations == 13
+    centre = 0.5 * (spread.min_mean + spread.max_mean)
     family = tilted_family(phi, psi)
-    p0 = family.solve(0.0).log_lambda
-    best = max(p * q - (family.solve(q).log_lambda - p0) for q in (1.0, 2.0, 4.0, 8.0, 16.0))
+    centred = replace(family, psi_e=family.psi_e - centre)
+    q_cap = 700.0 / float(np.max(np.abs(centred.psi_e)))
+    assert q_cap == 1400.0
+    p0 = centred.solve(0.0).log_lambda
+    best = max(
+        (p - centre) * q - (centred.solve(q).log_lambda - p0)
+        for q in [2.0**j for j in range(11)] + [q_cap]
+    )
     assert abs(rv.value - best) <= 1e-12, (rv.value, best)
 
 
@@ -551,6 +563,31 @@ def test_block_solve_equals_one_solve_per_tilt(bernoulli_model, golden_model, ra
             family.solve(1e4)
     _assert_same_solve(kept, family.solve(0.7))
     assert isinstance(lost, NoConvergence) and str(lost) == str(solo.value)
+
+
+def test_families_go_with_their_observable(bernoulli_model):
+    """phi keeps a family, and its q = 0 solve, for as long as its
+    observable lives, and no longer."""
+    phi = normalize_potential(bernoulli_model.f)
+    psi = make_potential(phi.tm, 1, dict(bernoulli_model.psi.table), 0.5)
+    family = weakref.ref(tilted_family(phi, psi))
+    rate_levels(phi, psi, [0.3, 0.8])
+    assert tilted_family(phi, psi) is family()
+    del psi
+    gc.collect()
+    assert family() is None
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+def test_rpf_bound_report_at_short_horizons(bernoulli_model, n_max):
+    """n_max < 1 is refused; below 6 steps the fit has fewer than two
+    points (it reads n >= 5), so there is no fitted ratio."""
+    phi = normalize_potential(bernoulli_model.f)
+    if n_max < 1:
+        with pytest.raises(ValidationError, match="n_max must be >= 1"):
+            verify_rpf_bounds(phi, n_max, bernoulli_model.psi)
+    else:
+        assert verify_rpf_bounds(phi, n_max, bernoulli_model.psi).fitted_ratio is None
 
 
 def _near_diagonal_family(full2):
