@@ -3,7 +3,8 @@
 Models are JSON files (schema_version 1) with a transition matrix, the metric
 parameter theta, a base potential and an observable, both given as word-keyed
 value tables.  Word keys are symbol strings like "121" (symbols are 1-based
-integers); alphabets past 9 use comma-separated keys like "10,2".
+integers); alphabets past 9 use comma-separated keys like "10,2", and a
+one-symbol key past 9 ends in a comma ("10,").
 
 Outputs are CSV with fixed headers and floats printed to 17 significant
 digits, so identical inputs and seeds reproduce byte-identical files.  Sweep
@@ -69,7 +70,8 @@ class ModelConfig:
 def _parse_word(key: str, field: str) -> tuple:
     try:
         if "," in key:
-            return tuple(int(part) for part in key.split(","))
+            # a one-symbol word past 9 is written with a trailing comma
+            return tuple(int(part) for part in key.removesuffix(",").split(","))
         return tuple(int(ch) for ch in key)
     except ValueError:
         raise SchemaError(f"{field}: word key {key!r} is not a symbol string") from None
@@ -173,7 +175,8 @@ def _parse_range(text: str, integer: bool = False) -> list:
 
 def _word_key(word: tuple) -> str:
     if any(s > 9 for s in word):
-        return ",".join(str(s) for s in word)
+        # "10," is the one-symbol word 10; "10" would read as (1, 0)
+        return ",".join(str(s) for s in word) + ("," if len(word) == 1 else "")
     return "".join(str(s) for s in word)
 
 

@@ -23,9 +23,11 @@ tilts starts from the quadratic (Lagrange) interpolation of h and nu through
 the three solved tilts nearest it; any other tilt, or one whose interpolated
 start is not positive, starts from the nearest solved tilt.  The doubling
 probes ``±min(1, q_cap) * 2**j``, ending at the overflow cap ``±q_cap``,
-each start from the one before, so they form one chain for the whole grid
-and are solved once per grid; a level at a spread endpoint sweeps them all
-and reports their best objective, a lower bound near the endpoint rate.  The
+each start from the one before, so they form one chain that depends on
+``(phi, psi)`` and the centre alone, never on p: each is solved once and
+kept on the centred family, and every later call reads it from there; a
+level at a spread endpoint sweeps them all and reports their best
+objective, a lower bound near the endpoint rate.  The
 levels of a grid run in lockstep: each level is a generator that yields the
 tilt it needs next, and each round solves the tilts of every running level
 as one block (``TiltedFamily.tilts``), so a step of the power iteration
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,8 +181,12 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     The levels then run in lockstep: each round solves the next tilt of
     every level still running as one block (``TiltedFamily.tilts``), and a
     doubling probe, the same solve at every level that reaches it, is
-    solved once.  Each level keeps its own tilt memo, the probes it used
-    copied in, so every result equals ``rate_function`` at that level.
+    solved once, and kept on the centred family
+    (``TiltedFamily.centred``) for every later call with that centre; a
+    failed probe is kept to this call only.  Nothing else is kept: no
+    level's own tilts, no ``RateValue``.  Each level keeps its own tilt
+    memo, the probes it used copied in, so every result equals
+    ``rate_function`` at that level.
     When a level inside the spread fails, the error of the first failing
     level in grid order is raised.
     """
@@ -192,10 +198,12 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     # psi on its spread makes the overflow cap on q scale with the spread,
     # not with psi's distance from 0
     centre = 0.5 * (spread.min_mean + spread.max_mean)
-    centred = replace(family, psi_e=family.psi_e - centre)
+    centred = family.centred(centre)
     q_cap = 700.0 / max(float(np.max(np.abs(centred.psi_e))), 1e-12)
     base = None
-    probes = {}
+    # the probes kept on the centred family, then those this call solves; a
+    # failure stays here, so the next call solves that probe again
+    probes = dict(centred.probes)
     results = []
     levels = {}
     for i, p in enumerate(p_grid):
@@ -212,6 +220,9 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
         results.append(None)
         levels[i] = _maximise(base, probes, p, p - centre, at_boundary, q_cap)
     _lockstep(centred, levels, results)
+    centred.probes.update(
+        {q: t for q, t in probes.items() if not isinstance(t, NoConvergence)}
+    )
     return tuple(results)
 
 
@@ -252,8 +263,9 @@ def _lockstep(family, levels: dict, results: list) -> None:
 
 def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bool, q_cap: float):
     """sup over q of ``level*q - (P(q) - P(0))`` on the centred family, whose
-    tilt at q = 0 is ``base``; ``probes`` holds the grid's doubling probes
-    solved so far, by tilt, a failed one as its ``NoConvergence``.
+    tilt at q = 0 is ``base``; ``probes`` holds the doubling probes solved
+    so far, by tilt, those kept from earlier calls included, a failed one as
+    its ``NoConvergence``.  A probe found there is not asked for.
 
     An interior level brackets its root at the first probe where the slope
     changes sign; an endpoint level never does, and a failed probe ends its

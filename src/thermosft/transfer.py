@@ -477,11 +477,18 @@ class TiltedFamily:
     carries the bits of ``base``'s weights, so ``zero`` is the q = 0 solve of
     ``tilts`` bit for bit.  A failing solve keeps nothing and raises again on
     the next read.
+
+    ``centred(c)`` is the family along ``psi - c``, built once per c and
+    kept.  ``probes`` holds the doubling probes ``rate_levels`` has solved on
+    a family, by tilt: successful solves only, each started from the probe
+    before it, so a kept probe is bit for bit what a later call would solve.
     """
 
     base: TransferMatrix
     phi_e: np.ndarray
     psi_e: np.ndarray
+    probes: dict = field(default_factory=dict, init=False, repr=False)
+    _centred: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def zero(self) -> RpfSolution:
@@ -492,6 +499,14 @@ class TiltedFamily:
         """Largest deviation of ``base``'s row action from 1: 0 up to
         rounding exactly when phi is normalised."""
         return float(np.max(np.abs(self.base.apply(np.ones(self.base.size)) - 1.0)))
+
+    def centred(self, centre: float) -> TiltedFamily:
+        """The family along ``psi - centre``: the same matrix at every tilt,
+        its means shifted by -centre.  Kept by centre, with its ``probes``."""
+        family = self._centred.get(centre)
+        if family is None:
+            family = self._centred[centre] = replace(self, psi_e=self.psi_e - centre)
+        return family
 
     def at(self, q: float) -> TransferMatrix:
         # an overflowing weight is inf, which ``tilt`` and ``tilts`` refuse
@@ -538,8 +553,9 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
     """The tilted family of phi along the observable psi on k-word states,
     k = max(k_min, phi.r - 1, psi.r - 1, 1).  It is built on the first call
     and kept on phi, by psi and k, so every later call for the same pair and
-    state length returns the same family, its ``zero`` solve included.  psi
-    is a weak key: its families go when psi does."""
+    state length returns the same family, its ``zero`` solve, its centred
+    families and their kept doubling probes included.  psi is a weak key:
+    its families, and all they keep, go when psi does."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
     k = max(k_min, phi.r - 1, psi.r - 1, 1)
     families = phi._families.setdefault(psi, {})

@@ -326,7 +326,8 @@ def test_bad_model_or_range_exits_2(tmp_path, capsys, config, argv, message):
 
 def test_symbols_above_nine_round_trip_with_comma_keys(tmp_path):
     """On a 10-symbol alphabet ``normalize`` writes comma-separated word
-    keys, which load back to the same observable table."""
+    keys, which load back to the same observable table; a one-symbol key
+    past 9 ends in a comma, so a normalised f of range 1 loads back too."""
     words = [f"{a},{b}" for a in range(1, 11) for b in range(1, 11)]
     cfg = tmp_path / "ten.json"
     cfg.write_text(json.dumps({
@@ -339,6 +340,17 @@ def test_symbols_above_nine_round_trip_with_comma_keys(tmp_path):
     assert "10,10" in json.loads(out.read_text())["observable_psi"]["values"]
     model = load_model(str(out))
     assert model.psi.table == load_model(str(cfg)).psi.table
+    # a range-2 f of zeros normalises to range 1, so its one-symbol keys
+    # past 9 are written "10," and read back as (10,)
+    raw = json.loads(cfg.read_text())
+    raw["potential_f"] = {"range": 2, "values": dict.fromkeys(words, 0.0)}
+    cfg.write_text(json.dumps(raw))
+    assert run(["normalize", "--config", cfg, "--out", out]) == 0
+    written = json.loads(out.read_text())["potential_f"]
+    assert written["range"] == 1 and "10," in written["values"]
+    model = load_model(str(out))
+    assert model.f.r == 1 and model.f.table[(10,)] == written["values"]["10,"]
+    assert sorted(model.f.table) == [(s,) for s in range(1, 11)]
 
 
 def test_power_iteration_budget_exits_4(tmp_path, capsys, monkeypatch):

@@ -40,11 +40,17 @@ def binary_kl(p):
     return math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
 
 
-@pytest.fixture(scope="module")
-def bernoulli(full2):
+def _fair_coin(full2):
+    """A freshly normalised fair coin and its head indicator: potentials no
+    earlier call has kept a family or a probe on."""
     phi = normalize_potential(make_pot(full2, 1, {"1": 0.0, "2": 0.0}))
     psi = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
     return phi, psi
+
+
+@pytest.fixture(scope="module")
+def bernoulli(full2):
+    return _fair_coin(full2)
 
 
 def test_pressure_examples(full2, golden):
@@ -409,13 +415,27 @@ def test_rate_levels_equal_rate_function_bit_for_bit():
             )
 
 
+def _centred_family(phi, psi):
+    """The family ``rate_levels`` maximises on: centred on psi's spread."""
+    spread = cohomology_spread(psi)
+    return tilted_family(phi, psi).centred(0.5 * (spread.min_mean + spread.max_mean))
+
+
+def _bits(rv):
+    q_star = None if rv.q_star is None else rv.q_star.hex()
+    return rv.p, rv.value.hex(), q_star, rv.status, rv.iterations
+
+
 def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     """On the bernoulli fixture's grid 0.05:0.95:0.05 the doubling probes are
     shared by the levels, so the sweep makes fewer Perron solves than one
     ``rate_function`` per level, fewer even than the levels' own tilts
-    beside the base, and every value is the same.  The base is the family's
-    kept q = 0 solve, shared by the sweep and every later call, so no call
-    solves it through ``tilts``."""
+    beside the base, and every value is the same.  The probes are then kept
+    on the centred family, so the one-by-one calls after the sweep solve
+    only their own tilts, none of them a probe: exactly the sweep's solves
+    less its probes.  The base is the family's kept q = 0 solve, shared by
+    the sweep and every later call, so no call solves it through
+    ``tilts``."""
     model = load_model(FIXTURES / "bernoulli.json")
     phi = normalize_potential(model.f)
     grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -429,9 +449,16 @@ def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     monkeypatch.setattr(transfer.TiltedFamily, "tilts", counted)
     swept = rate_levels(phi, model.psi, grid)
     in_sweep = len(solves)
+    kept = _centred_family(phi, model.psi).probes
+    # the cap is 1400, so every probe is a signed power of two
+    assert kept and all(abs(q) == 2.0 ** round(math.log2(abs(q))) for q in kept), kept
+    assert set(kept) <= set(solves)
     one_by_one = [rate_function(phi, model.psi, p) for p in grid]
     assert [repr(rv) for rv in swept] == [repr(rv) for rv in one_by_one]
-    assert len(solves) - in_sweep == sum(rv.iterations - 1 for rv in swept)
+    own = solves[in_sweep:]
+    assert not set(own) & set(kept)
+    assert len(own) == in_sweep - len(kept)
+    assert 0.0 not in own
     assert in_sweep < sum(rv.iterations - 1 for rv in swept), in_sweep
 
 
@@ -456,18 +483,23 @@ def test_rate_levels_solve_a_grid_in_lockstep(monkeypatch):
     assert max(blocks) > 1
 
 
-def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(monkeypatch, bernoulli):
+def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(
+    monkeypatch, bernoulli, full2
+):
     """A grid of outside, boundary, interior and mean_zero levels, with the
     solve of q = 8 forced to fail: only the boundary sweep at p = 1 reaches
     that probe, so it stops there with the lower bound of the probes before
     it, as ``rate_function`` does under the same failure, and every other
-    level equals its ``rate_function``."""
+    level equals its ``rate_function``.  The forced part runs on a freshly
+    normalised phi, whose probes no earlier call has kept, so q = 8 is
+    solved, and fails, rather than read back."""
     phi, psi = bernoulli
     grid = (-0.1, 0.0, 0.3, 0.5, 0.8, 1.0, 1.2)
     free = [rate_function(phi, psi, p) for p in grid]
     assert [rv.status for rv in free] == [
         "outside", "boundary", "interior", "mean_zero", "interior", "boundary", "outside"
     ]
+    phi, psi = _fair_coin(full2)
     tilts = transfer.TiltedFamily.tilts
 
     def failing(self, qs, starts=None):
@@ -481,6 +513,83 @@ def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(monkeypatch, bern
     assert repr(swept[5]) == repr(forced)
     for i in (0, 1, 2, 3, 4, 6):
         assert repr(swept[i]) == repr(free[i]), grid[i]
+
+
+def _asked_tilts(monkeypatch):
+    """Every tilt asked of ``TiltedFamily.tilts`` from now on, in order."""
+    asked = []
+    tilts = transfer.TiltedFamily.tilts
+
+    def counted(self, qs, starts=None):
+        asked.extend(qs)
+        return tilts(self, qs, starts)
+
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", counted)
+    return asked
+
+
+def test_a_second_call_reads_the_kept_probes(monkeypatch, full2):
+    """A second ``rate_levels`` on the same ``(phi, psi)`` asks ``tilts`` for
+    no doubling probe, only its levels' own tilts, and equals a call on a
+    fresh phi by ``float.hex`` at outside, boundary, interior and mean_zero
+    levels."""
+    grid = (-0.1, 0.0, 0.3, 0.5, 0.8, 1.0, 1.2)
+    want = [_bits(rv) for rv in rate_levels(*_fair_coin(full2), grid)]
+    assert [b[3] for b in want] == [
+        "outside", "boundary", "interior", "mean_zero", "interior", "boundary", "outside"
+    ]
+    phi, psi = _fair_coin(full2)
+    rate_levels(phi, psi, grid)
+    kept = dict(_centred_family(phi, psi).probes)
+    # the boundary levels sweep every probe, up to the cap 1400 on both sides
+    assert {1400.0, -1400.0} <= set(kept)
+    asked = _asked_tilts(monkeypatch)
+    assert [_bits(rv) for rv in rate_levels(phi, psi, grid)] == want
+    assert asked and not set(asked) & set(kept), asked
+    # the kept solves are the ones the first call made: nothing is re-solved
+    probes = _centred_family(phi, psi).probes
+    assert probes.keys() == kept.keys()
+    assert all(probes[q] is kept[q] for q in kept)
+
+
+def test_a_failed_probe_is_not_kept(monkeypatch, full2):
+    """A probe whose solve fails ends that call's endpoint sweep but is not
+    kept: once the failure is lifted, the next call solves it and gives the
+    free value."""
+    free = rate_function(*_fair_coin(full2), 1.0)
+    phi, psi = _fair_coin(full2)
+    tilts = transfer.TiltedFamily.tilts
+
+    def failing(self, qs, starts=None):
+        solved = tilts(self, qs, starts)
+        return [NoConvergence("forced") if q == 8.0 else t for q, t in zip(qs, solved)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer.TiltedFamily, "tilts", failing)
+        forced = rate_function(phi, psi, 1.0)
+    assert forced.status == "boundary" and forced.iterations < free.iterations
+    kept = _centred_family(phi, psi).probes
+    assert 4.0 in kept and 8.0 not in kept
+    assert _bits(rate_function(phi, psi, 1.0)) == _bits(free)
+    assert 8.0 in kept
+
+
+def test_another_centre_solves_probes_of_its_own(monkeypatch, full2):
+    """The probes are kept per centre: a call with a wider spread (so another
+    centre and cap) on a phi whose probes are kept for its own spread
+    solves its own probes, and equals that call on a fresh phi."""
+    phi, psi = _fair_coin(full2)
+    wide = replace(cohomology_spread(psi), min_mean=-0.5)
+    grid = (0.0, 0.3, 0.5, 0.8)
+    want = [_bits(rv) for rv in rate_levels(*_fair_coin(full2), grid, spread=wide)]
+    rate_levels(phi, psi, grid)
+    own = dict(_centred_family(phi, psi).probes)
+    asked = _asked_tilts(monkeypatch)
+    assert [_bits(rv) for rv in rate_levels(phi, psi, grid, spread=wide)] == want
+    other = tilted_family(phi, psi).centred(0.25).probes
+    assert other and other is not _centred_family(phi, psi).probes
+    assert set(other) <= set(asked)
+    assert _centred_family(phi, psi).probes == own
 
 
 def test_interpolated_start_falls_back_to_the_nearest_solution():
@@ -655,6 +764,43 @@ def test_lockstep_raises_a_failed_interpolated_tilt_and_stops_later_levels(
     # was sent one fewer
     assert grid[2] not in finished
     assert sends[grid[2]] == sends[grid[1]] - 1
+
+
+def test_levels_from_threads_on_one_cold_potential(random_model):
+    """Four threads, each at its own level, call ``rate_function`` at once on
+    one cold ``(phi, psi)``, with a short switch interval, so they build,
+    solve and keep its family and probes concurrently: every result equals
+    the serial one by ``float.hex``."""
+    grid = (0.25, 0.45, 0.55, 0.65)
+    psi = random_model.psi
+    normalized = normalize_potential(random_model.f)
+
+    def fresh():
+        return make_potential(normalized.tm, normalized.r, normalized.table, normalized.theta)
+
+    serial = fresh()
+    want = {p: _bits(rate_function(serial, psi, p)) for p in grid}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            phi = fresh()
+            got = {}
+            barrier = threading.Barrier(len(grid))
+
+            def level(p, phi=phi, got=got, barrier=barrier):
+                barrier.wait(timeout=30.0)
+                got[p] = _bits(rate_function(phi, psi, p))
+
+            workers = [threading.Thread(target=level, args=(p,)) for p in grid]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30.0)
+            assert not any(w.is_alive() for w in workers)
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_levels_on_shared_potentials_from_threads(random_model):

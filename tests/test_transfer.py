@@ -566,16 +566,22 @@ def test_block_solve_equals_one_solve_per_tilt(bernoulli_model, golden_model, ra
 
 
 def test_families_go_with_their_observable(bernoulli_model):
-    """phi keeps a family, and its q = 0 solve, for as long as its
-    observable lives, and no longer."""
+    """phi keeps a family, its q = 0 solve, its centred family and the
+    doubling probes kept on it for as long as their observable lives, and
+    no longer."""
     phi = normalize_potential(bernoulli_model.f)
     psi = make_potential(phi.tm, 1, dict(bernoulli_model.psi.table), 0.5)
     family = weakref.ref(tilted_family(phi, psi))
     rate_levels(phi, psi, [0.3, 0.8])
     assert tilted_family(phi, psi) is family()
+    centred = family().centred(0.5)
+    assert centred.probes
+    kept = [weakref.ref(sol) for _, _, sol in centred.probes.values()]
+    centred = weakref.ref(centred)
     del psi
     gc.collect()
-    assert family() is None
+    assert family() is None and centred() is None
+    assert all(sol() is None for sol in kept)
 
 
 @pytest.mark.parametrize("n_max", [0, 5])
