@@ -32,7 +32,6 @@ from .errors import (
     NoConvergence,
     ParseError,
     SchemaError,
-    ThermoError,
     ValidationError,
 )
 from .potentials import (
@@ -421,9 +420,6 @@ def run_command(argv) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ThermoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

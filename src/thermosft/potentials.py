@@ -43,7 +43,8 @@ class Potential:
     families ``transfer.tilted_family`` has built on this potential, weakly
     keyed by observable and then by state length, so each is built, and
     solved at q = 0, once for as long as the potential and the observable
-    live.
+    live.  ``_spread`` holds the potential's cycle-mean spread once
+    ``require_not_constant`` has computed it, and is empty before.
     """
 
     tm: TransitionMatrix
@@ -56,6 +57,7 @@ class Potential:
     _families: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
+    _spread: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def norm(self) -> float:
@@ -307,12 +309,24 @@ def cohomology_spread(psi: Potential) -> CohomologySpread:
 
 
 def require_not_constant(psi: Potential) -> CohomologySpread:
-    spread = cohomology_spread(psi)
+    """psi's cycle-mean spread, refused when it is at or below ``TOL_COB``.
+    ``cohomology_spread`` runs once per psi and its result is kept on psi,
+    so a constant observable raises ``CohomologousConstant`` on every call;
+    a run that raises keeps nothing."""
+    if not psi._spread:
+        psi._spread.append(cohomology_spread(psi))
+    spread = psi._spread[0]
     if spread.is_constant:
         raise CohomologousConstant(
             f"cycle-mean spread {spread.width:.3e} is at or below tolerance {TOL_COB:.1e}"
         )
     return spread
+
+
+def kept_spread(psi: Potential) -> CohomologySpread | None:
+    """The spread ``require_not_constant`` has kept on psi, or None before it
+    has run: nothing is computed."""
+    return psi._spread[0] if psi._spread else None
 
 
 # ---------------------------------------------------------------------------

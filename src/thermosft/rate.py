@@ -5,11 +5,12 @@ The rate function at p is the supremum over q of
 difference rather than assuming the base pressure is exactly zero makes the
 objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
-is concave with monotone derivative, so a sign-change bracket is sound, and
-its root is found by inverse quadratic interpolation on the derivative under
-Brent's progress guard (Brent, Algorithms for Minimization without
-Derivatives, 1973, ch. 4), with Illinois regula falsi (Dowell & Jarratt,
-BIT 11, 1971) as the fallback step; neither leaves the bracket.  The
+is concave with monotone derivative, so a sign-change bracket is sound; it
+is halved ``BISECT_DEPTH`` times, and its root is then found by inverse
+quadratic interpolation on the derivative under Brent's progress guard
+(Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4), with
+Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) as the fallback
+step; neither leaves the bracket.  The
 maximisation runs on psi centred on its cycle-mean spread (and p shifted
 alike), which leaves the rate unchanged and keeps the tilts that overflow far
 from the ones a level needs.
@@ -23,15 +24,17 @@ tilts starts from the quadratic (Lagrange) interpolation of h and nu through
 the three solved tilts nearest it; any other tilt, or one whose interpolated
 start is not positive, starts from the nearest solved tilt.  The doubling
 probes ``±min(1, q_cap) * 2**j``, ending at the overflow cap ``±q_cap``,
-each start from the one before, so they form one chain that depends on
-``(phi, psi)`` and the centre alone, never on p: each is solved once and
-kept on the centred family, and every later call reads it from there; a
-level at a spread endpoint sweeps them all and reports their best
-objective, a lower bound near the endpoint rate.  The
-levels of a grid run in lockstep: each level is a generator that yields the
-tilt it needs next, and each round solves the tilts of every running level
-as one block (``TiltedFamily.tilts``), so a step of the power iteration
-serves them all.
+and the midpoints an interior level halves its bracket on, ``BISECT_DEPTH``
+times, form a dyadic lattice: a lattice tilt is reached only through its
+ancestors (the doubling probes up to its bracket and the midpoints above
+it), so it is the same solve, from the same start, at every level of every
+call that reaches it.  Each is solved once and kept on the centred family,
+and every later call reads it from there.  A level at a spread endpoint
+sweeps the doubling probes and reports their best objective, a lower bound
+near the endpoint rate.  The levels of a grid run in lockstep: each level
+is a generator that yields the tilt it needs next, and each round solves
+the tilts of every running level as one block (``TiltedFamily.tilts``), so
+a step of the power iteration serves them all.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatch, NoConvergence, ValidationError
-from .potentials import Potential, require_not_constant
+from .potentials import Potential, kept_spread, require_not_constant
 from .transfer import (
     TiltedFamily,
     equilibrium_measure,
@@ -58,6 +61,10 @@ TOL_GRAD = 1e-10
 TOL_END = 1e-9
 #: root-finding step cap (each step is one eigen-solve)
 MAX_BISECTIONS = 300
+#: halvings of an interior level's doubling bracket on shared midpoint
+#: solves before the interpolated search; each one more doubles the
+#: midpoints kept per bracket
+BISECT_DEPTH = 2
 
 #: start vectors of a Perron solve interpolated between solved tilts
 _Start = namedtuple("_Start", "h nu")
@@ -175,30 +182,42 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     lower bound.  Inside, the slope of the objective is bracketed by those
     probes and its root found to TOL_GRAD by inverse quadratic steps,
     Illinois regula falsi where they are refused.
-    The spread and the centring are done once for the whole grid, and the
-    tilted family, its normalisation check and its base solve once per
-    ``(phi, psi)``: they are kept on phi and shared by every later call.
+    psi's spread is computed once per psi and kept on it
+    (``require_not_constant``), the centring is done once for the whole
+    grid, and the tilted family, its normalisation check and its base solve
+    once per ``(phi, psi)``: they are kept on phi and shared by every later
+    call.
     The levels then run in lockstep: each round solves the next tilt of
     every level still running as one block (``TiltedFamily.tilts``), and a
-    doubling probe, the same solve at every level that reaches it, is
-    solved once, and kept on the centred family
-    (``TiltedFamily.centred``) for every later call with that centre; a
-    failed probe is kept to this call only.  Nothing else is kept: no
-    level's own tilts, no ``RateValue``.  Each level keeps its own tilt
-    memo, the probes it used copied in, so every result equals
-    ``rate_function`` at that level.
+    lattice probe (a doubling probe or a bracket midpoint), the same solve
+    at every level that reaches it, is solved once, and kept on the centred
+    family (``TiltedFamily.centred``) for every later call with that
+    centre; a failed probe is kept to this call only.  Only the centre of
+    psi's own spread keeps its family (a ``spread`` passed while psi's is
+    not yet known is taken as psi's); a call with another spread solves its
+    probes on a family that is not kept.  Nothing that depends on a
+    level is kept: no level's own interior tilts, no ``RateValue``.  Each
+    level keeps its own tilt memo, the probes it used copied in, so every
+    result equals ``rate_function`` at that level, whatever ran before.
     When a level inside the spread fails, the error of the first failing
     level in grid order is raised.
     """
     family = tilted_family(phi, psi)
     _check_normalized(family)
     if spread is None:
-        spread = require_not_constant(psi)
+        spread = own = require_not_constant(psi)
+    else:
+        own = kept_spread(psi)
     # the rate is unchanged when psi and p shift by one constant; centring
     # psi on its spread makes the overflow cap on q scale with the spread,
     # not with psi's distance from 0
     centre = 0.5 * (spread.min_mean + spread.max_mean)
-    centred = family.centred(centre)
+    # the family keeps the centred family, with its probes, of psi's own
+    # spread; a spread passed before psi's is known is taken as psi's, as
+    # checking it would cost the run it is passed to save
+    centred = family.centred(
+        centre, keep=own is None or centre == 0.5 * (own.min_mean + own.max_mean)
+    )
     q_cap = 700.0 / max(float(np.max(np.abs(centred.psi_e))), 1e-12)
     base = None
     # the probes kept on the centred family, then those this call solves; a
@@ -235,7 +254,7 @@ def _lockstep(family, levels: dict, results: list) -> None:
     """Run the ``_maximise`` generators of ``levels`` (by grid position) to
     their ``RateValue``s in ``results``.  A round sends every running level
     the result of the tilt it asked for, collects the tilts they ask for
-    next and solves them as one block; a doubling probe asked for by
+    next and solves them as one block; a lattice probe asked for by
     several levels is solved once, from the start they share."""
     replies = dict.fromkeys(levels)
     errors = {}
@@ -263,24 +282,28 @@ def _lockstep(family, levels: dict, results: list) -> None:
 
 def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bool, q_cap: float):
     """sup over q of ``level*q - (P(q) - P(0))`` on the centred family, whose
-    tilt at q = 0 is ``base``; ``probes`` holds the doubling probes solved
+    tilt at q = 0 is ``base``; ``probes`` holds the lattice probes solved
     so far, by tilt, those kept from earlier calls included, a failed one as
     its ``NoConvergence``.  A probe found there is not asked for.
 
-    An interior level brackets its root at the first probe where the slope
-    changes sign; an endpoint level never does, and a failed probe ends its
-    sweep.  A sweep without a bracket reports its probes' best objective.
+    An interior level brackets its root at the first doubling probe where
+    the slope changes sign, halves that bracket ``BISECT_DEPTH`` times on
+    midpoint probes, and then searches the last half, its first step
+    interpolated through the two ends and the end the last halving
+    dropped.  A failed probe raises there.  An endpoint level never
+    brackets, and a failed probe ends its sweep.  A sweep without a bracket
+    reports its probes' best objective.
 
     A generator: it yields each tilt it needs solved as ``(q, start,
-    shared)``, ``shared`` for a doubling probe, is sent the solved
+    shared)``, ``shared`` for a lattice probe, is sent the solved
     ``(pressure, mean, solution)`` or the ``NoConvergence`` of the solve,
     and returns the ``RateValue``."""
     solved = {0.0: base}
 
     def tilt(q: float, shared: bool = False):
-        # (objective, slope) at q.  A probe lies beyond every tilt the level
-        # has solved, so its solve starts from the probe before it at every
-        # level of the grid
+        # (objective, slope) at q.  The level has solved a probe's ancestors
+        # in the lattice and nothing else, so its start is the same at every
+        # level that reaches it
         if q not in solved:
             if shared:
                 if q not in probes:
@@ -322,17 +345,35 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
         q_lo, d_lo = q_hi, d_hi
         q_hi = math.copysign(min(2.0 * abs(q_hi), q_cap), d0)
 
+    # halve the bracket on the dyadic lattice between the probes: each
+    # midpoint is reached only through the same ancestors, so it too is a
+    # shared solve.  The end a halving drops gives the third slope of the
+    # first interpolated step
+    for _ in range(BISECT_DEPTH):
+        mid = 0.5 * (q_lo + q_hi)
+        g_mid, d_mid = yield from tilt(mid, shared=True)
+        if abs(d_mid) <= TOL_GRAD:
+            return rate_value(g_mid, mid, "interior")
+        if (d_mid > 0.0) == (d0 > 0.0):
+            (q_far, d_far), (q_lo, d_lo) = (q_lo, d_lo), (mid, d_mid)
+        else:
+            (q_far, d_far), (q_hi, d_hi) = (q_hi, d_hi), (mid, d_mid)
+
     # root of the monotone (decreasing) slope, positive at a and negative at
     # b.  Each step tries inverse quadratic interpolation through the
-    # bracket ends and the newest point, on their true slope values; it is
-    # kept when it lands strictly inside the new bracket and moves less than
-    # half the step before last (Brent's guard).  Otherwise the step is
-    # Illinois regula falsi: the end kept twice in a row has its slope value
-    # halved, which pulls the next secant point across the root
+    # bracket ends and the newest point (at first the dropped end), on their
+    # true slope values; it is kept when it lands strictly inside the new
+    # bracket and moves less than half the step before last (Brent's
+    # guard).  Otherwise the step is Illinois regula falsi: the end kept
+    # twice in a row has its slope value halved, which pulls the next secant
+    # point across the root
     (a, ta), (b, tb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
     fa, fb = ta, tb
     kept = None
-    q_star = _secant(a, fa, b, fb)
+    # the halvings stepped 2(b - a), then b - a, so Brent's guard admits
+    # any guess inside the bracket
+    guess = _inverse_quadratic(a, ta, b, tb, q_far, d_far)
+    q_star = _next_tilt(guess, mid, 2.0 * (b - a), a, fa, b, fb)
     g_star, d_star = yield from tilt(q_star)
     last_step = older_step = b - a
     for _ in range(MAX_BISECTIONS):

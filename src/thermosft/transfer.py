@@ -478,10 +478,13 @@ class TiltedFamily:
     ``tilts`` bit for bit.  A failing solve keeps nothing and raises again on
     the next read.
 
-    ``centred(c)`` is the family along ``psi - c``, built once per c and
-    kept.  ``probes`` holds the doubling probes ``rate_levels`` has solved on
-    a family, by tilt: successful solves only, each started from the probe
-    before it, so a kept probe is bit for bit what a later call would solve.
+    ``centred(c)`` is the family along ``psi - c``; one centred family is
+    kept, the last asked for with ``keep``.  ``probes`` holds the lattice
+    probes ``rate_levels`` has solved on a family, by tilt: the doubling
+    probes and the midpoints of its bracket halvings, successful solves
+    only.  Each starts from solves that every level reaching it has made
+    (its ancestors in the lattice), so a kept probe is bit for bit what a
+    later call would solve.
     """
 
     base: TransferMatrix
@@ -500,12 +503,17 @@ class TiltedFamily:
         rounding exactly when phi is normalised."""
         return float(np.max(np.abs(self.base.apply(np.ones(self.base.size)) - 1.0)))
 
-    def centred(self, centre: float) -> TiltedFamily:
+    def centred(self, centre: float, keep: bool = False) -> TiltedFamily:
         """The family along ``psi - centre``: the same matrix at every tilt,
-        its means shifted by -centre.  Kept by centre, with its ``probes``."""
+        its means shifted by -centre.  The kept one is returned when its
+        centre matches; otherwise a new one, which, with ``keep``, replaces
+        the kept one, its ``probes`` included."""
         family = self._centred.get(centre)
         if family is None:
-            family = self._centred[centre] = replace(self, psi_e=self.psi_e - centre)
+            family = replace(self, psi_e=self.psi_e - centre)
+            if keep:
+                self._centred.clear()
+                self._centred[centre] = family
         return family
 
     def at(self, q: float) -> TransferMatrix:
@@ -553,8 +561,8 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
     """The tilted family of phi along the observable psi on k-word states,
     k = max(k_min, phi.r - 1, psi.r - 1, 1).  It is built on the first call
     and kept on phi, by psi and k, so every later call for the same pair and
-    state length returns the same family, its ``zero`` solve, its centred
-    families and their kept doubling probes included.  psi is a weak key:
+    state length returns the same family, its ``zero`` solve, its kept
+    centred family and that family's lattice probes included.  psi is a weak key:
     its families, and all they keep, go when psi does."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
     k = max(k_min, phi.r - 1, psi.r - 1, 1)

@@ -7,6 +7,7 @@ import pytest
 
 from thermosft import (
     BadTheta,
+    CohomologousConstant,
     Delta0OutOfRange,
     NoConvergence,
     ValidationError,
@@ -332,8 +333,10 @@ def test_verify_bound_bernoulli_measured(bernoulli):
     assert by_p[0.9].tilt_value >= report.bound
 
 
-def test_verify_bound_computes_one_spread(bernoulli, monkeypatch):
-    phi, psi = bernoulli
+def test_verify_bound_computes_one_spread(bernoulli, full2, monkeypatch):
+    # a fresh observable: once computed, its spread is kept on it
+    phi, _ = bernoulli
+    psi = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
     consts = constants_for(phi, psi, "measured")
     spreads = []
     spread = potentials.cohomology_spread
@@ -346,6 +349,47 @@ def test_verify_bound_computes_one_spread(bernoulli, monkeypatch):
     report = verify_bound(phi, psi, 0.1, [0.1, 0.9], consts)
     assert report.all_pass
     assert len(spreads) == 1 and report.spread is spreads[0]
+
+
+def test_one_spread_per_observable_across_rates_bounds_and_scans(bernoulli, full2, monkeypatch):
+    """The spread is kept on psi: ``rate_levels``, ``rate_function``,
+    ``verify_bound`` and ``ldp_scan`` on a fresh observable run one
+    ``cohomology_spread`` between them.  A constant observable is refused
+    on every call from one run, and a run that raises keeps nothing."""
+    phi, _ = bernoulli
+    psi = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
+    consts = constants_for(phi, psi, "measured")
+    spreads = []
+    spread = potentials.cohomology_spread
+
+    def spy(*args):
+        spreads.append(spread(*args))
+        return spreads[-1]
+
+    monkeypatch.setattr(potentials, "cohomology_spread", spy)
+    rate_levels(phi, psi, (0.2, 0.7))
+    rate_function(phi, psi, 0.4)
+    report = verify_bound(phi, psi, 0.1, [0.1, 0.9], consts)
+    mu = equilibrium_measure(phi)
+    ldp_scan(mu, psi, lambda p: rate_function(phi, psi, p), [8], 0.8, 0.05)
+    assert len(spreads) == 1 and report.spread is spreads[0]
+    constant = make_pot(full2, 1, {"1": 0.5, "2": 0.5})
+    for _ in range(2):
+        with pytest.raises(CohomologousConstant):
+            rate_function(phi, constant, 0.5)
+    assert len(spreads) == 2
+
+    def failing(psi):
+        raise NoConvergence("forced")
+
+    fresh = make_pot(full2, 1, {"1": 2.0, "2": 0.0})
+    with monkeypatch.context() as patch:
+        patch.setattr(potentials, "cohomology_spread", failing)
+        with pytest.raises(NoConvergence, match="forced"):
+            rate_function(phi, fresh, 1.5)
+    assert potentials.kept_spread(fresh) is None
+    assert rate_function(phi, fresh, 1.5).status == "interior"
+    assert len(spreads) == 3
 
 
 def test_verify_bound_paper_mode_uses_bracket(bernoulli):

@@ -311,6 +311,8 @@ def test_overflowing_pressure_tilt_exits_4(tmp_path, capsys):
     (lambda raw: raw, ["--p-grid", "0.1:0.9"], "must have the form start:stop:step"),
     (lambda raw: raw, ["--p-grid", "0.1:x:0.2"], "has non-numeric parts"),
     (lambda raw: raw, ["--p-grid", "0.1:0.9:0"], "range step must be positive"),
+    (lambda raw: {**raw, "observable_psi": {"range": 1, "values": {"1": "one", "2": 0.0}}},
+     [], "observable_psi.values[1]: expected a number"),
 ])
 def test_bad_model_or_range_exits_2(tmp_path, capsys, config, argv, message):
     cfg = tmp_path / "model.json"

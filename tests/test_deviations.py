@@ -672,6 +672,7 @@ def test_chain_is_refined_once_per_measure(random_model, monkeypatch):
     (lambda mu, psi: exact_window_mass(mu, psi, 0, 0.5, 0.1), "n must be >= 1"),
     (lambda mu, psi: exact_window_mass(mu, psi, 10, 0.5, 0.0), "delta must be positive"),
     (lambda mu, psi: sample_paths(mu, psi, 10, 0, 1, 0.5, 0.1), "trials must be >= 1"),
+    (lambda mu, psi: sample_paths(mu, psi, 0, 10, 1, 0.5, 0.1), "n must be >= 1, got 0"),
 ])
 def test_window_masses_refuse_bad_arguments(coin, call, message):
     _, psi, mu = coin

@@ -426,16 +426,28 @@ def _bits(rv):
     return rv.p, rv.value.hex(), q_star, rv.status, rv.iterations
 
 
+def _on_lattice(q, q_cap):
+    """Whether q is a doubling probe ``±2**j`` or the cap ``±q_cap``, or a
+    midpoint of depth at most ``BISECT_DEPTH`` between two consecutive
+    points of that chain, 0 included."""
+    side = [0.0] + [2.0**j for j in range(64) if 2.0**j < q_cap] + [q_cap]
+    x = abs(q)
+    for u, v in zip(side, side[1:]):
+        if u < x <= v:
+            return ((x - u) / (v - u) * 2**rate.BISECT_DEPTH).is_integer()
+    return False
+
+
 def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
-    """On the bernoulli fixture's grid 0.05:0.95:0.05 the doubling probes are
-    shared by the levels, so the sweep makes fewer Perron solves than one
-    ``rate_function`` per level, fewer even than the levels' own tilts
-    beside the base, and every value is the same.  The probes are then kept
-    on the centred family, so the one-by-one calls after the sweep solve
-    only their own tilts, none of them a probe: exactly the sweep's solves
-    less its probes.  The base is the family's kept q = 0 solve, shared by
-    the sweep and every later call, so no call solves it through
-    ``tilts``."""
+    """On the bernoulli fixture's grid 0.05:0.95:0.05 the lattice probes
+    (doubling probes and bracket midpoints) are shared by the levels, so
+    the sweep makes fewer Perron solves than one ``rate_function`` per
+    level, fewer even than the levels' own tilts beside the base, and every
+    value is the same.  The probes are then kept on the centred family, so
+    the one-by-one calls after the sweep solve only their own tilts, none
+    of them a probe: exactly the sweep's solves less its probes.  The base
+    is the family's kept q = 0 solve, shared by the sweep and every later
+    call, so no call solves it through ``tilts``."""
     model = load_model(FIXTURES / "bernoulli.json")
     phi = normalize_potential(model.f)
     grid = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -450,8 +462,10 @@ def test_rate_levels_solve_each_doubling_probe_once(monkeypatch):
     swept = rate_levels(phi, model.psi, grid)
     in_sweep = len(solves)
     kept = _centred_family(phi, model.psi).probes
-    # the cap is 1400, so every probe is a signed power of two
-    assert kept and all(abs(q) == 2.0 ** round(math.log2(abs(q))) for q in kept), kept
+    # the cap is 1400: every probe is a signed power of two, the cap, or a
+    # midpoint between two consecutive ones
+    assert kept and all(_on_lattice(q, 1400.0) for q in kept), sorted(kept)
+    assert any(abs(q) != 2.0 ** round(math.log2(abs(q))) for q in kept), sorted(kept)
     assert set(kept) <= set(solves)
     one_by_one = [rate_function(phi, model.psi, p) for p in grid]
     assert [repr(rv) for rv in swept] == [repr(rv) for rv in one_by_one]
@@ -483,6 +497,17 @@ def test_rate_levels_solve_a_grid_in_lockstep(monkeypatch):
     assert max(blocks) > 1
 
 
+def _failing_at(monkeypatch, bad: float) -> None:
+    """From now on the solve of tilt ``bad`` gives a ``NoConvergence``."""
+    tilts = transfer.TiltedFamily.tilts
+
+    def failing(self, qs, starts=None):
+        solved = tilts(self, qs, starts)
+        return [NoConvergence("forced") if q == bad else t for q, t in zip(qs, solved)]
+
+    monkeypatch.setattr(transfer.TiltedFamily, "tilts", failing)
+
+
 def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(
     monkeypatch, bernoulli, full2
 ):
@@ -500,13 +525,7 @@ def test_rate_levels_keep_a_failed_boundary_probe_to_its_level(
         "outside", "boundary", "interior", "mean_zero", "interior", "boundary", "outside"
     ]
     phi, psi = _fair_coin(full2)
-    tilts = transfer.TiltedFamily.tilts
-
-    def failing(self, qs, starts=None):
-        solved = tilts(self, qs, starts)
-        return [NoConvergence("forced") if q == 8.0 else t for q, t in zip(qs, solved)]
-
-    monkeypatch.setattr(transfer.TiltedFamily, "tilts", failing)
+    _failing_at(monkeypatch, 8.0)
     swept = rate_levels(phi, psi, grid)
     forced = rate_function(phi, psi, 1.0)
     assert forced.status == "boundary" and forced.iterations < free[5].iterations
@@ -558,14 +577,8 @@ def test_a_failed_probe_is_not_kept(monkeypatch, full2):
     free value."""
     free = rate_function(*_fair_coin(full2), 1.0)
     phi, psi = _fair_coin(full2)
-    tilts = transfer.TiltedFamily.tilts
-
-    def failing(self, qs, starts=None):
-        solved = tilts(self, qs, starts)
-        return [NoConvergence("forced") if q == 8.0 else t for q, t in zip(qs, solved)]
-
     with monkeypatch.context() as patch:
-        patch.setattr(transfer.TiltedFamily, "tilts", failing)
+        _failing_at(patch, 8.0)
         forced = rate_function(phi, psi, 1.0)
     assert forced.status == "boundary" and forced.iterations < free.iterations
     kept = _centred_family(phi, psi).probes
@@ -575,9 +588,11 @@ def test_a_failed_probe_is_not_kept(monkeypatch, full2):
 
 
 def test_another_centre_solves_probes_of_its_own(monkeypatch, full2):
-    """The probes are kept per centre: a call with a wider spread (so another
-    centre and cap) on a phi whose probes are kept for its own spread
-    solves its own probes, and equals that call on a fresh phi."""
+    """Probes are kept for the centre of psi's own spread only: a call with
+    a wider spread (so another centre and cap) on a phi whose probes are
+    kept for its own spread solves its own probes, equals that call on a
+    fresh phi, and keeps none of them, so a repeat asks for the same tilts
+    again and the kept probes are those of psi's own centre alone."""
     phi, psi = _fair_coin(full2)
     wide = replace(cohomology_spread(psi), min_mean=-0.5)
     grid = (0.0, 0.3, 0.5, 0.8)
@@ -586,10 +601,131 @@ def test_another_centre_solves_probes_of_its_own(monkeypatch, full2):
     own = dict(_centred_family(phi, psi).probes)
     asked = _asked_tilts(monkeypatch)
     assert [_bits(rv) for rv in rate_levels(phi, psi, grid, spread=wide)] == want
-    other = tilted_family(phi, psi).centred(0.25).probes
-    assert other and other is not _centred_family(phi, psi).probes
-    assert set(other) <= set(asked)
+    first = list(asked)
+    assert first
+    assert [_bits(rv) for rv in rate_levels(phi, psi, grid, spread=wide)] == want
+    assert asked[len(first):] == first
+    assert list(tilted_family(phi, psi)._centred) == [0.5]
     assert _centred_family(phi, psi).probes == own
+
+
+def test_foreign_spreads_leave_no_kept_family(full2):
+    """50 calls with spreads other than psi's own, each widened by another
+    0.01, keep no centred family beside psi's own and leave its probes as
+    they were.  On a psi whose spread is not yet known a passed spread is
+    taken as its own, so its family keeps one centred family, which psi's
+    own replaces once it is known."""
+    phi, psi = _fair_coin(full2)
+    own = cohomology_spread(psi)
+    foreign = [replace(own, min_mean=own.min_mean - 0.01 * i) for i in range(1, 51)]
+    rate_levels(phi, psi, (0.3, 0.8))
+    family = tilted_family(phi, psi)
+    kept, probes = dict(family._centred), dict(_centred_family(phi, psi).probes)
+    for spread in foreign:
+        rate_levels(phi, psi, (0.3, 0.8), spread=spread)
+    assert family._centred == kept
+    assert _centred_family(phi, psi).probes == probes
+    phi, psi = _fair_coin(full2)
+    for spread in foreign:
+        rate_levels(phi, psi, (0.3,), spread=spread)
+    assert len(tilted_family(phi, psi)._centred) == 1
+    rate_levels(phi, psi, (0.3,))
+    assert list(tilted_family(phi, psi)._centred) == [0.5]
+
+
+#: random_range3 spreads over [0.0902, 0.7362] about its mean 0.4239
+LATTICE_LEVEL = 0.37
+LATTICE_OTHERS = tuple(round(0.11 + 0.03 * i, 2) for i in range(10)) + tuple(
+    round(0.45 + 0.028 * i, 3) for i in range(10)
+)
+
+
+def test_a_level_does_not_depend_on_what_filled_the_lattice(monkeypatch):
+    """One level's ``RateValue`` is the same by ``float.hex``, q* included,
+    on a cold family, after the same call, and after 20 other levels on
+    both sides of the mean have filled the lattice, where it reads every
+    probe it needs and solves only its own tilts."""
+    model = load_model(FIXTURES / "random_range3.json")
+    phi = normalize_potential(model.f)
+    cold = rate_function(phi, model.psi, LATTICE_LEVEL)
+    assert cold.status == "interior"
+    assert _bits(rate_function(phi, model.psi, LATTICE_LEVEL)) == _bits(cold)
+    phi = normalize_potential(model.f)
+    assert all(rv.status == "interior" for rv in rate_levels(phi, model.psi, LATTICE_OTHERS))
+    asked = _asked_tilts(monkeypatch)
+    assert _bits(rate_function(phi, model.psi, LATTICE_LEVEL)) == _bits(cold)
+    assert not set(asked) & set(_centred_family(phi, model.psi).probes)
+    # beside the base and its own tilts, at least a bracket end and the
+    # midpoints were read
+    assert len(asked) <= cold.iterations - 1 - (1 + rate.BISECT_DEPTH), (asked, cold)
+
+
+def _counted_power_steps(monkeypatch) -> list:
+    """The block size of every power step from now on, in order."""
+    steps = []
+    block_step = transfer._block_step
+
+    def counted(Ts, tilts, kinds):
+        step = block_step(Ts, tilts, kinds)
+
+        def counting(X):
+            steps.append(len(kinds))
+            return step(X)
+
+        return counting
+
+    monkeypatch.setattr(transfer, "_block_step", counted)
+    return steps
+
+
+def test_a_fresh_level_on_a_warm_family_makes_fewer_power_steps(monkeypatch):
+    """A level no call has asked for makes fewer power steps on a family
+    whose lattice 20 other levels have filled than on a cold one (both with
+    the q = 0 solve made), and gives the same value."""
+    model = load_model(FIXTURES / "random_range3.json")
+    steps = _counted_power_steps(monkeypatch)
+    phi = normalize_potential(model.f)
+    tilted_family(phi, model.psi).zero
+    del steps[:]
+    cold = rate_function(phi, model.psi, LATTICE_LEVEL)
+    cold_steps = len(steps)
+    phi = normalize_potential(model.f)
+    rate_levels(phi, model.psi, LATTICE_OTHERS)
+    del steps[:]
+    warm = rate_function(phi, model.psi, LATTICE_LEVEL)
+    assert _bits(warm) == _bits(cold)
+    assert 0 < len(steps) < cold_steps, (len(steps), cold_steps)
+
+
+def test_a_failed_midpoint_raises_at_an_interior_level_and_is_not_kept(monkeypatch, full2):
+    """At p = 0.8 the fair coin brackets q* = log 4 between the probes 1 and
+    2 and halves there at 1.5.  With that solve forced to fail the level
+    raises, and the failed call keeps no probe, 1.5 included; once the
+    failure is lifted, the next call gives the free value and keeps 1.5."""
+    free = rate_function(*_fair_coin(full2), 0.8)
+    phi, psi = _fair_coin(full2)
+    with monkeypatch.context() as patch:
+        _failing_at(patch, 1.5)
+        with pytest.raises(NoConvergence, match="forced"):
+            rate_function(phi, psi, 0.8)
+    kept = _centred_family(phi, psi).probes
+    assert 1.5 not in kept
+    assert _bits(rate_function(phi, psi, 0.8)) == _bits(free)
+    assert {1.0, 2.0, 1.5, 1.25} <= set(kept)
+
+
+def test_a_failed_doubling_probe_raises_at_an_interior_level(monkeypatch, full2):
+    """On a fair coin no call has kept probes on, the doubling probe 2 is
+    forced to fail: the interior level 0.8, which brackets there, raises
+    it, while the endpoint level 1, whose sweep reaches the same probe,
+    stops there with the lower bound of the probes before it."""
+    free = rate_function(*_fair_coin(full2), 1.0)
+    phi, psi = _fair_coin(full2)
+    _failing_at(monkeypatch, 2.0)
+    with pytest.raises(NoConvergence, match="forced"):
+        rate_function(phi, psi, 0.8)
+    end = rate_function(phi, psi, 1.0)
+    assert end.status == "boundary" and end.iterations == 2 < free.iterations
 
 
 def test_interpolated_start_falls_back_to_the_nearest_solution():
