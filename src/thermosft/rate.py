@@ -7,28 +7,30 @@ objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
 is concave with monotone derivative, so a sign-change bracket is sound; it
 is halved ``BISECT_DEPTH`` times, and its root is then found by inverse
-quadratic interpolation on the derivative under Brent's progress guard
-(Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4), with
-Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) as the fallback
-step; neither leaves the bracket.  The
-maximisation runs on psi centred on its cycle-mean spread (and p shifted
-alike), which leaves the rate unchanged and keeps the tilts that overflow far
-from the ones a level needs.
+polynomial interpolation on the derivative, through the ``INTERP_NODES``
+solved tilts whose slopes lie nearest 0 (the inverse cubic steps of
+Alefeld, Potra & Shi, ACM TOMS 21, 1995, one degree higher), under Brent's
+progress guard (Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4), with Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+as the fallback step; neither leaves the bracket.  The maximisation runs
+on psi centred on its cycle-mean spread (and p shifted alike), which leaves
+the rate unchanged and keeps the tilts that overflow far from the ones a
+level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
 once per ``(phi, psi)`` and kept on phi with its q = 0 solve, which every
 call of ``rate_levels`` (``rate_function`` is its one-level form) shares;
 within a level each tilt is solved once and reused for both the objective
 and its derivative.  A tilt strictly inside the range of the level's solved
-tilts starts from the quadratic (Lagrange) interpolation of h and nu through
-the three solved tilts nearest it; any other tilt, or one whose interpolated
-start is not positive, starts from the nearest solved tilt.  The doubling
-probes ``±min(1, q_cap) * 2**j``, ending at the overflow cap ``±q_cap``,
-and the midpoints an interior level halves its bracket on, ``BISECT_DEPTH``
-times, form a dyadic lattice: a lattice tilt is reached only through its
-ancestors (the doubling probes up to its bracket and the midpoints above
-it), so it is the same solve, from the same start, at every level of every
-call that reaches it.  Each is solved once and kept on the centred family,
+tilts starts from the Lagrange interpolation of h and nu through the
+``INTERP_NODES`` solved tilts nearest it; any other tilt, or one whose
+interpolated start is not positive, starts from the nearest solved tilt.
+The doubling probes ``±min(1, q_cap) * 2**j``, ending at the overflow cap
+``±q_cap``, and the midpoints an interior level halves its bracket on,
+``BISECT_DEPTH`` times, form a dyadic lattice: a lattice tilt is reached
+only through its ancestors (the doubling probes up to its bracket and the
+midpoints above it), so it is the same solve, from the same start, at every
+level of every call that reaches it.  Each is solved once and kept on the centred family,
 and every later call reads it from there.  A level at a spread endpoint
 sweeps the doubling probes and reports their best objective, a lower bound
 near the endpoint rate.  The levels of a grid run in lockstep: each level
@@ -65,6 +67,9 @@ MAX_BISECTIONS = 300
 #: solves before the interpolated search; each one more doubles the
 #: midpoints kept per bracket
 BISECT_DEPTH = 2
+#: solved tilts an interpolated start, or an interpolated root step, is
+#: drawn through: the nearest ones, by tilt or by slope
+INTERP_NODES = 5
 
 #: start vectors of a Perron solve interpolated between solved tilts
 _Start = namedtuple("_Start", "h nu")
@@ -180,8 +185,9 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     outside the open spread interval reports +inf, a level at an endpoint
     the best objective over the doubling probes up to the overflow cap, a
     lower bound.  Inside, the slope of the objective is bracketed by those
-    probes and its root found to TOL_GRAD by inverse quadratic steps,
-    Illinois regula falsi where they are refused.
+    probes and its root found to TOL_GRAD by inverse interpolation through
+    the ``INTERP_NODES`` slopes nearest 0, Illinois regula falsi where a
+    step is refused.
     psi's spread is computed once per psi and kept on it
     (``require_not_constant``), the centring is done once for the whole
     grid, and the tilted family, its normalisation check and its base solve
@@ -288,9 +294,10 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
 
     An interior level brackets its root at the first doubling probe where
     the slope changes sign, halves that bracket ``BISECT_DEPTH`` times on
-    midpoint probes, and then searches the last half, its first step
-    interpolated through the two ends and the end the last halving
-    dropped.  A failed probe raises there.  An endpoint level never
+    midpoint probes, and then searches the last half, every step
+    interpolated through the ``INTERP_NODES`` solved tilts whose slopes lie
+    nearest 0 (at first the bracket ends and the ends the halvings
+    dropped).  A failed probe raises there.  An endpoint level never
     brackets, and a failed probe ends its sweep.  A sweep without a bracket
     reports its probes' best objective.
 
@@ -347,50 +354,52 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
 
     # halve the bracket on the dyadic lattice between the probes: each
     # midpoint is reached only through the same ancestors, so it too is a
-    # shared solve.  The end a halving drops gives the third slope of the
-    # first interpolated step
+    # shared solve
     for _ in range(BISECT_DEPTH):
         mid = 0.5 * (q_lo + q_hi)
         g_mid, d_mid = yield from tilt(mid, shared=True)
         if abs(d_mid) <= TOL_GRAD:
             return rate_value(g_mid, mid, "interior")
         if (d_mid > 0.0) == (d0 > 0.0):
-            (q_far, d_far), (q_lo, d_lo) = (q_lo, d_lo), (mid, d_mid)
+            q_lo, d_lo = mid, d_mid
         else:
-            (q_far, d_far), (q_hi, d_hi) = (q_hi, d_hi), (mid, d_mid)
+            q_hi, d_hi = mid, d_mid
+
+    def root_guess():
+        # inverse interpolation through the solved tilts whose slopes lie
+        # nearest 0: the bracket ends, the ends the halvings dropped and the
+        # newest steps
+        slopes = {s: level - mean for s, (_, mean, _) in solved.items()}
+        near = sorted(slopes, key=lambda s: abs(slopes[s]))[:INTERP_NODES]
+        return _inverse_interpolation([(s, slopes[s]) for s in near])
 
     # root of the monotone (decreasing) slope, positive at a and negative at
-    # b.  Each step tries inverse quadratic interpolation through the
-    # bracket ends and the newest point (at first the dropped end), on their
-    # true slope values; it is kept when it lands strictly inside the new
-    # bracket and moves less than half the step before last (Brent's
-    # guard).  Otherwise the step is Illinois regula falsi: the end kept
-    # twice in a row has its slope value halved, which pulls the next secant
-    # point across the root
-    (a, ta), (b, tb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
-    fa, fb = ta, tb
+    # b.  Each step tries the inverse interpolation; it is kept when it lands
+    # strictly inside the bracket and moves less than half the step before
+    # last (Brent's guard).  Otherwise the step is Illinois regula falsi:
+    # the end kept twice in a row has its slope value halved, which pulls
+    # the next secant point across the root
+    (a, fa), (b, fb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
     kept = None
     # the halvings stepped 2(b - a), then b - a, so Brent's guard admits
     # any guess inside the bracket
-    guess = _inverse_quadratic(a, ta, b, tb, q_far, d_far)
-    q_star = _next_tilt(guess, mid, 2.0 * (b - a), a, fa, b, fb)
+    q_star = _next_tilt(root_guess(), mid, 2.0 * (b - a), a, fa, b, fb)
     g_star, d_star = yield from tilt(q_star)
     last_step = older_step = b - a
     for _ in range(MAX_BISECTIONS):
         if abs(d_star) <= TOL_GRAD or (b - a) <= 1e-14 * max(1.0, abs(b)):
             break
-        guess = _inverse_quadratic(a, ta, b, tb, q_star, d_star)
         if d_star > 0.0:
-            a, ta, fa = q_star, d_star, d_star
+            a, fa = q_star, d_star
             if kept == "b":
                 fb *= 0.5
             kept = "b"
         else:
-            b, tb, fb = q_star, d_star, d_star
+            b, fb = q_star, d_star
             if kept == "a":
                 fa *= 0.5
             kept = "a"
-        q_next = _next_tilt(guess, q_star, older_step, a, fa, b, fb)
+        q_next = _next_tilt(root_guess(), q_star, older_step, a, fa, b, fb)
         older_step, last_step = last_step, abs(q_next - q_star)
         q_star = q_next
         g_star, d_star = yield from tilt(q_star)
@@ -400,14 +409,14 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
 def _start(solved: dict, q: float):
     """Start vectors of the solve at q from a level's solved tilts (each
     ``(pressure, mean, solution)``): strictly inside their range, the
-    Lagrange interpolation of h and nu through the three nearest (two when
-    only two are solved); otherwise, or when an interpolated entry is not
-    positive, the nearest solution."""
+    Lagrange interpolation of h and nu through the ``INTERP_NODES`` nearest
+    (all of them when fewer are solved); otherwise, or when an interpolated
+    entry is not positive, the nearest solution."""
     near = sorted(solved, key=lambda s: abs(s - q))
     nearest = solved[near[0]][2]
     if not min(solved) < q < max(solved):
         return nearest
-    nodes = near[:3]
+    nodes = near[:INTERP_NODES]
     h = nu = 0.0
     for s in nodes:
         weight = math.prod((q - t) / (s - t) for t in nodes if t != s)
@@ -418,15 +427,15 @@ def _start(solved: dict, q: float):
     return _Start(h, nu)
 
 
-def _inverse_quadratic(a: float, fa: float, b: float, fb: float, c: float, fc: float):
-    """q at which the quadratic in the slope value through (fa, a), (fb, b)
-    and (fc, c) reaches slope 0; None when two slope values coincide."""
-    if fa == fb or fa == fc or fb == fc:
+def _inverse_interpolation(points) -> float | None:
+    """q at which the polynomial in the slope value through ``points``, each
+    ``(q, slope)``, reaches slope 0 (Lagrange form); None when two slope
+    values coincide."""
+    slopes = [d for _, d in points]
+    if len(set(slopes)) < len(slopes):
         return None
-    return (
-        a * fb * fc / ((fa - fb) * (fa - fc))
-        + b * fa * fc / ((fb - fa) * (fb - fc))
-        + c * fa * fb / ((fc - fa) * (fc - fb))
+    return sum(
+        q * math.prod(e / (e - d) for _, e in points if e != d) for q, d in points
     )
 
 

@@ -17,6 +17,7 @@ from thermosft import (
     cylinder_mass,
     enumerate_words,
     make_potential,
+    normalize_potential,
     validate_transitions,
 )
 from thermosft.cli import load_model
@@ -77,6 +78,26 @@ def random_potential(rng, tm, r, theta=0.5, lo=-1.0, hi=1.0, lattice=None):
             v = round(v * lattice) / lattice
         table[w] = v
     return make_potential(tm, r, table, theta)
+
+
+def _orbit_words(orbit, r):
+    ext = orbit * (r // len(orbit) + 2)
+    return [tuple(ext[j : j + r]) for j in range(len(orbit))]
+
+
+def planted_potentials(r=5):
+    """(phi, psi): full 4-shift, range-r tables, phi normalised.  psi is 0
+    along the orbit 123 and 1 along 1122, so strong tilts concentrate on a
+    periodic orbit and plain power iteration slows down."""
+    rng = np.random.default_rng(0)
+    words = list(itertools.product(range(1, 5), repeat=r))
+    f = {w: float(rng.uniform(-0.5, 0.5)) for w in words}
+    psi = {w: float(rng.uniform(0.25, 0.75)) for w in words}
+    psi.update({w: 0.0 for w in _orbit_words([1, 2, 3], r)})
+    psi.update({w: 1.0 for w in _orbit_words([1, 1, 2, 2], r)})
+    tm = validate_transitions(np.ones((4, 4), dtype=int))
+    phi = normalize_potential(make_potential(tm, r, f, 0.5))
+    return phi, make_potential(tm, r, psi, 0.5)
 
 
 def dense(T):

@@ -32,7 +32,14 @@ from thermosft import rate, sft, transfer
 from thermosft.cli import load_model
 from thermosft.transfer import tilted_family
 
-from conftest import FIXTURES, dense, make_pot, random_aperiodic, random_potential
+from conftest import (
+    FIXTURES,
+    dense,
+    make_pot,
+    planted_potentials,
+    random_aperiodic,
+    random_potential,
+)
 
 
 def binary_kl(p):
@@ -380,7 +387,7 @@ def test_golden_mean_flat_slope_level_takes_at_most_16_solves(golden_model):
 def test_step_falls_back_to_illinois_when_interpolation_leaves_the_bracket():
     # slope 1 at 0, 0.9 at 0.5 and -1 at 1: the inverse quadratic through
     # them overshoots the new bracket (0.5, 1)
-    guess = rate._inverse_quadratic(0.0, 1.0, 1.0, -1.0, 0.5, 0.9)
+    guess = rate._inverse_interpolation([(0.0, 1.0), (1.0, -1.0), (0.5, 0.9)])
     assert not 0.5 < guess < 1.0
     secant = rate._secant(0.5, 0.9, 1.0, -1.0)
     assert rate._next_tilt(guess, 0.5, 1.0, 0.5, 0.9, 1.0, -1.0) == secant
@@ -389,10 +396,28 @@ def test_step_falls_back_to_illinois_when_interpolation_leaves_the_bracket():
     assert rate._next_tilt(inside, 0.5, 1.0, 0.5, 0.9, 1.0, -1.0) == inside
     assert rate._next_tilt(inside, 0.5, 0.01, 0.5, 0.9, 1.0, -1.0) == secant
     # two equal slope values leave nothing to interpolate
-    assert rate._inverse_quadratic(0.0, 1.0, 1.0, -1.0, 0.5, 1.0) is None
+    assert rate._inverse_interpolation([(0.0, 1.0), (1.0, -1.0), (0.5, 1.0)]) is None
     assert rate._next_tilt(None, 0.5, 1.0, 0.5, 1.0, 1.0, -1.0) == rate._secant(
         0.5, 1.0, 1.0, -1.0
     )
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.7,),
+    (0.3, -2.0),
+    (-1.2, -0.5, 0.25),
+    (0.1, -1.0, 0.3, -0.05),
+    (2.0, -0.8, 0.2, 0.07, -0.011),
+])
+def test_inverse_interpolation_is_exact_on_polynomials_of_degree_4(coeffs):
+    """When q is a polynomial of degree at most 4 in the slope value, the
+    interpolation through five of its points (or as many as its degree
+    needs) returns its value at slope 0; a repeated slope returns None."""
+    slopes = (1.5, -2.0, 0.4, -0.3, 3.0)
+    points = [(sum(c * d**k for k, c in enumerate(coeffs)), d) for d in slopes]
+    for n in range(len(coeffs), len(points) + 1):
+        assert abs(rate._inverse_interpolation(points[:n]) - coeffs[0]) <= 1e-13, n
+    assert rate._inverse_interpolation(points + [(9.0, slopes[2])]) is None
 
 
 def test_rate_levels_equal_rate_function_bit_for_bit():
@@ -697,6 +722,26 @@ def test_a_fresh_level_on_a_warm_family_makes_fewer_power_steps(monkeypatch):
     assert 0 < len(steps) < cold_steps, (len(steps), cold_steps)
 
 
+def test_warm_interior_levels_make_at_most_two_solves(monkeypatch):
+    """On the planted 4^4 family, once a grid call has kept the lattice,
+    each interior level at the tilted means of q = -0.7, -0.3, 0.3 and 0.7
+    reads its probes and solves at most 2 tilts of its own: a five-node
+    start and inverse interpolation through the five slopes nearest 0 (a
+    three-node quadratic needed a third).  Each value equals the grid's.
+    Not every level gets there: at q = -1.3, -1.1, -0.9 and 0.9 the second
+    step still lands just outside ``TOL_GRAD``, and the level makes 3."""
+    phi, psi = planted_potentials(4)
+    family = tilted_family(phi, psi)
+    levels = [float(family.tilt(q)[1]) for q in (-0.7, -0.3, 0.3, 0.7)]
+    swept = rate_levels(phi, psi, levels)
+    assert all(rv.status == "interior" for rv in swept), swept
+    asked = _asked_tilts(monkeypatch)
+    for rv in swept:
+        del asked[:]
+        assert _bits(rate_function(phi, psi, rv.p)) == _bits(rv)
+        assert len(asked) <= 2, (rv, asked)
+
+
 def test_a_failed_midpoint_raises_at_an_interior_level_and_is_not_kept(monkeypatch, full2):
     """At p = 0.8 the fair coin brackets q* = log 4 between the probes 1 and
     2 and halves there at 1.5.  With that solve forced to fail the level
@@ -730,8 +775,9 @@ def test_a_failed_doubling_probe_raises_at_an_interior_level(monkeypatch, full2)
 
 def test_interpolated_start_falls_back_to_the_nearest_solution():
     """Strictly inside the solved tilts the start is the Lagrange
-    interpolation through the three nearest; an interpolated entry <= 0, or
-    a tilt outside their range, gives the nearest solution."""
+    interpolation through the ``INTERP_NODES`` nearest (here all three); an
+    interpolated entry <= 0, or a tilt outside their range, gives the
+    nearest solution."""
 
     def solved(h2):
         sols = [SimpleNamespace(h=np.array(h), nu=np.array([0.5, 0.5]))

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import time
 import weakref
@@ -26,7 +25,6 @@ from thermosft import (
     rpf_solve,
     rpf_solve_block,
     tilted_family,
-    validate_transitions,
     verify_rpf_bounds,
     verify_tilted_family,
 )
@@ -35,7 +33,7 @@ from thermosft.bounds import RpfConstants
 from thermosft.potentials import prefix_runs
 from thermosft.transfer import solve_potential, state_norms
 
-from conftest import dense, make_pot, random_aperiodic, random_potential
+from conftest import dense, make_pot, planted_potentials, random_aperiodic, random_potential
 
 
 def test_weight_matrices(full2, golden):
@@ -403,29 +401,9 @@ def _plain_power_steps(matvec, size):
     raise AssertionError("reference power iteration did not converge")
 
 
-def _orbit_words(orbit, r):
-    ext = orbit * (r // len(orbit) + 2)
-    return [tuple(ext[j : j + r]) for j in range(len(orbit))]
-
-
-def _planted_potentials():
-    """(phi, psi): full 4-shift, range-5 tables, phi normalised.  psi is 0
-    along the orbit 123 and 1 along 1122, so strong tilts concentrate on a
-    periodic orbit and plain power iteration slows down."""
-    rng = np.random.default_rng(0)
-    words = list(itertools.product(range(1, 5), repeat=5))
-    f = {w: float(rng.uniform(-0.5, 0.5)) for w in words}
-    psi = {w: float(rng.uniform(0.25, 0.75)) for w in words}
-    psi.update({w: 0.0 for w in _orbit_words([1, 2, 3], 5)})
-    psi.update({w: 1.0 for w in _orbit_words([1, 1, 2, 2], 5)})
-    tm = validate_transitions(np.ones((4, 4), dtype=int))
-    phi = normalize_potential(make_potential(tm, 5, f, 0.5))
-    return phi, make_potential(tm, 5, psi, 0.5)
-
-
 def _planted_family():
-    """The tilted family of ``_planted_potentials``: 256 transfer states."""
-    family = tilted_family(*_planted_potentials())
+    """The tilted family of ``planted_potentials``: 256 transfer states."""
+    family = tilted_family(*planted_potentials())
     assert family.base.size == 256
     return family
 
@@ -471,7 +449,7 @@ def test_boundary_sweep_on_planted_tilts_reaches_the_cap():
     1400, each probe started from the one before, and reports the best of
     them: the value of cold solves of the same tilts of the family centred
     on the spread (uncentred tilts past about 700 overflow)."""
-    phi, psi = _planted_potentials()
+    phi, psi = planted_potentials()
     spread = cohomology_spread(psi)
     p = spread.max_mean
     (rv,) = rate_levels(phi, psi, [p])

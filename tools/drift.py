@@ -1,0 +1,177 @@
+"""Drift of rate-function outputs between two trees.
+
+    python3 tools/drift.py --dump OUT
+    python3 tools/drift.py --compare A B
+
+``--dump`` runs a fixed corpus of rate levels through the public API of the
+checkout this file sits in (its ``src/``) and writes one JSON line per
+level: ``value`` and ``q_star`` as ``float.hex``, ``status`` and
+``iterations`` (the tilts the level solved).  To measure a change, copy this
+file into a checkout of its parent, dump there and in the change, and
+compare the two dumps.
+
+``--compare`` prints, per field, the number of levels that differ and the
+largest absolute and relative drift, the total iterations of each dump, and
+every status change and every level found in one dump only.  It exits 1
+when anything differs, so two dumps of one tree check that the outputs,
+kept probes included, do not depend on the process.
+
+The corpus:
+
+- each fixture's 41 levels from one step below its spread to one step above,
+  endpoints included;
+- the ``LARGE_MODELS`` of ``perfbench/workloads.py`` at seeds 0-4: 33 levels
+  from -1/30 to 31/30 on their spread [0, 1], one grid call on a fresh phi
+  (cold), then the same call again (warm, on the kept probes);
+- chi_K pads 4-8 (``indicator_example`` of the target 111 on the full
+  2-shift, theta 0.5) against Bernoulli(0.6, 0.4) normalised: the grid
+  0.1:0.9:0.2, then both endpoints of the spread;
+- slopes that are hard for the root finder, each on a fresh phi: the golden
+  mean fixture at 0.4999, 0.499999 and 0.49999999 (a flat tail), and the
+  fair coin with psi {1: 0, 2: 2000} at p = 1 (a steep step).
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+from thermosft import (  # noqa: E402
+    cohomology_spread,
+    indicator_example,
+    make_potential,
+    normalize_potential,
+    rate_function,
+    rate_levels,
+    validate_transitions,
+)
+from thermosft.cli import load_model  # noqa: E402
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+
+FIELDS = ("value", "q_star", "iterations")
+
+
+def _levels(lo: float, hi: float, inside: int) -> list:
+    """``inside`` levels evenly from lo to hi, both exact, and one step
+    beyond each end."""
+    steps = inside - 1
+    return [lo if k == 0 else hi if k == steps else lo + (hi - lo) * k / steps
+            for k in range(-1, inside + 1)]
+
+
+def _corpus():
+    """(case, RateValue) for every level of the corpus, in a fixed order."""
+    for stem in ("bernoulli", "golden_mean", "random_range3"):
+        model = load_model(str(ROOT / "fixtures" / f"{stem}.json"))
+        spread = cohomology_spread(model.psi)
+        grid = _levels(spread.min_mean, spread.max_mean, 39)
+        for rv in rate_levels(normalize_potential(model.f), model.psi, grid):
+            yield f"fixture {stem}", rv
+
+    for seed in range(5):
+        for i, (s0, r, _) in enumerate(workloads.LARGE_MODELS):
+            f_tab, psi_tab = workloads.planted_tables(np.random.default_rng([seed, i]), s0, r)
+            tm = validate_transitions(np.ones((s0, s0), dtype=int))
+            phi = normalize_potential(make_potential(tm, r, f_tab, 0.5))
+            psi = make_potential(tm, r, psi_tab, 0.5)
+            grid = [k / 30 for k in range(-1, 32)]
+            for run in ("cold", "warm"):
+                for rv in rate_levels(phi, psi, grid):
+                    yield f"large seed {seed} {s0}^{r} {run}", rv
+
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    coin = {(1,): math.log(0.6), (2,): math.log(0.4)}
+    phi = normalize_potential(make_potential(full2, 1, coin, 0.5))
+    for pad in range(4, 9):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        for rv in rate_levels(phi, psi, (0.1, 0.3, 0.5, 0.7, 0.9)):
+            yield f"chi_K pad {pad}", rv
+        spread = cohomology_spread(psi)
+        for rv in rate_levels(phi, psi, (spread.min_mean, spread.max_mean)):
+            yield f"chi_K pad {pad} endpoint", rv
+
+    golden = load_model(str(ROOT / "fixtures" / "golden_mean.json"))
+    for p in (0.4999, 0.499999, 0.49999999):
+        yield "golden_mean flat tail", rate_function(normalize_potential(golden.f), golden.psi, p)
+    fair = make_potential(full2, 1, {(1,): 0.0, (2,): 0.0}, 0.5)
+    steep = make_potential(full2, 1, {(1,): 0.0, (2,): 2000.0}, 0.5)
+    yield "steep step", rate_function(normalize_potential(fair), steep, 1.0)
+
+
+def dump(path: str) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        for case, rv in _corpus():
+            record = {
+                "key": f"{case} p={rv.p!r}",
+                "value": rv.value.hex(),
+                "q_star": None if rv.q_star is None else rv.q_star.hex(),
+                "status": rv.status,
+                "iterations": rv.iterations,
+            }
+            out.write(json.dumps(record) + "\n")
+
+
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {r["key"]: r for r in records}
+
+
+def _number(x):
+    if isinstance(x, str):
+        return float.fromhex(x)
+    return x
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the drift of B against A; 1 when anything differs, else 0."""
+    a, b = _load(path_a), _load(path_b)
+    common = [k for k in a if k in b]
+    differs = False
+    print(f"{len(common)} levels in both dumps")
+    for field in FIELDS:
+        count, max_abs, max_rel = 0, 0.0, 0.0
+        for key in common:
+            x, y = _number(a[key][field]), _number(b[key][field])
+            if x == y:
+                continue
+            count += 1
+            if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+                max_abs = max_rel = math.inf
+                continue
+            max_abs = max(max_abs, abs(x - y))
+            max_rel = max(max_rel, abs(x - y) / max(abs(x), abs(y)))
+        differs = differs or count > 0
+        print(f"{field}: {count} differ, max abs drift {max_abs:.3g}, max rel drift {max_rel:.3g}")
+    print("iterations in total: {} -> {}".format(
+        sum(a[k]["iterations"] for k in common), sum(b[k]["iterations"] for k in common)))
+    for key in common:
+        if a[key]["status"] != b[key]["status"]:
+            differs = True
+            print(f"status change: {key}: {a[key]['status']} -> {b[key]['status']}")
+    for key in [k for k in a if k not in b] + [k for k in b if k not in a]:
+        differs = True
+        print(f"only in {path_a if key in a else path_b}: {key}")
+    return 1 if differs else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--dump", metavar="OUT", help="write this tree's corpus to OUT")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="drift of dump B against A")
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    return compare(*args.compare)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
