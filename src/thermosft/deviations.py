@@ -8,9 +8,15 @@ window test is decided in exact rational arithmetic, so the result carries
 zero slack; otherwise values are quantised to bins of width delta/100 and the
 mass near the window edges is reported as slack (the true open-window mass
 lies in [mass, mass + slack]).  ``ldp_scan`` reads all its horizons off one
-DP pass per method, each horizon taking the method a single call would.  A
-DP step updates only the keys from which a window can still be reached,
-with one stacked gather per key block over the in-edge ranks (3 on a full
+DP pass per method, each horizon taking the method a single call would; it
+is the one-pass route to many horizons.  Single calls at rising horizons on
+one measure continue one DP that the measure keeps (``_WindowDP``): a call
+past the last call's horizon on the same edge steps runs at full key width
+from the table the last call kept (or from step 0), and keeps its own, so
+an ascending run
+of calls costs about one pass to its last horizon.  Any other pass updates
+only the keys from which a window can still be reached.  A DP step is one
+stacked gather per key block over the in-edge ranks (3 on a full
 3-shift), not one update per edge, and adds every term in edge-list order,
 so the masses are those of a plain loop over the edges and every key, bit
 for bit; each block's sum is built contiguous and written to the table
@@ -43,8 +49,10 @@ from .potentials import Potential
 from .sft import require_same_space
 from .transfer import MarkovMeasure, integrate, refine_measure
 
-#: memory budget for the DP mass table
+#: memory budget for one (states x keys) DP mass table; a pass holds two
 DP_BUDGET_BYTES = 2 * 1024**3
+#: largest table a measure keeps between ``exact_window_mass`` calls
+KEPT_TABLE_BYTES = 64 * 1024**2
 #: largest denominator attempted when reconstructing a value lattice
 LATTICE_MAX_DEN = 10**6
 #: bins per window half-width in the quantised fallback
@@ -175,7 +183,39 @@ def _key_bands(windows, top) -> list:
     return list(zip(lo[1:].tolist(), hi[1:].tolist()))
 
 
-def _dp_masses(mu: MarkovMeasure, steps, windows):
+def _block_layers(chain, steps, width: int) -> tuple:
+    """``_rank_layers`` set out for ``_dp_masses``: (src, first, prob), where
+    ``first = max(steps) - step`` is the table column at which each in-edge
+    gathers key 0, and prob holds the probabilities laid out at the shape of
+    one key block.  A block holds at most ``width`` keys, so it is never
+    wider than the table, and its stacked gather at most
+    ``_GATHER_BLOCK_BYTES``."""
+    src, step, prob = _rank_layers(chain, steps)
+    block = max(1, min(width, _GATHER_BLOCK_BYTES // (8 * chain.size * len(src))))
+    prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
+    return src, max(steps) - step, prob
+
+
+@dataclass(eq=False)
+class _WindowDP:
+    """The window DP a refined measure keeps between ``exact_window_mass``
+    calls, on one list of edge ``steps``: the lattice steps, or the bin steps
+    of one delta.  ``h`` is the longest horizon of the last pass on them.
+    ``start`` is (h, table at step h) when that pass was a single call run
+    at full key width, else None.  ``layers`` are the ``_block_layers`` of
+    the full-width passes, built by the first of them."""
+
+    steps: list
+    h: int | None = None
+    start: tuple | None = None
+    layers: tuple | None = None
+
+
+#: the key of the kept ``_WindowDP`` in a refined measure's ``_observed``
+_KEPT_DP = "window_dp"
+
+
+def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None):
     """Yields (n, mass per final aggregate key, summed over end states) at
     each horizon n of ``windows`` in increasing order; the key is the integer
     running total of the chain's edge ``steps``.  A row is exact at the keys
@@ -191,6 +231,12 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
     and a band end cut below t*top never rises again.  So every band key
     sums the same terms, in the same order, as a full-width update.
 
+    With ``kept`` the pass updates every key 0..t*top at each step instead,
+    so its table holds the full-width DP: it starts from the kept
+    ``start`` (t, table), copied into a zeroed table of this pass's width,
+    or from step 0 when none is kept, and leaves its own table at the last
+    horizon there.  Its rows are exact at every key.
+
     A step is one stacked gather per key block, not one update per edge:
     ``_rank_layers`` stacks the in-edges by rank, and layer j gathers
     ``p * cur[u, key - step]`` for every state v and its j-th in-edge
@@ -199,11 +245,11 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
     added as (layer 0 + layer 1) + layer 2 ..., so every (state, key) sums
     its in-edges in edge-list order from 0.0, exactly as a loop over the
     edges does; the zero terms from the padding and the filler edges leave
-    every bit unchanged.  The probabilities are laid out once per call at
-    the block's shape, and each block's sum is built in a contiguous array
-    and copied into the table once.  Blocks keep the stacked gather within
-    ``_GATHER_BLOCK_BYTES``, so the peak memory is the two tables plus about
-    two blocks.
+    every bit unchanged.  The probabilities are laid out at the block's
+    shape once per call, or once per kept DP, and each block's sum is built
+    in a contiguous array and copied into the table once.  Blocks keep the
+    stacked gather within ``_GATHER_BLOCK_BYTES``, so the peak memory is the
+    two tables plus about two blocks.
 
     Each row sums the states over all keys 0..n*top, as the full-width
     update did (numpy's reduction order depends on that width), into the
@@ -211,18 +257,28 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
     chain = mu.chain
     size = chain.size
     top = max(steps)
-    src, step, prob = _rank_layers(chain, steps)
-    start = top - step
-    width = top + max(windows) * top + 1
-    # no band is wider than the table
-    block = max(1, min(width, _GATHER_BLOCK_BYTES // (8 * size * len(src))))
-    prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
+    last = max(windows)
+    width = top + last * top + 1
+    t0, table = (0, None) if kept is None or kept.start is None else kept.start
+    if kept is None:
+        src, first, prob = _block_layers(chain, steps, width)
+        bands = _key_bands(windows, top)
+    else:
+        src, first, prob = kept.layers
+        kept.start = None
+        bands = [(0, t * top) for t in range(t0 + 1, last + 1)]
+    block = prob.shape[2]
     # two tables in turn: step t writes its band into the one that holds
-    # step t - 2
+    # step t - 2.  A kept table is dropped once copied, so no more than two
+    # are held at once
     cur = np.zeros((size, width))
+    if table is None:
+        cur[:, top] = mu.pi
+    else:
+        cur[:, : table.shape[1]] = table
+    del table
     nxt = np.zeros((size, width))
-    cur[:, top] = mu.pi
-    for t, (lo, hi) in enumerate(_key_bands(windows, top), 1):
+    for t, (lo, hi) in enumerate(bands, t0 + 1):
         for k0 in range(lo, hi + 1, block):
             k1 = min(hi + 1, k0 + block)
             # shifted[u, s] is cur[u, s : s + k1 - k0], a view only read
@@ -230,7 +286,7 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
                 (size, width - (k1 - k0) + 1, k1 - k0), cur.dtype, cur, 0,
                 cur.strides + cur.strides[1:],
             )
-            terms = shifted[src, start + k0]
+            terms = shifted[src, first + k0]
             terms *= prob[:, :, : k1 - k0]
             # an aperiodic graph has a state with two in-edges, so two layers;
             # the sum is built contiguous and written to the table once
@@ -244,6 +300,35 @@ def _dp_masses(mu: MarkovMeasure, steps, windows):
             # the row goes to the spare table at keys up to t*top, which
             # step t + 1 overwrites or leaves stale outside its band
             yield t, cur[:, top : top + w].sum(axis=0, out=nxt[0, top : top + w])
+    if kept is not None:
+        kept.start = (last, cur)
+
+
+def _dp_pass(mu: MarkovMeasure, steps, windows, resume: bool):
+    """``_dp_masses`` over ``windows`` on the refined measure mu, through the
+    DP it keeps (``_WindowDP``).  With ``resume`` (a single call) past the
+    kept horizon on the same steps, the pass continues the kept DP at full
+    key width and keeps its table, unless that table would exceed
+    ``KEPT_TABLE_BYTES`` or the window is empty.  Every other pass (the
+    first on these steps, a horizon not past the kept one, a scan) runs
+    banded, as cheap as a lone call can be, and drops the kept table.  Every
+    pass keeps its longest horizon."""
+    kept = mu._observed.get(_KEPT_DP)
+    if kept is None or kept.steps != steps:
+        kept = mu._observed[_KEPT_DP] = _WindowDP(steps)
+    size, top, n = mu.chain.size, max(steps), max(windows)
+    # an empty window reads no key, so its banded pass updates none
+    full = (
+        resume and kept.h is not None and n > kept.h and windows[n][0] < windows[n][1]
+        and 8 * size * (top + n * top + 1) <= KEPT_TABLE_BYTES
+    )
+    kept.h = n
+    if not full:
+        kept.start = None
+        return _dp_masses(mu, steps, windows)
+    if kept.layers is None:
+        kept.layers = _block_layers(mu.chain, steps, KEPT_TABLE_BYTES // (8 * size))
+    return _dp_masses(mu, steps, windows, kept)
 
 
 def _sum_in_order(masses: np.ndarray) -> float:
@@ -252,10 +337,14 @@ def _sum_in_order(masses: np.ndarray) -> float:
     return float(np.cumsum(masses)[-1]) if len(masses) else 0.0
 
 
-def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta: float) -> tuple:
+def _window_masses(
+    mu: MarkovMeasure, psi: Potential, horizons, p: float, delta: float, resume: bool = False
+) -> tuple:
     """Window mass per horizon, in input order, from at most one DP pass per
     method: lattice keys for each horizon whose table fits ``DP_BUDGET_BYTES``,
-    bins of width delta/BINS_PER_DELTA (the same at every n) for the rest."""
+    bins of width delta/BINS_PER_DELTA (the same at every n) for the rest.
+    ``resume`` lets a single horizon continue the measure's kept DP
+    (``_dp_pass``)."""
     horizons = [int(n) for n in horizons]
     if any(n < 1 for n in horizons):
         raise ValidationError(f"n must be >= 1, got {min(horizons)}")
@@ -276,7 +365,7 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
         for n in exact:
             lo, hi = _window_keys(n, p, delta, lattice)
             windows[n] = (lo + 1, max(lo + 1, hi))
-        for n, masses in _dp_masses(mu, lattice[0], windows):
+        for n, masses in _dp_pass(mu, lattice[0], windows, resume):
             k0, k1 = windows[n]
             mass = _sum_in_order(masses[k0:k1])
             found[n] = WindowMass(
@@ -320,7 +409,7 @@ def _window_masses(mu: MarkovMeasure, psi: Potential, horizons, p: float, delta:
             near = np.flatnonzero((left - half <= avg) & (avg <= right + half))
             windows[n] = (int(near[0]), int(near[-1]) + 1) if len(near) else (0, 0)
             del avg, near
-        for n, masses in _dp_masses(mu, steps, windows):
+        for n, masses in _dp_pass(mu, steps, windows, resume):
             k0, k1 = windows[n]
             avg = averages(n)[k0:k1]
             masses = masses[k0:k1]
@@ -342,8 +431,20 @@ def exact_window_mass(
     mu: MarkovMeasure, psi: Potential, n: int, p: float, delta: float
 ) -> WindowMass:
     """Measure of the set of points whose n-step running average of psi lies
-    in the open window (p - delta, p + delta)."""
-    return _window_masses(mu, psi, (n,), p, delta)[0]
+    in the open window (p - delta, p + delta).
+
+    A call continues the DP its measure keeps when the last call on the
+    measure ran on the same edge steps (the lattice, or the bins of the same
+    delta) to a shorter horizon: it updates every key, from the table that
+    call kept or else from step 0, and keeps its own table for the next (at
+    most ``KEPT_TABLE_BYTES``).  So calls at rising n cost about one pass to
+    the last n.  The first call on a measure, a call at an n no longer than
+    the last one's, a call on other steps, a window that holds no key of the
+    DP and a table over that size run the banded pass of a lone call and
+    keep none.  ``ldp_scan`` is the
+    one-pass route to many horizons.  The masses are the same bits either
+    way."""
+    return _window_masses(mu, psi, (n,), p, delta, resume=True)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +476,8 @@ def window_reference(mu: MarkovMeasure, psi: Potential, rate_fn, p: float, delta
     else:
         endpoint = p + delta if psi_mean > p + delta else p - delta
         min_rate = rate_fn(endpoint).value
-    return -min_rate, psi_mean
+    # 0.0 - x is x negated, except that it maps +0.0 to +0.0, not -0.0
+    return 0.0 - min_rate, psi_mean
 
 
 def ldp_scan(

@@ -169,6 +169,10 @@ class RateValue:
     the value is the best objective over the doubling probes up to
     ``±q_cap``, a lower bound), outside (p outside the domain; value +inf).
     ``iterations`` counts the distinct tilts solved, q = 0 included.
+    The root search stops once the slope ``p - P'(q)`` is within TOL_GRAD of
+    0, so q_star is fixed only to about ``2*TOL_GRAD / P''(q_star)``: where
+    the pressure P is nearly flat it can move far between two step
+    sequences while the value moves by about TOL_GRAD**2 / P''.
     """
 
     p: float

@@ -622,7 +622,8 @@ class MarkovMeasure:
     ``size``) is read from ``chain``.  ``_refined`` holds the refinements
     ``refine_measure`` has built, by state length, so a measure is refined
     once per length; ``_observed`` holds, per observable, what
-    ``deviations`` reads off the chain's edges, so that is built once too.
+    ``deviations`` reads off the chain's edges, so that is built once too,
+    and the window DP ``deviations`` keeps between calls.
     """
 
     theta: float

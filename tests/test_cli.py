@@ -203,6 +203,16 @@ def test_ldp_command_exact(tmp_path):
     assert all(line.endswith("exact_dp") for line in lines[1:])
 
 
+def test_ldp_command_writes_a_covered_mean_as_plus_zero(tmp_path):
+    # the window (0.45, 0.65) holds the mean 0.5, so the reference is 0
+    out = tmp_path / "ldp.csv"
+    code = run(["ldp", "--config", FIXTURES / "bernoulli.json", "--p", 0.55,
+                "--delta", 0.1, "--n", "10:20:10", "--out", out])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0", "0"]
+
+
 def test_ldp_command_monte_carlo(tmp_path):
     out = tmp_path / "mc.csv"
     code = run(["ldp", "--config", FIXTURES / "bernoulli.json", "--p", 0.8,

@@ -149,7 +149,7 @@ def test_scan_at_typical_mean(coin):
         return rate_function(phi, psi, level)
 
     scan = ldp_scan(mu, psi, rate_fn, [24], 0.5, 0.1)
-    assert scan.reference == 0.0
+    assert scan.reference == 0.0 and math.copysign(1.0, scan.reference) == 1.0
     assert scan.entries[0].log_rate > -0.05
 
 
@@ -589,6 +589,136 @@ def test_dp_updates_only_the_band(monkeypatch):
     cells.clear()
     assert exact_window_mass(mu, psi, n, 1.5, delta).mass == 0.0
     assert cells[0][0] == 0
+
+
+def _wm_bits(wm):
+    return wm.n, wm.method, wm.mass.hex(), wm.slack.hex(), wm.log_rate.hex()
+
+
+def _kept_dp(mu, psi):
+    """The window DP kept on the refined measure that mu's calls on psi run on."""
+    return deviations._edge_data(mu, psi)[0]._observed[deviations._KEPT_DP]
+
+
+def _kept_models():
+    """(phi, psi on the 1/4 lattice, psi's twin: the same values in another
+    object, an observable on the 1/10 lattice, one off every lattice) on the
+    full 3-shift; every observable has range 3, so all run on one refined
+    measure of 9 word states."""
+    rng = np.random.default_rng(113)
+    full3 = validate_transitions(np.ones((3, 3), dtype=int))
+    phi = normalize_potential(random_potential(rng, full3, 2, lo=-0.5, hi=0.5))
+    table = {w: int(rng.integers(0, 5)) / 4.0 for w in enumerate_words(full3, 3)}
+    psi = make_potential(full3, 3, table, 0.5)
+    twin = make_potential(full3, 3, dict(table), 0.5)
+    other = random_potential(rng, full3, 3, lo=0.0, hi=1.0, lattice=10)
+    off = random_potential(rng, full3, 3, lo=0.0, hi=1.0)
+    return phi, psi, twin, other, off
+
+
+def test_kept_dp_matches_lone_calls_in_any_order():
+    phi, psi, twin, other, off = _kept_models()
+    p, d = 0.5 + JITTER, 0.1
+    up = (1, 3, 6, 11, 20)
+    orders = {
+        "ascending": [(psi, n, p, d) for n in up],
+        "descending": [(psi, n, p, d) for n in reversed(up)],
+        "repeated": [(psi, n, p, d) for n in (6, 6, 11, 11, 3, 3, 20, 20)],
+        # (3.0, 0.5) lies above every value, so it holds no key
+        "windows": [(psi, n, q, dq) for n, q, dq in zip(up, (0.3, 3.0, 0.9, 0.5, 0.5),
+                                                         (0.1, 0.5, 0.05, 0.1, 0.2))],
+        # the twin continues psi's DP; the other observable replaces it
+        "observables": [(obs, n, p, d) for obs, n in zip((psi, twin, other, psi, twin, psi),
+                                                          (1, 3, 3, 6, 11, 20))],
+        "deltas": [(off, n, p, 0.1) for n in up[:3]] + [(off, 8, p, 0.15)]
+        + [(off, n, p, 0.1) for n in up[3:]] + [(off, 25, p, 0.15)],
+        "scan": [(psi, n, p, d) for n in up[:3]] + ["scan"] + [(psi, n, p, d) for n in up[3:]],
+    }
+    methods = set()
+    for name, calls in orders.items():
+        mu = equilibrium_measure(phi, k=2)
+        for call in calls:
+            if call == "scan":
+                # an ldp_scan on both methods, then on psi's lattice alone
+                ldp_scan(mu, off, lambda level: SimpleNamespace(value=0.0), [4, 9], p, d)
+                ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), [9, 4], p, d)
+                continue
+            obs, n, q, dq = call
+            wm = exact_window_mass(mu, obs, n, q, dq)
+            lone = exact_window_mass(equilibrium_measure(phi, k=2), obs, n, q, dq)
+            assert _wm_bits(wm) == _wm_bits(lone), (name, n)
+            methods.add(wm.method)
+        if name in ("ascending", "windows", "observables", "scan"):
+            # each ended on a resumed full-width pass, which kept its table
+            assert _kept_dp(mu, psi).start[0] == 20, name
+    assert methods == {"exact_dp", "binned_dp"}
+
+
+def test_lone_window_call_keeps_no_table(monkeypatch):
+    phi, psi, *_ = _kept_models()
+    passes = []
+    dp_masses = deviations._dp_masses
+
+    def spy(mu, steps, windows, kept=None):
+        passes.append(kept is not None)
+        return dp_masses(mu, steps, windows, kept)
+
+    monkeypatch.setattr(deviations, "_dp_masses", spy)
+    mu = equilibrium_measure(phi, k=2)
+    exact_window_mass(mu, psi, 20, 0.5, 0.1)
+    kept = _kept_dp(mu, psi)
+    assert passes == [False] and (kept.h, kept.start, kept.layers) == (20, None, None)
+    exact_window_mass(mu, psi, 30, 0.5, 0.1)
+    t, table = kept.start
+    top = max(deviations._edge_data(mu, psi)[2][0])
+    assert passes == [False, True] and t == kept.h == 30
+    assert table.shape == (9, top + 30 * top + 1)
+
+
+def test_shorter_window_call_drops_the_kept_table():
+    phi, psi, _, other, _ = _kept_models()
+    mu = equilibrium_measure(phi, k=2)
+    for n in (10, 20):
+        exact_window_mass(mu, psi, n, 0.5, 0.1)
+    kept = _kept_dp(mu, psi)
+    assert kept.start[0] == 20
+    exact_window_mass(mu, psi, 20, 0.5, 0.1)
+    assert (kept.h, kept.start) == (20, None)
+    # a scan drops it too, and keeps its longest horizon
+    exact_window_mass(mu, psi, 30, 0.5, 0.1)
+    assert kept.start[0] == 30
+    ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), [40, 5], 0.5, 0.1)
+    assert (kept.h, kept.start) == (40, None)
+    # so does a longer call whose window holds no key, which runs banded
+    exact_window_mass(mu, psi, 50, 0.5, 0.1)
+    assert kept.start[0] == 50
+    exact_window_mass(mu, psi, 55, 3.0, 0.5)
+    assert (kept.h, kept.start) == (55, None)
+    # a call on other steps replaces the kept DP
+    exact_window_mass(mu, psi, 60, 0.5, 0.1)
+    assert kept.start[0] == 60
+    exact_window_mass(mu, other, 70, 0.5, 0.1)
+    assert _kept_dp(mu, psi) is not kept and _kept_dp(mu, psi).start is None
+
+
+def test_kept_table_stays_under_its_size_cap(monkeypatch):
+    phi, psi, *_ = _kept_models()
+    mu = equilibrium_measure(phi, k=2)
+    fine, _, lattice = deviations._edge_data(mu, psi)
+    top = max(lattice[0])
+    # a table of horizon 11 fits exactly; 12 is one key column over
+    monkeypatch.setattr(deviations, "KEPT_TABLE_BYTES", 8 * fine.chain.size * (top + 11 * top + 1))
+    kept_at = []
+    for n in (1, 3, 11, 12, 20):
+        wm = exact_window_mass(mu, psi, n, 0.5 + JITTER, 0.1)
+        lone = exact_window_mass(equilibrium_measure(phi, k=2), psi, n, 0.5 + JITTER, 0.1)
+        assert _wm_bits(wm) == _wm_bits(lone)
+        kept = _kept_dp(mu, psi)
+        assert kept.h == n
+        kept_at.append(None if kept.start is None else kept.start[1].nbytes)
+    cap = deviations.KEPT_TABLE_BYTES
+    assert kept_at[0] is None and kept_at[2] == cap and kept_at[3:] == [None, None]
+    assert all(b is None or b <= cap for b in kept_at)
 
 
 def _two_d_walk(mu, steps, n, trials, seed):

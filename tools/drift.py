@@ -1,22 +1,24 @@
-"""Drift of rate-function outputs between two trees.
+"""Drift of rate-function outputs and window masses between two trees.
 
     python3 tools/drift.py --dump OUT
     python3 tools/drift.py --compare A B
 
-``--dump`` runs a fixed corpus of rate levels through the public API of the
-checkout this file sits in (its ``src/``) and writes one JSON line per
-level: ``value`` and ``q_star`` as ``float.hex``, ``status`` and
-``iterations`` (the tilts the level solved).  To measure a change, copy this
-file into a checkout of its parent, dump there and in the change, and
-compare the two dumps.
+``--dump`` runs a fixed corpus through the public API of the checkout this
+file sits in (its ``src/``) and writes one JSON line per record.  A rate
+level stores ``value`` and ``q_star`` as ``float.hex``, ``status`` and
+``iterations`` (the tilts the level solved); a window mass stores ``mass``,
+``slack`` and ``log_rate`` as ``float.hex`` and its ``method``.  To measure
+a change, copy this file into a checkout of its parent, dump there and in
+the change, and compare the two dumps.
 
-``--compare`` prints, per field, the number of levels that differ and the
-largest absolute and relative drift, the total iterations of each dump, and
-every status change and every level found in one dump only.  It exits 1
-when anything differs, so two dumps of one tree check that the outputs,
-kept probes included, do not depend on the process.
+``--compare`` prints, per numeric field, the number of records that differ
+and the largest absolute and relative drift, the total iterations of each
+dump, and every change of status or method and every record found in one
+dump only.  Each record is compared on its own fields.  It exits 1 when
+anything differs, so two dumps of one tree check that the outputs, kept
+probes and kept window DPs included, do not depend on the process.
 
-The corpus:
+The corpus of rate levels:
 
 - each fixture's 41 levels from one step below its spread to one step above,
   endpoints included;
@@ -29,6 +31,17 @@ The corpus:
 - slopes that are hard for the root finder, each on a fresh phi: the golden
   mean fixture at 0.4999, 0.499999 and 0.49999999 (a flat tail), and the
   fair coin with psi {1: 0, 2: 2000} at p = 1 (a steep step).
+
+The corpus of window masses:
+
+- the deviation-scan model of ``perfbench/workloads.py`` at seeds 1-3, on
+  one measure per seed: its ``DP_HORIZONS`` as separate
+  ``exact_window_mass`` calls in ascending order (which continue the
+  measure's kept DP), then in descending order, then as one ``ldp_scan``;
+  and ``sample_paths`` at its Monte Carlo horizons and seeds;
+- each fixture's exact ``ldp`` scan and Monte Carlo ``ldp`` horizons of the
+  fixtures-cli workload, and random_range3's scan again with the DP budget
+  cut so that only n = 8 takes the lattice and the rest the binned method.
 """
 
 import argparse
@@ -43,18 +56,25 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from thermosft import (  # noqa: E402
     cohomology_spread,
+    deviations,
+    equilibrium_measure,
+    exact_window_mass,
     indicator_example,
+    integrate,
+    ldp_scan,
     make_potential,
     normalize_potential,
     rate_function,
     rate_levels,
+    sample_paths,
     validate_transitions,
 )
-from thermosft.cli import load_model  # noqa: E402
+from thermosft.cli import _parse_range, load_model  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
-FIELDS = ("value", "q_star", "iterations")
+#: fields compared as labels; every other field but the key is a number
+LABELS = ("status", "method")
 
 
 def _levels(lo: float, hi: float, inside: int) -> list:
@@ -104,6 +124,60 @@ def _corpus():
     yield "steep step", rate_function(normalize_potential(fair), steep, 1.0)
 
 
+def _window_corpus():
+    """(case, WindowMass) for every window mass of the corpus, in a fixed
+    order."""
+    for seed in (1, 2, 3):
+        f_tab, psi_tab = workloads._lattice_tables(np.random.default_rng([seed, 100]))
+        tm = workloads._full_shift(3)
+        psi = make_potential(tm, 4, psi_tab, workloads.THETA)
+        phi = normalize_potential(make_potential(tm, 3, f_tab, workloads.THETA))
+        mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+        mean = integrate(mu, psi)
+        p, delta = round(mean + 0.1, 2), workloads.DP_DELTA
+        case = f"deviation-scan seed {seed}"
+        for order, horizons in (("ascending", workloads.DP_HORIZONS),
+                                ("descending", workloads.DP_HORIZONS[::-1])):
+            for n in horizons:
+                yield f"{case} {order}", exact_window_mass(mu, psi, n, p, delta)
+        scan = ldp_scan(mu, psi, lambda level: rate_function(phi, psi, level),
+                        workloads.DP_HORIZONS, p, delta)
+        for wm in scan.entries:
+            yield f"{case} ldp_scan", wm
+        p_mc = round(mean, 2) + 0.003
+        for j, n in enumerate(workloads.MC_HORIZONS):
+            yield f"{case} sample_paths", sample_paths(
+                mu, psi, n, workloads.MC_TRIALS, seed * 100 + j, p_mc, workloads.MC_DELTA)
+
+    for stem, (_, _, exact, mc) in workloads.FIXTURES.items():
+        model = load_model(str(ROOT / "fixtures" / f"{stem}.json"))
+        phi = normalize_potential(model.f)
+        mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+
+        def rate_fn(level, phi=phi, psi=model.psi):
+            return rate_function(phi, psi, level)
+
+        p, delta, horizons = exact
+        n_list = _parse_range(horizons, integer=True)
+        for wm in ldp_scan(mu, model.psi, rate_fn, n_list, float(p), float(delta)).entries:
+            yield f"ldp {stem}", wm
+        if stem == "random_range3":
+            # the budget of one lattice table at n = 8 sends n >= 12 to bins
+            fine, _, lattice = deviations._edge_data(mu, model.psi)
+            budget = deviations.DP_BUDGET_BYTES
+            deviations.DP_BUDGET_BYTES = fine.chain.size * 8 * (8 * max(lattice[0]) + 1)
+            try:
+                scan = ldp_scan(mu, model.psi, rate_fn, n_list, float(p), float(delta))
+            finally:
+                deviations.DP_BUDGET_BYTES = budget
+            for wm in scan.entries:
+                yield f"ldp {stem} budget split", wm
+        p, delta, horizons = mc
+        for i, n in enumerate(_parse_range(horizons, integer=True)):
+            yield f"ldp {stem} monte_carlo", sample_paths(
+                mu, model.psi, n, workloads.CLI_TRIALS, 42 + i, float(p), float(delta))
+
+
 def dump(path: str) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for case, rv in _corpus():
@@ -113,6 +187,15 @@ def dump(path: str) -> None:
                 "q_star": None if rv.q_star is None else rv.q_star.hex(),
                 "status": rv.status,
                 "iterations": rv.iterations,
+            }
+            out.write(json.dumps(record) + "\n")
+        for case, wm in _window_corpus():
+            record = {
+                "key": f"{case} n={wm.n} p={wm.p!r} delta={wm.delta!r}",
+                "mass": wm.mass.hex(),
+                "slack": wm.slack.hex(),
+                "log_rate": wm.log_rate.hex(),
+                "method": wm.method,
             }
             out.write(json.dumps(record) + "\n")
 
@@ -134,11 +217,13 @@ def compare(path_a: str, path_b: str) -> int:
     a, b = _load(path_a), _load(path_b)
     common = [k for k in a if k in b]
     differs = False
-    print(f"{len(common)} levels in both dumps")
-    for field in FIELDS:
+    print(f"{len(common)} records in both dumps")
+    fields = list(dict.fromkeys(f for k in common for f in (*a[k], *b[k]) if f != "key"))
+    for field in (f for f in fields if f not in LABELS):
+        keys = [k for k in common if field in a[k] or field in b[k]]
         count, max_abs, max_rel = 0, 0.0, 0.0
-        for key in common:
-            x, y = _number(a[key][field]), _number(b[key][field])
+        for key in keys:
+            x, y = _number(a[key].get(field)), _number(b[key].get(field))
             if x == y:
                 continue
             count += 1
@@ -148,13 +233,16 @@ def compare(path_a: str, path_b: str) -> int:
             max_abs = max(max_abs, abs(x - y))
             max_rel = max(max_rel, abs(x - y) / max(abs(x), abs(y)))
         differs = differs or count > 0
-        print(f"{field}: {count} differ, max abs drift {max_abs:.3g}, max rel drift {max_rel:.3g}")
+        print(f"{field}: {count} of {len(keys)} differ, "
+              f"max abs drift {max_abs:.3g}, max rel drift {max_rel:.3g}")
+    rated = [k for k in common if "iterations" in a[k] and "iterations" in b[k]]
     print("iterations in total: {} -> {}".format(
-        sum(a[k]["iterations"] for k in common), sum(b[k]["iterations"] for k in common)))
-    for key in common:
-        if a[key]["status"] != b[key]["status"]:
-            differs = True
-            print(f"status change: {key}: {a[key]['status']} -> {b[key]['status']}")
+        sum(a[k]["iterations"] for k in rated), sum(b[k]["iterations"] for k in rated)))
+    for field in (f for f in fields if f in LABELS):
+        for key in common:
+            if a[key].get(field) != b[key].get(field):
+                differs = True
+                print(f"{field} change: {key}: {a[key].get(field)} -> {b[key].get(field)}")
     for key in [k for k in a if k not in b] + [k for k in b if k not in a]:
         differs = True
         print(f"only in {path_a if key in a else path_b}: {key}")
