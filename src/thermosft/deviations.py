@@ -20,8 +20,13 @@ stacked gather per key block over the in-edge ranks (3 on a full
 3-shift), not one update per edge, and adds every term in edge-list order,
 so the masses are those of a plain loop over the edges and every key, bit
 for bit; each block's sum is built contiguous and written to the table
-once.  Its memory peak is the two (states x keys) tables plus about two key
-blocks: the gather and the probabilities laid out at its shape.
+once.  Every block of a pass has one width: the widest band split evenly
+into the fewest blocks within ``_GATHER_BLOCK_BYTES``, a band's last block
+slid left onto keys already updated, and only a band narrower than one
+block taken at its own width.  So the gather, product and sum allocate one
+shape step after step.  A pass's memory peak is the two (states x keys)
+tables plus about two key blocks: the gather, and the probabilities laid
+out at its shape once per pass (a kept DP keeps them at (layers, states)).
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
@@ -143,8 +148,9 @@ def _window_keys(n: int, p: float, delta: float, lattice) -> tuple:
 
 def _rank_layers(chain, steps) -> tuple:
     """The chain's edges in layers by rank among the in-edges of their
-    destination, in edge-list order: (src, step, prob), each of shape
-    (layers, states), where row j holds, for every state v, the source, step
+    destination, in edge-list order: (src, first, prob), each of shape
+    (layers, states), where row j holds, for every state v, the source,
+    ``max(steps) - step`` (the table column at which the edge gathers key 0)
     and probability of v's j-th in-edge, or a filler edge of probability 0
     (source 0, step 0) when v has fewer than j + 1."""
     dst = chain.dst
@@ -159,7 +165,7 @@ def _rank_layers(chain, steps) -> tuple:
     src[rank, dst] = chain.src
     step[rank, dst] = steps
     prob[rank, dst] = chain.edge_weights
-    return src, step, prob
+    return src, max(steps) - step, prob
 
 
 def _key_bands(windows, top) -> list:
@@ -183,17 +189,25 @@ def _key_bands(windows, top) -> list:
     return list(zip(lo[1:].tolist(), hi[1:].tolist()))
 
 
-def _block_layers(chain, steps, width: int) -> tuple:
-    """``_rank_layers`` set out for ``_dp_masses``: (src, first, prob), where
-    ``first = max(steps) - step`` is the table column at which each in-edge
-    gathers key 0, and prob holds the probabilities laid out at the shape of
-    one key block.  A block holds at most ``width`` keys, so it is never
-    wider than the table, and its stacked gather at most
-    ``_GATHER_BLOCK_BYTES``."""
-    src, step, prob = _rank_layers(chain, steps)
-    block = max(1, min(width, _GATHER_BLOCK_BYTES // (8 * chain.size * len(src))))
-    prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
-    return src, max(steps) - step, prob
+def _key_blocks(bands, keys: int) -> tuple:
+    """(block, blocks): the key blocks (k0, k1) of each step's band, one list
+    per band.  ``block`` splits the widest band evenly into the fewest
+    blocks of at most ``keys`` keys, and every block is ``block`` keys wide
+    but the one of a band narrower than that, which is the band itself.  A
+    wider band is covered left to right, and its last block slides left onto
+    keys the one before covers, so only the last block of a step overlaps
+    another.  An empty band (lo > hi) has no block."""
+    widest = max((hi - lo + 1 for lo, hi in bands), default=0)
+    count = -(-widest // keys)
+    block = -(-widest // count) if count > 0 else 0
+    blocks = []
+    for lo, hi in bands:
+        if hi - lo + 1 <= block:
+            blocks.append([(lo, hi + 1)] if lo <= hi else [])
+        else:
+            starts = [*range(lo, hi + 1 - block, block), hi + 1 - block]
+            blocks.append([(k0, k0 + block) for k0 in starts])
+    return block, blocks
 
 
 @dataclass(eq=False)
@@ -202,7 +216,7 @@ class _WindowDP:
     calls, on one list of edge ``steps``: the lattice steps, or the bin steps
     of one delta.  ``h`` is the longest horizon of the last pass on them.
     ``start`` is (h, table at step h) when that pass was a single call run
-    at full key width, else None.  ``layers`` are the ``_block_layers`` of
+    at full key width, else None.  ``layers`` are the ``_rank_layers`` of
     the full-width passes, built by the first of them."""
 
     steps: list
@@ -245,11 +259,21 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
     added as (layer 0 + layer 1) + layer 2 ..., so every (state, key) sums
     its in-edges in edge-list order from 0.0, exactly as a loop over the
     edges does; the zero terms from the padding and the filler edges leave
-    every bit unchanged.  The probabilities are laid out at the block's
-    shape once per call, or once per kept DP, and each block's sum is built
-    in a contiguous array and copied into the table once.  Blocks keep the
-    stacked gather within ``_GATHER_BLOCK_BYTES``, so the peak memory is the
-    two tables plus about two blocks.
+    every bit unchanged.  Each block's sum is built in a contiguous array
+    and copied into the table once.
+
+    Every block of a pass has one width (``_key_blocks``): the widest band
+    split evenly into the fewest blocks whose stacked gather fits
+    ``_GATHER_BLOCK_BYTES``; only a band narrower than that is one block of
+    its own width.  So step after step the gather, the product and the sum
+    allocate arrays of one shape, and the allocator reuses the memory just
+    freed; temporaries whose size changed within each step had it returned
+    to the system and faulted back in, about 5x the minor page faults of a
+    deviation-scan round.  A band's
+    last block slides left onto keys already updated; those read only
+    ``cur``, which the step never writes, so they are written again with the
+    same bits.  The probabilities are laid out at the block's shape once per
+    pass, so the peak memory is the two tables plus about two blocks.
 
     Each row sums the states over all keys 0..n*top, as the full-width
     update did (numpy's reduction order depends on that width), into the
@@ -261,13 +285,14 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
     width = top + last * top + 1
     t0, table = (0, None) if kept is None or kept.start is None else kept.start
     if kept is None:
-        src, first, prob = _block_layers(chain, steps, width)
+        src, first, prob = _rank_layers(chain, steps)
         bands = _key_bands(windows, top)
     else:
         src, first, prob = kept.layers
         kept.start = None
         bands = [(0, t * top) for t in range(t0 + 1, last + 1)]
-    block = prob.shape[2]
+    block, blocks = _key_blocks(bands, max(1, _GATHER_BLOCK_BYTES // (8 * size * len(src))))
+    prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
     # two tables in turn: step t writes its band into the one that holds
     # step t - 2.  A kept table is dropped once copied, so no more than two
     # are held at once
@@ -278,9 +303,8 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
         cur[:, : table.shape[1]] = table
     del table
     nxt = np.zeros((size, width))
-    for t, (lo, hi) in enumerate(bands, t0 + 1):
-        for k0 in range(lo, hi + 1, block):
-            k1 = min(hi + 1, k0 + block)
+    for t, step_blocks in enumerate(blocks, t0 + 1):
+        for k0, k1 in step_blocks:
             # shifted[u, s] is cur[u, s : s + k1 - k0], a view only read
             shifted = np.ndarray(
                 (size, width - (k1 - k0) + 1, k1 - k0), cur.dtype, cur, 0,
@@ -327,7 +351,7 @@ def _dp_pass(mu: MarkovMeasure, steps, windows, resume: bool):
         kept.start = None
         return _dp_masses(mu, steps, windows)
     if kept.layers is None:
-        kept.layers = _block_layers(mu.chain, steps, KEPT_TABLE_BYTES // (8 * size))
+        kept.layers = _rank_layers(mu.chain, steps)
     return _dp_masses(mu, steps, windows, kept)
 
 

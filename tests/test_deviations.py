@@ -591,6 +591,56 @@ def test_dp_updates_only_the_band(monkeypatch):
     assert cells[0][0] == 0
 
 
+@pytest.mark.parametrize("block_bytes", [None, 1500], ids=["default", "few-keys"])
+def test_every_block_of_a_pass_has_one_width(monkeypatch, block_bytes):
+    """The block schedule of each pass: one width, split evenly from the
+    widest band into the fewest blocks within the gather budget, except for
+    a band narrower than that; the blocks cover every band and no key
+    outside it; only a step's last block overlaps the one before."""
+    if block_bytes is not None:
+        monkeypatch.setattr(deviations, "_GATHER_BLOCK_BYTES", block_bytes)
+    mu, psi, p, delta = _scan_shaped_model(107)
+    fine = deviations._edge_data(mu, psi)[0]
+    keys = deviations._GATHER_BLOCK_BYTES // (8 * fine.chain.size * 3)
+    passes = []
+    key_blocks = deviations._key_blocks
+
+    def spy(bands, cap):
+        block, blocks = key_blocks(bands, cap)
+        passes.append((bands, cap, block, blocks))
+        return block, blocks
+
+    monkeypatch.setattr(deviations, "_key_blocks", spy)
+    # a lone banded pass, resumed full-width passes, and a scan
+    for n in (300, 310, 320, 400):
+        exact_window_mass(mu, psi, n, p, delta)
+    ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), [150, 50], p, delta)
+    assert len(passes) == 5
+    overlaps = 0
+    for bands, cap, block, blocks in passes:
+        assert cap == keys and len(blocks) == len(bands)
+        widest = max(hi - lo + 1 for lo, hi in bands)
+        assert block <= keys and -(-widest // block) == -(-widest // keys)
+        for (lo, hi), step in zip(bands, blocks):
+            if lo > hi:
+                assert step == []
+                continue
+            if hi - lo + 1 <= block:
+                assert step == [(lo, hi + 1)]
+                continue
+            assert all(k1 - k0 == block for k0, k1 in step)
+            assert step[0][0] == lo and step[-1][1] == hi + 1
+            # each block starts where the one before ends, but the last
+            assert all(a[1] == b[0] for a, b in zip(step[:-2], step[1:-1]))
+            assert step[-2][0] < step[-1][0] <= step[-2][1]
+            overlaps += step[-1][0] < step[-2][1]
+    assert overlaps > 0
+    if block_bytes is None:
+        # the benchmark's shape: the resumed passes to n = 310 and 320 split
+        # 1,241 and 1,281 keys into 4 blocks of at most 404
+        assert [block for *_, block, _ in passes[1:3]] == [311, 321]
+
+
 def _wm_bits(wm):
     return wm.n, wm.method, wm.mass.hex(), wm.slack.hex(), wm.log_rate.hex()
 
@@ -616,7 +666,12 @@ def _kept_models():
     return phi, psi, twin, other, off
 
 
-def test_kept_dp_matches_lone_calls_in_any_order():
+@pytest.mark.parametrize("block_bytes", [None, 1500], ids=["default", "few-keys"])
+def test_kept_dp_matches_lone_calls_in_any_order(monkeypatch, block_bytes):
+    if block_bytes is not None:
+        # blocks of at most six keys on the 9 states and 3 layers: a resumed
+        # pass takes several per step, and most steps slide the last left
+        monkeypatch.setattr(deviations, "_GATHER_BLOCK_BYTES", block_bytes)
     phi, psi, twin, other, off = _kept_models()
     p, d = 0.5 + JITTER, 0.1
     up = (1, 3, 6, 11, 20)

@@ -41,7 +41,12 @@ The corpus of window masses:
   and ``sample_paths`` at its Monte Carlo horizons and seeds;
 - each fixture's exact ``ldp`` scan and Monte Carlo ``ldp`` horizons of the
   fixtures-cli workload, and random_range3's scan again with the DP budget
-  cut so that only n = 8 takes the lattice and the rest the binned method.
+  cut so that only n = 8 takes the lattice and the rest the binned method;
+- 40 seeded models (``_window_models``), ten each off any lattice and on the
+  1/4, 1/10 and 1/64 lattices: ``MODEL_HORIZONS`` as ascending calls, as
+  descending calls and as one ``ldp_scan``, each on a fresh measure, once at
+  the default gather budget and once at ``FEW_KEY_GATHER_BYTES``, where a
+  band takes several key blocks per step and its last block slides left.
 """
 
 import argparse
@@ -49,14 +54,17 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from thermosft import (  # noqa: E402
+    ValidationError,
     cohomology_spread,
     deviations,
+    enumerate_words,
     equilibrium_measure,
     exact_window_mass,
     indicator_example,
@@ -75,6 +83,10 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: fields compared as labels; every other field but the key is a number
 LABELS = ("status", "method")
+#: horizons of the seeded window-mass models
+MODEL_HORIZONS = (1, 3, 6, 10, 15)
+#: the models' second gather budget: blocks of 1 to 32 keys
+FEW_KEY_GATHER_BYTES = 1024
 
 
 def _levels(lo: float, hi: float, inside: int) -> list:
@@ -122,6 +134,61 @@ def _corpus():
     fair = make_potential(full2, 1, {(1,): 0.0, (2,): 0.0}, 0.5)
     steep = make_potential(full2, 1, {(1,): 0.0, (2,): 2000.0}, 0.5)
     yield "steep step", rate_function(normalize_potential(fair), steep, 1.0)
+
+
+def _aperiodic(rng, s0: int):
+    """Seeded aperiodic transition matrix: entries 1 with probability 0.6,
+    then one more 1 at a time until the matrix is valid."""
+    mat = (rng.random((s0, s0)) < 0.6).astype(int)
+    while True:
+        try:
+            return validate_transitions(mat)
+        except ValidationError:
+            mat[int(rng.integers(s0)), int(rng.integers(s0))] = 1
+
+
+def _seeded_potential(rng, tm, r: int, lo: float, hi: float, lattice=None):
+    """Uniform values in [lo, hi] on every admissible r-word, rounded to
+    the 1/lattice grid when lattice is given."""
+    table = {}
+    for w in enumerate_words(tm, r):
+        v = float(rng.uniform(lo, hi))
+        table[w] = v if lattice is None else round(v * lattice) / lattice
+    return make_potential(tm, r, table, 0.5)
+
+
+def _window_models():
+    """(case, phi, psi, p, delta) of the 40 seeded window-mass models: on 2
+    or 3 symbols, phi of range 1-2 in [-1, 1], psi of range 1-3 in [0, 1],
+    and a window about the mean of psi."""
+    for i in range(40):
+        lattice = (None, 4, 10, 64)[i % 4]
+        rng = np.random.default_rng([i, 300])
+        tm = _aperiodic(rng, int(rng.integers(2, 4)))
+        phi = normalize_potential(_seeded_potential(rng, tm, int(rng.integers(1, 3)), -1.0, 1.0))
+        psi = _seeded_potential(rng, tm, int(rng.integers(1, 4)), 0.0, 1.0, lattice)
+        mean = integrate(equilibrium_measure(phi, k=max(1, phi.r - 1)), psi)
+        p = round(mean + float(rng.uniform(-0.25, 0.25)), 3)
+        delta = (0.1, 0.15, 0.2)[i % 3]
+        yield f"model {i} lattice {lattice}", phi, psi, p, delta
+
+
+def _model_masses(blocks: str):
+    """(case, WindowMass) of the seeded models at the gather budget set now:
+    ``MODEL_HORIZONS`` as ascending calls and as descending calls, each on a
+    fresh measure, then as one ``ldp_scan``."""
+    for case, phi, psi, p, delta in _window_models():
+        for order, horizons in (("ascending", MODEL_HORIZONS),
+                                ("descending", MODEL_HORIZONS[::-1])):
+            mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+            for n in horizons:
+                yield f"{case} {order} {blocks}", exact_window_mass(mu, psi, n, p, delta)
+        # the entries do not read the reference rate, and a psi may be
+        # cohomologous to a constant, which has no rate function
+        mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+        scan = ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), MODEL_HORIZONS, p, delta)
+        for wm in scan.entries:
+            yield f"{case} ldp_scan {blocks}", wm
 
 
 def _window_corpus():
@@ -176,6 +243,15 @@ def _window_corpus():
         for i, n in enumerate(_parse_range(horizons, integer=True)):
             yield f"ldp {stem} monte_carlo", sample_paths(
                 mu, model.psi, n, workloads.CLI_TRIALS, 42 + i, float(p), float(delta))
+
+    gather = deviations._GATHER_BLOCK_BYTES
+    for budget, blocks in ((gather, "default blocks"), (FEW_KEY_GATHER_BYTES, "few-key blocks")):
+        deviations._GATHER_BLOCK_BYTES = budget
+        try:
+            found = list(_model_masses(blocks))
+        finally:
+            deviations._GATHER_BLOCK_BYTES = gather
+        yield from found
 
 
 def dump(path: str) -> None:
