@@ -15,18 +15,22 @@ past the last call's horizon on the same edge steps runs at full key width
 from the table the last call kept (or from step 0), and keeps its own, so
 an ascending run
 of calls costs about one pass to its last horizon.  Any other pass updates
-only the keys from which a window can still be reached.  A DP step is one
-stacked gather per key block over the in-edge ranks (3 on a full
-3-shift), not one update per edge, and adds every term in edge-list order,
+only the keys from which a window can still be reached, and holds keys only
+up to the last one a window reads.  A DP step is one stacked gather per key
+block over the in-edge ranks (3 on a full 3-shift), not one update per
+edge, and adds every term in edge-list order,
 so the masses are those of a plain loop over the edges and every key, bit
-for bit; each block's sum is built contiguous and written to the table
-once.  Every block of a pass has one width: the widest band split evenly
-into the fewest blocks within ``_GATHER_BLOCK_BYTES``, a band's last block
-slid left onto keys already updated, and only a band narrower than one
-block taken at its own width.  So the gather, product and sum allocate one
-shape step after step.  A pass's memory peak is the two (states x keys)
-tables plus about two key blocks: the gather, and the probabilities laid
-out at its shape once per pass (a kept DP keeps them at (layers, states)).
+for bit; each block's sum is built contiguous and written once into the
+pass's one (states x keys) table, which the blocks of a step update in
+place from right to left.  Every block of a pass has one width: the widest
+band split evenly into the fewest blocks within ``_GATHER_BLOCK_BYTES``, a
+band's last block slid left onto keys its neighbour covers, and only a band
+narrower than one block taken at its own width.  So the gather, product and
+sum allocate one shape step after step.  A pass's memory peak is its one
+table, a row for the read-out, and about two key blocks: the gather, and
+the probabilities laid out at its shape once per pass (a kept DP keeps them
+at (layers, states)).  So ``DP_BUDGET_BYTES`` bounds the table memory, but
+for the table's ``max(steps)`` columns of left padding.
 
 ``sample_paths`` estimates the same probability by seeded Monte Carlo and is
 bit-reproducible: the generator is numpy's default PCG64 and each step draws
@@ -54,7 +58,7 @@ from .potentials import Potential
 from .sft import require_same_space
 from .transfer import MarkovMeasure, integrate, refine_measure
 
-#: memory budget for one (states x keys) DP mass table; a pass holds two
+#: memory budget for the one (states x keys) DP mass table a pass holds
 DP_BUDGET_BYTES = 2 * 1024**3
 #: largest table a measure keeps between ``exact_window_mass`` calls
 KEPT_TABLE_BYTES = 64 * 1024**2
@@ -215,9 +219,10 @@ class _WindowDP:
     """The window DP a refined measure keeps between ``exact_window_mass``
     calls, on one list of edge ``steps``: the lattice steps, or the bin steps
     of one delta.  ``h`` is the longest horizon of the last pass on them.
-    ``start`` is (h, table at step h) when that pass was a single call run
-    at full key width, else None.  ``layers`` are the ``_rank_layers`` of
-    the full-width passes, built by the first of them."""
+    ``start`` is (h, the pass's table, at step h) when that pass was a single
+    call run at full key width, keys 0..h*top, else None.  ``layers`` are
+    the ``_rank_layers`` of the full-width passes, built by the first of
+    them."""
 
     steps: list
     h: int | None = None
@@ -239,28 +244,35 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
     Step t updates only its band (``_key_bands``): the keys from which some
     window can still be reached, none once every window is behind it.  A
     band key reads the keys 0..top below it one step earlier.  Those lie in
-    the previous band, or above (t - 1)*top, where the table holding step
-    t - 1 was never written and is still 0.  Keys outside a band go stale,
-    but no later band reads them: band starts rise by at least top per step,
-    and a band end cut below t*top never rises again.  So every band key
-    sums the same terms, in the same order, as a full-width update.
+    the previous band, or above (t - 1)*top, where no step has yet written
+    and the table is still 0.  Keys outside a band go stale, but no later
+    band reads them: band starts rise by at least top per step, and a band
+    end cut below t*top never rises again.  So every band key sums the same
+    terms, in the same order, as a full-width update.  No band reaches past
+    the last key a window reads, so the table ends there (at two keys at
+    least, see below).
 
     With ``kept`` the pass updates every key 0..t*top at each step instead,
-    so its table holds the full-width DP: it starts from the kept
-    ``start`` (t, table), copied into a zeroed table of this pass's width,
-    or from step 0 when none is kept, and leaves its own table at the last
-    horizon there.  Its rows are exact at every key.
+    so its table holds the full-width DP, keys 0..last*top: it starts from
+    the kept ``start`` (t, table), copied into a zeroed table of this pass's
+    width, or from step 0 when none is kept, and leaves its table at the
+    last horizon there.  Its rows are exact at every key.
 
     A step is one stacked gather per key block, not one update per edge:
     ``_rank_layers`` stacks the in-edges by rank, and layer j gathers
     ``p * cur[u, key - step]`` for every state v and its j-th in-edge
-    (u, step, p), from a sliding-window view of a table whose ``max(steps)``
+    (u, step, p), from a sliding-window view of the table whose ``max(steps)``
     zero columns on the left stand for the keys below 0.  The layers are
     added as (layer 0 + layer 1) + layer 2 ..., so every (state, key) sums
     its in-edges in edge-list order from 0.0, exactly as a loop over the
     edges does; the zero terms from the padding and the filler edges leave
     every bit unchanged.  Each block's sum is built in a contiguous array
     and copied into the table once.
+
+    One table holds step t - 1 and then step t: the blocks of a step run
+    right to left, and each is gathered whole before it is written.  A block
+    reads only keys below its own end, and the blocks to its right write
+    only keys at or above that end, so no block reads a key of step t.
 
     Every block of a pass has one width (``_key_blocks``): the widest band
     split evenly into the fewest blocks whose stacked gather fits
@@ -269,42 +281,49 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
     allocate arrays of one shape, and the allocator reuses the memory just
     freed; temporaries whose size changed within each step had it returned
     to the system and faulted back in, about 5x the minor page faults of a
-    deviation-scan round.  A band's
-    last block slides left onto keys already updated; those read only
-    ``cur``, which the step never writes, so they are written again with the
-    same bits.  The probabilities are laid out at the block's shape once per
-    pass, so the peak memory is the two tables plus about two blocks.
+    deviation-scan round.  A band's last block slides left onto keys its
+    left neighbour covers.  It runs first and writes only the keys past the
+    neighbour's end; the neighbour, which reads none of those, writes the
+    overlap with the same bits.  The probabilities are laid out at the
+    block's shape once per pass, so the peak memory is the table, the
+    read-out row and about two blocks.
 
-    Each row sums the states over all keys 0..n*top, as the full-width
-    update did (numpy's reduction order depends on that width), into the
-    spare table, so callers read it before resuming."""
+    Each row sums the states at every key of the table up to n*top into one
+    row buffer, so callers read it before resuming.  numpy adds two or more
+    keys each in state order, whatever their number, but one key alone
+    pairwise; so a table cut at its last key keeps two keys at least, and
+    every row is that of the full-width update bit for bit."""
     chain = mu.chain
     size = chain.size
     top = max(steps)
     last = max(windows)
-    width = top + last * top + 1
     t0, table = (0, None) if kept is None or kept.start is None else kept.start
     if kept is None:
         src, first, prob = _rank_layers(chain, steps)
         bands = _key_bands(windows, top)
+        # the last key a window reads, and two keys at least
+        keys = min(last * top, max(1, *(hi for _, hi in bands))) + 1
     else:
         src, first, prob = kept.layers
         kept.start = None
         bands = [(0, t * top) for t in range(t0 + 1, last + 1)]
+        keys = last * top + 1
+    width = top + keys
     block, blocks = _key_blocks(bands, max(1, _GATHER_BLOCK_BYTES // (8 * size * len(src))))
     prob = np.ascontiguousarray(np.broadcast_to(prob[:, :, None], prob.shape + (block,)))
-    # two tables in turn: step t writes its band into the one that holds
-    # step t - 2.  A kept table is dropped once copied, so no more than two
-    # are held at once
+    # a kept table is dropped once copied, so no more than two are held
     cur = np.zeros((size, width))
     if table is None:
         cur[:, top] = mu.pi
     else:
         cur[:, : table.shape[1]] = table
     del table
-    nxt = np.zeros((size, width))
+    row = np.empty(keys)
     for t, step_blocks in enumerate(blocks, t0 + 1):
-        for k0, k1 in step_blocks:
+        # right to left; the slid-left last block writes only the keys past
+        # its left neighbour's end
+        for i in range(len(step_blocks) - 1, -1, -1):
+            k0, k1 = step_blocks[i]
             # shifted[u, s] is cur[u, s : s + k1 - k0], a view only read
             shifted = np.ndarray(
                 (size, width - (k1 - k0) + 1, k1 - k0), cur.dtype, cur, 0,
@@ -317,13 +336,11 @@ def _dp_masses(mu: MarkovMeasure, steps, windows, kept: _WindowDP | None = None)
             total = terms[0] + terms[1]
             for term in terms[2:]:
                 total += term
-            nxt[:, top + k0 : top + k1] = total
-        cur, nxt = nxt, cur
+            k = step_blocks[i - 1][1] if i else k0
+            cur[:, top + k : top + k1] = total[:, k - k0 :]
         if t in windows:
-            w = t * top + 1
-            # the row goes to the spare table at keys up to t*top, which
-            # step t + 1 overwrites or leaves stale outside its band
-            yield t, cur[:, top : top + w].sum(axis=0, out=nxt[0, top : top + w])
+            w = min(t * top + 1, keys)
+            yield t, cur[:, top : top + w].sum(axis=0, out=row[:w])
     if kept is not None:
         kept.start = (last, cur)
 

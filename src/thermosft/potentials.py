@@ -41,9 +41,12 @@ class Potential:
     function cannot vary between points sharing their first coordinate);
     ``b`` is ``max(1, hoelder_seminorm)``.  ``_families`` holds the tilted
     families ``transfer.tilted_family`` has built on this potential, weakly
-    keyed by observable and then by state length, so each is built, and
-    solved at q = 0, once for as long as the potential and the observable
-    live.  ``_spread`` holds the potential's cycle-mean spread once
+    keyed by observable and then by state length, so each is built once for
+    as long as the potential and the observable live.  ``_solves`` holds, by
+    state length k, the Perron solve of the potential's transfer matrix on
+    k-word states from the all-ones start (``transfer.solve_potential``); its
+    families read their q = 0 solve there, so the matrix is solved once.
+    ``_spread`` holds the potential's cycle-mean spread once
     ``require_not_constant`` has computed it, and is empty before.
     """
 
@@ -57,6 +60,7 @@ class Potential:
     _families: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
+    _solves: dict = field(default_factory=dict, init=False, repr=False)
     _spread: list = field(default_factory=list, init=False, repr=False)
 
     @property

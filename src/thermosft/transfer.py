@@ -11,8 +11,9 @@ A matrix is held as its edge arrays only: one entry per admissible overlap
 of two states, at most s0 per row, so a mat-vec is a single
 ``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves,
 rate functions and the certificate is one ``TiltedFamily``, kept on phi: the
-state graph, both edge tables and the q = 0 solve are made once per (phi,
-psi) and state length, and each tilt only re-exponentiates
+state graph and both edge tables are made once per (phi, psi) and state
+length, the q = 0 solve once per phi and state length (``solve_potential``,
+which equilibrium measures read too), and each tilt only re-exponentiates
 ``phi_e + q*psi_e``.  Independent tilts on one graph are solved as one
 block (``rpf_solve_block``, of which ``rpf_solve`` is the one-matrix case):
 a power step is one gather, product and bincount for every row of every
@@ -453,10 +454,23 @@ def rpf_solve(T: TransferMatrix, start=None) -> RpfSolution:
     return _all_solved(rpf_solve_block((T,), (start,)))[0]
 
 
+def _cold_solve(solves: dict, k: int, build) -> RpfSolution:
+    """The solve from the all-ones start of the matrix ``build()`` makes, on
+    k-word states, kept in ``solves`` (a potential's ``_solves``) by k: each
+    is made once, and a failing one keeps nothing."""
+    sol = solves.get(k)
+    if sol is None:
+        sol = solves[k] = rpf_solve(build())
+    return sol
+
+
 def solve_potential(f: Potential, k_min: int = 1):
-    """Convenience: (transfer_matrix, rpf_solution) for a potential."""
-    T = build_transfer_matrix(f, k_min)
-    return T, rpf_solve(T)
+    """(transfer matrix, Perron solution) of a potential on k-word states,
+    k = max(k_min, r-1, 1).  The solve is kept on f, where its tilted
+    families read their q = 0 solve, so it is made once per (f, k)."""
+    k = max(k_min, f.r - 1, 1)
+    sol = _cold_solve(f._solves, k, lambda: build_transfer_matrix(f, k))
+    return sol.transfer, sol
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +486,10 @@ class TiltedFamily:
     so psi need not be a function of the state.  ``base`` is the transfer
     matrix of phi; ``at(q)`` shares its graph and only re-exponentiates the
     edge log-weights, so no potential, state graph or dense matrix is built
-    per tilt.  ``zero``, the solve of ``base`` from the all-ones start, and
-    ``unit_row_error`` are computed on first read and kept; ``at(0.0)``
+    per tilt.  ``zero`` is the solve of ``base`` from the all-ones start,
+    kept with phi's other such solves in ``solves`` (phi's ``_solves``,
+    which ``solve_potential`` and so ``equilibrium_measure`` read too), and
+    ``unit_row_error`` is computed on first read and kept; ``at(0.0)``
     carries the bits of ``base``'s weights, so ``zero`` is the q = 0 solve of
     ``tilts`` bit for bit.  A failing solve keeps nothing and raises again on
     the next read.
@@ -490,12 +506,13 @@ class TiltedFamily:
     base: TransferMatrix
     phi_e: np.ndarray
     psi_e: np.ndarray
+    solves: dict = field(repr=False)
     probes: dict = field(default_factory=dict, init=False, repr=False)
     _centred: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
     def zero(self) -> RpfSolution:
-        return rpf_solve(self.base)
+        return _cold_solve(self.solves, self.base.k, lambda: self.base)
 
     @cached_property
     def unit_row_error(self) -> float:
@@ -570,7 +587,9 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
     family = families.get(k)
     if family is None:
         base, phi_e, (psi_e,) = _edge_matrix(phi, k, psi)
-        family = families[k] = TiltedFamily(base=base, phi_e=phi_e, psi_e=psi_e)
+        family = families[k] = TiltedFamily(
+            base=base, phi_e=phi_e, psi_e=psi_e, solves=phi._solves
+        )
     return family
 
 

@@ -570,6 +570,42 @@ def test_a_failed_zero_solve_is_not_kept(monkeypatch, golden_model):
     assert _hexed(rate_function(phi, psi, 0.3, spread)) == _hexed(want)
 
 
+@pytest.mark.parametrize("stem, grid, window", [
+    ("bernoulli", (0.2, 0.5, 0.8), (0.8, 0.05, [10, 40])),
+    ("golden_mean", (0.05, 0.25, 0.45), (0.4, 0.05, [10, 30])),
+    ("random_range3", (0.15, 0.45, 0.75), (0.55, 0.05, [8, 16])),
+])
+def test_one_cold_solve_per_matrix_across_bound_and_ldp(stem, grid, window, monkeypatch):
+    """The measured constants, ``verify_bound`` and an exact ``ldp_scan``
+    on one phi solve no matrix twice from the all-ones start: the
+    equilibrium measure and each tilted family's q = 0 solve share phi's
+    one solve per state length, which once took two."""
+    model = load_model(str(FIXTURES / f"{stem}.json"))
+    phi = normalize_potential(model.f)
+    psi1, _ = shift_nonnegative(model.psi)
+    cold = {}
+    solve_block = transfer.rpf_solve_block
+
+    def spy(Ts, starts=None):
+        for T, start in zip(Ts, starts or (None,) * len(Ts)):
+            if start is None:
+                key = (T.k, T.edge_weights.tobytes())
+                cold[key] = cold.get(key, 0) + 1
+        return solve_block(Ts, starts)
+
+    monkeypatch.setattr(transfer, "rpf_solve_block", spy)
+    consts = constants_for(phi, psi1, "measured")
+    assert verify_bound(phi, psi1, 0.1, grid, consts).all_pass
+    mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+    p, delta, n_list = window
+    scan = ldp_scan(mu, model.psi, lambda level: rate_function(phi, model.psi, level),
+                    n_list, p, delta)
+    assert [e.method for e in scan.entries] == ["exact_dp"] * len(n_list)
+    base = transfer.tilted_family(phi, psi1).base
+    assert cold[(base.k, base.edge_weights.tobytes())] == 1
+    assert set(cold.values()) == {1}
+
+
 def test_measured_constants_skip_a_test_function_of_norm_zero(bernoulli_model, full2):
     """An all-zero observable tests nothing (norm 0), so only the battery
     sets D; the constants are finite and its reports are skipped."""

@@ -776,6 +776,62 @@ def test_kept_table_stays_under_its_size_cap(monkeypatch):
     assert all(b is None or b <= cap for b in kept_at)
 
 
+def test_window_dp_holds_one_table_cut_at_its_last_key(random_model, monkeypatch):
+    """A lone call on random_range3 at n = 24 (1e-4 lattice, 4 states) holds
+    one (states x keys) table, its keys cut at the last key the window
+    reads (131,880 of 182,473): the traced peak stays below 1.5 tables,
+    where two full-width tables come to 2.9.  A resumed call runs at full
+    width and keeps that table."""
+    phi = normalize_potential(random_model.f)
+    psi = random_model.psi
+    mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+    fine, _, lattice = deviations._edge_data(mu, psi)
+    size, top, p, delta = fine.chain.size, max(lattice[0]), 0.55, 0.05
+    rows = []
+    dp_masses = deviations._dp_masses
+
+    def spy(mu, steps, windows, kept=None):
+        for n, row in dp_masses(mu, steps, windows, kept):
+            rows.append((n, len(row)))
+            yield n, row
+
+    monkeypatch.setattr(deviations, "_dp_masses", spy)
+    lo, hi = deviations._window_keys(24, p, delta, lattice)
+    assert hi < 24 * top
+    tracemalloc.start()
+    try:
+        lone = exact_window_mass(mu, psi, 24, p, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lone.method == "exact_dp" and lone.mass > 0.0
+    assert rows == [(24, hi)]
+    assert peak < 1.5 * size * (top + hi) * 8
+    exact_window_mass(mu, psi, 28, p, delta)
+    assert rows[1:] == [(28, 28 * top + 1)]
+    assert _kept_dp(mu, psi).start[1].shape == (size, top + 28 * top + 1)
+
+
+def test_window_of_key_zero_alone_reads_out_as_at_full_width():
+    """A window holding key 0 alone cuts the table at two keys, not one:
+    numpy sums a one-key row over 8 or more states pairwise, not in state
+    order as a wider row, and the bits would differ."""
+    rng = np.random.default_rng(5)
+    for s0, r in ((2, 4), (2, 5), (3, 3)):
+        tm = validate_transitions(np.ones((s0, s0), dtype=int))
+        words = enumerate_words(tm, r)
+        # 0 on every word but one: most of the 8 to 16 states hold key 0
+        psi = make_potential(tm, r, {w: float(w == words[-1]) for w in words}, 0.5)
+        for _ in range(3):
+            phi = normalize_potential(random_potential(rng, tm, 2))
+            mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+            for n in (3, 7, 12):
+                wm = exact_window_mass(mu, psi, n, 0.0, 0.01)
+                assert wm.method == "exact_dp" and wm.mass > 0.0
+                mass, _ = _loop_window_masses(mu, psi, n, 0.0, 0.01)
+                assert wm.mass.hex() == mass.hex()
+
+
 def _two_d_walk(mu, steps, n, trials, seed):
     """Reference: the sampler comparing each draw with its state's whole
     row of cumulative probabilities in one (trials x width) array."""

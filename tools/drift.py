@@ -42,6 +42,10 @@ The corpus of window masses:
 - each fixture's exact ``ldp`` scan and Monte Carlo ``ldp`` horizons of the
   fixtures-cli workload, and random_range3's scan again with the DP budget
   cut so that only n = 8 takes the lattice and the rest the binned method;
+- chi_K pads 4-10 against Bernoulli(0.6, 0.4) normalised, as in the
+  rate corpus: the exact ``ldp_scan`` window p = 0.9, delta = 0.05 at
+  n = 40 on one measure; and pad 5 at n = 10, 20 and 40 with the lattice
+  search cut below its denominator 6, so that the scan takes bins;
 - 40 seeded models (``_window_models``), ten each off any lattice and on the
   1/4, 1/10 and 1/64 lattices: ``MODEL_HORIZONS`` as ascending calls, as
   descending calls and as one ``ldp_scan``, each on a fresh measure, once at
@@ -243,6 +247,26 @@ def _window_corpus():
         for i, n in enumerate(_parse_range(horizons, integer=True)):
             yield f"ldp {stem} monte_carlo", sample_paths(
                 mu, model.psi, n, workloads.CLI_TRIALS, 42 + i, float(p), float(delta))
+
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    coin = {(1,): math.log(0.6), (2,): math.log(0.4)}
+    mu = equilibrium_measure(normalize_potential(make_potential(full2, 1, coin, 0.5)), k=1)
+    # the entries do not read the reference rate
+    for pad in range(4, 11):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        scan = ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), [40], 0.9, 0.05)
+        for wm in scan.entries:
+            yield f"chi_K pad {pad} ldp", wm
+    # the values k/6 fit no lattice of denominator at most 5
+    psi = indicator_example(full2, [(1, 1, 1)], pad=5, theta=0.5)
+    max_den = deviations.LATTICE_MAX_DEN
+    deviations.LATTICE_MAX_DEN = 5
+    try:
+        scan = ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0), [10, 20, 40], 0.9, 0.05)
+    finally:
+        deviations.LATTICE_MAX_DEN = max_den
+    for wm in scan.entries:
+        yield "chi_K pad 5 ldp binned", wm
 
     gather = deviations._GATHER_BLOCK_BYTES
     for budget, blocks in ((gather, "default blocks"), (FEW_KEY_GATHER_BYTES, "few-key blocks")):
