@@ -6,16 +6,18 @@ difference rather than assuming the base pressure is exactly zero makes the
 objective vanish identically at q = 0 and keeps the maximisation immune to
 the ~1e-13 residual a normalised potential carries in floats.  The objective
 is concave with monotone derivative, so a sign-change bracket is sound; it
-is halved ``BISECT_DEPTH`` times, and its root is then found by inverse
-polynomial interpolation on the derivative, through the ``INTERP_NODES``
-solved tilts whose slopes lie nearest 0 (the inverse cubic steps of
-Alefeld, Potra & Shi, ACM TOMS 21, 1995, one degree higher), under Brent's
-progress guard (Brent, Algorithms for Minimization without Derivatives,
-1973, ch. 4), with Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
-as the fallback step; neither leaves the bracket.  The maximisation runs
-on psi centred on its cycle-mean spread (and p shifted alike), which leaves
-the rate unchanged and keeps the tilts that overflow far from the ones a
-level needs.
+is halved ``BISECT_DEPTH`` times, and its root is then found by steps to
+where the slope of a Hermite fit equals the level: the polynomial matching
+the pressure and its slope at the ``INTERP_NODES`` solved tilts whose
+slopes lie nearest 0 (degree 9, in Newton form on the doubled nodes;
+Stoer & Bulirsch, Introduction to Numerical Analysis, section 2.1.5),
+solved by Newton's method from the node whose slope lies nearest 0.  A
+step is taken under Brent's progress guard (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4), with Illinois regula falsi
+(Dowell & Jarratt, BIT 11, 1971) as the fallback step; neither leaves the
+bracket.  The maximisation runs on psi centred on its cycle-mean spread
+(and p shifted alike), which leaves the rate unchanged and keeps the tilts
+that overflow far from the ones a level needs.
 
 Every tilt is one Perron solve of the shared ``TiltedFamily`` operator, built
 once per ``(phi, psi)`` and kept on phi with its q = 0 solve, which every
@@ -67,8 +69,8 @@ MAX_BISECTIONS = 300
 #: solves before the interpolated search; each one more doubles the
 #: midpoints kept per bracket
 BISECT_DEPTH = 2
-#: solved tilts an interpolated start, or an interpolated root step, is
-#: drawn through: the nearest ones, by tilt or by slope
+#: solved tilts an interpolated start, or the Hermite fit of a root step,
+#: is drawn through: the nearest ones, by tilt or by slope
 INTERP_NODES = 5
 
 #: start vectors of a Perron solve interpolated between solved tilts
@@ -189,9 +191,9 @@ def rate_levels(phi: Potential, psi: Potential, p_grid, spread=None) -> tuple:
     outside the open spread interval reports +inf, a level at an endpoint
     the best objective over the doubling probes up to the overflow cap, a
     lower bound.  Inside, the slope of the objective is bracketed by those
-    probes and its root found to TOL_GRAD by inverse interpolation through
-    the ``INTERP_NODES`` slopes nearest 0, Illinois regula falsi where a
-    step is refused.
+    probes and its root found to TOL_GRAD from the Hermite fit of the
+    pressure and its slope at the ``INTERP_NODES`` solved tilts whose slopes
+    lie nearest 0, Illinois regula falsi where a step is refused.
     psi's spread is computed once per psi and kept on it
     (``require_not_constant``), the centring is done once for the whole
     grid, and the tilted family, its normalisation check and its base solve
@@ -298,11 +300,12 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
 
     An interior level brackets its root at the first doubling probe where
     the slope changes sign, halves that bracket ``BISECT_DEPTH`` times on
-    midpoint probes, and then searches the last half, every step
-    interpolated through the ``INTERP_NODES`` solved tilts whose slopes lie
-    nearest 0 (at first the bracket ends and the ends the halvings
-    dropped).  A failed probe raises there.  An endpoint level never
-    brackets, and a failed probe ends its sweep.  A sweep without a bracket
+    midpoint probes, and then searches the last half, every step taken
+    where the slope of the Hermite fit of the pressure through the
+    ``INTERP_NODES`` solved tilts whose slopes lie nearest 0 (at first the
+    bracket ends and the ends the halvings dropped) equals the level.  A
+    failed probe raises there.  An endpoint level never brackets, and a
+    failed probe ends its sweep.  A sweep without a bracket
     reports its probes' best objective.
 
     A generator: it yields each tilt it needs solved as ``(q, start,
@@ -370,19 +373,18 @@ def _maximise(base: tuple, probes: dict, p: float, level: float, at_boundary: bo
             q_hi, d_hi = mid, d_mid
 
     def root_guess():
-        # inverse interpolation through the solved tilts whose slopes lie
-        # nearest 0: the bracket ends, the ends the halvings dropped and the
-        # newest steps
-        slopes = {s: level - mean for s, (_, mean, _) in solved.items()}
-        near = sorted(slopes, key=lambda s: abs(slopes[s]))[:INTERP_NODES]
-        return _inverse_interpolation([(s, slopes[s]) for s in near])
+        # the Hermite fit of the pressure and its slope through the solved
+        # tilts whose slopes lie nearest 0: the bracket ends, the ends the
+        # halvings dropped and the newest steps
+        near = sorted(solved, key=lambda s: abs(level - solved[s][1]))[:INTERP_NODES]
+        return _hermite_root([(s, *solved[s][:2]) for s in near], level)
 
     # root of the monotone (decreasing) slope, positive at a and negative at
-    # b.  Each step tries the inverse interpolation; it is kept when it lands
-    # strictly inside the bracket and moves less than half the step before
-    # last (Brent's guard).  Otherwise the step is Illinois regula falsi:
-    # the end kept twice in a row has its slope value halved, which pulls
-    # the next secant point across the root
+    # b.  Each step tries the Hermite fit's root (Stoer & Bulirsch); it is
+    # kept when it lands strictly inside the bracket and moves less than half
+    # the step before last (Brent's guard).  Otherwise the step is Illinois
+    # regula falsi (Dowell & Jarratt): the end kept twice in a row has its
+    # slope value halved, which pulls the next secant point across the root
     (a, fa), (b, fb) = sorted(((q_lo, d_lo), (q_hi, d_hi)))
     kept = None
     # the halvings stepped 2(b - a), then b - a, so Brent's guard admits
@@ -431,16 +433,41 @@ def _start(solved: dict, q: float):
     return _Start(h, nu)
 
 
-def _inverse_interpolation(points) -> float | None:
-    """q at which the polynomial in the slope value through ``points``, each
-    ``(q, slope)``, reaches slope 0 (Lagrange form); None when two slope
-    values coincide."""
-    slopes = [d for _, d in points]
-    if len(set(slopes)) < len(slopes):
-        return None
-    return sum(
-        q * math.prod(e / (e - d) for _, e in points if e != d) for q, d in points
-    )
+def _hermite_root(nodes, level: float) -> float | None:
+    """q at which the slope of the Hermite interpolant through ``nodes``,
+    each ``(q, pressure, slope of the pressure)``, equals ``level``: the
+    polynomial of degree ``2*len(nodes) - 1`` matching both at every node,
+    in Newton form on the doubled nodes.  Newton's method from the first
+    node, in plain floats; None when it does not settle."""
+    level = float(level)
+    z = [float(s) for s, _, _ in nodes for _ in (0, 1)]
+    # divided differences in place, each order from the bottom up, so that
+    # coeffs[i] ends as the one of z[0..i]; a doubled node's first divided
+    # difference is its slope
+    coeffs = [float(pr) for _, pr, _ in nodes for _ in (0, 1)]
+    for k in range(1, len(z)):
+        for i in range(len(z) - 1, k - 1, -1):
+            coeffs[i] = (float(nodes[i // 2][2]) if k == 1 and i % 2
+                         else (coeffs[i] - coeffs[i - 1]) / (z[i] - z[i - k]))
+    q = z[0]
+    for _ in range(20):
+        # the fit's first and second derivatives at q, by Horner's scheme
+        value = d1 = d2 = 0.0
+        for c, t in zip(reversed(coeffs), reversed(z)):
+            d2 = d2 * (q - t) + 2.0 * d1
+            d1 = d1 * (q - t) + value
+            value = value * (q - t) + c
+        if not d2:
+            return None
+        step = (level - d1) / d2
+        q += step
+        if not math.isfinite(q):
+            return None
+        # Newton converges quadratically: after a step this small, q is
+        # within about its square of the fit's root
+        if abs(step) <= 1e-9 * max(1.0, abs(q)):
+            return q
+    return None
 
 
 def _next_tilt(guess, newest: float, older_step: float, a, fa, b, fb) -> float:

@@ -13,10 +13,13 @@ the change, and compare the two dumps.
 
 ``--compare`` prints, per numeric field, the number of records that differ
 and the largest absolute and relative drift, the total iterations of each
-dump, and every change of status or method and every record found in one
-dump only.  Each record is compared on its own fields.  It exits 1 when
-anything differs, so two dumps of one tree check that the outputs, kept
-probes and kept window DPs included, do not depend on the process.
+dump and of each group of rate levels (each fixture, the large models cold
+and warm, chi_K, the flat tail, the steep step), every level whose
+iterations rose, and every change of status or method and every record
+found in one dump only.  Each record is compared on its own fields.  It
+exits 1 when anything differs, so two dumps of one tree check that the
+outputs, kept probes and kept window DPs included, do not depend on the
+process.
 
 The corpus of rate levels:
 
@@ -312,6 +315,19 @@ def _number(x):
     return x
 
 
+def _group(key: str) -> str:
+    """The corpus group of a rate level: its fixture, the large models cold
+    or warm, chi_K, the flat tail or the steep step."""
+    case = key.rsplit(" p=", 1)[0]
+    if case.startswith("large "):
+        return "large " + case.rsplit(" ", 1)[1]
+    if case.startswith("chi_K "):
+        return "chi_K"
+    if case.endswith(" flat tail"):
+        return "flat tail"
+    return case
+
+
 def compare(path_a: str, path_b: str) -> int:
     """Print the drift of B against A; 1 when anything differs, else 0."""
     a, b = _load(path_a), _load(path_b)
@@ -338,6 +354,17 @@ def compare(path_a: str, path_b: str) -> int:
     rated = [k for k in common if "iterations" in a[k] and "iterations" in b[k]]
     print("iterations in total: {} -> {}".format(
         sum(a[k]["iterations"] for k in rated), sum(b[k]["iterations"] for k in rated)))
+    groups = {}
+    for key in rated:
+        totals = groups.setdefault(_group(key), [0, 0])
+        totals[0] += a[key]["iterations"]
+        totals[1] += b[key]["iterations"]
+    for group, (x, y) in groups.items():
+        print(f"  {group}: {x} -> {y}")
+    rose = [k for k in rated if b[k]["iterations"] > a[k]["iterations"]]
+    print(f"iterations rose at {len(rose)} levels")
+    for key in rose:
+        print(f"  {key}: {a[key]['iterations']} -> {b[key]['iterations']}")
     for field in (f for f in fields if f in LABELS):
         for key in common:
             if a[key].get(field) != b[key].get(field):
