@@ -25,18 +25,17 @@ from .potentials import (
     CohomologySpread,
     Potential,
     make_potential,
-    prefix_runs,
     require_not_constant,
 )
 from .rate import rate_levels
 from .transfer import (
     _all_solved,
+    _block_norms,
     _gap_estimate,
     _rpf_bound_reports,
     equilibrium_measure,
     integrate,
     rpf_solve_block,
-    state_norms,
     tilted_family,
 )
 
@@ -156,7 +155,7 @@ def measured_rpf_constants(
     family = tilted_family(phi, psi)
     # the same family, unless psi is longer than its states
     psi_family = tilted_family(phi, psi, k_min=psi.r)
-    runs = prefix_runs(family.base.state_words)
+    runs = family.base.graph.prefix_runs()
     symbols = range(1, phi.tm.size + 1)
     battery = (
         make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
@@ -177,12 +176,10 @@ def measured_rpf_constants(
     psi_sols = (psi_minus, psi_family.zero, psi_plus)
     _all_solved((plus, psi_plus))
     gap_max = max(0.0, *_gap_estimate(sols))
-    h_norm_max = 0.0
-    h_min_min = math.inf
-    for sol in sols:
-        sup, semi = state_norms(sol.h, runs, theta)
-        h_norm_max = max(h_norm_max, sup + semi)
-        h_min_min = min(h_min_min, float(np.min(sol.h)))
+    H = np.array([sol.h for sol in sols])
+    norms = _block_norms(H, runs, (theta,) * len(sols))
+    h_norm_max = max(0.0, *(sup + semi for sup, semi in norms))
+    h_min_min = float(np.min(H))
     # (solution, test function); the range-1 entries share the probe's solve
     battery_pairs = [(sol, g) for sol in sols for g in battery]
     psi_pairs = [(sol, psi) for sol in psi_sols]

@@ -97,18 +97,14 @@ def _log_rate(mass: float, n: int) -> float:
 
 
 def _edge_data(mu: MarkovMeasure, psi: Potential):
-    """(Markov chain refined so every edge determines one observable value,
-    the value of psi on each edge of its chain, their ``_lattice_steps``).
-    The values and their lattice are kept on the refined measure per
-    observable, so repeated calls on one measure build them once."""
-    require_same_space(mu.chain.tm, mu.theta, psi, "measure and observable")
+    """(Markov measure refined so every edge determines one observable value,
+    psi on each edge of its chain by one prefix-map gather, their
+    ``_lattice_steps``).  The values and their lattice are kept on the
+    refined measure per observable, so repeated calls build them once."""
+    require_same_space(mu.chain.graph.tm, mu.theta, psi, "measure and observable")
     mu = refine_measure(mu, psi.r - 1)
     if psi not in mu._observed:
-        words = mu.chain.state_words
-        values = tuple(
-            psi.table[(words[u] + words[v][-1:])[: psi.r]]
-            for u, v in zip(mu.chain.src.tolist(), mu.chain.dst.tolist())
-        )
+        values = tuple(psi.values[mu.chain.graph.edge_prefix(psi.r)].tolist())
         mu._observed[psi] = (values, _lattice_steps(values))
     return (mu, *mu._observed[psi])
 
@@ -157,7 +153,7 @@ def _rank_layers(chain, steps) -> tuple:
     ``max(steps) - step`` (the table column at which the edge gathers key 0)
     and probability of v's j-th in-edge, or a filler edge of probability 0
     (source 0, step 0) when v has fewer than j + 1."""
-    dst = chain.dst
+    dst = chain.graph.dst
     order = np.argsort(dst, kind="stable")
     first = np.searchsorted(dst[order], np.arange(chain.size))
     rank = np.empty(len(dst), dtype=np.intp)
@@ -166,7 +162,7 @@ def _rank_layers(chain, steps) -> tuple:
     src = np.zeros((n_layers, chain.size), dtype=np.intp)
     step = np.zeros((n_layers, chain.size), dtype=np.intp)
     prob = np.zeros((n_layers, chain.size))
-    src[rank, dst] = chain.src
+    src[rank, dst] = chain.graph.src
     step[rank, dst] = steps
     prob[rank, dst] = chain.edge_weights
     return src, max(steps) - step, prob
@@ -539,22 +535,23 @@ def _walk_paths(mu: MarkovMeasure, steps: np.ndarray, n: int, trials: int, seed:
     is the first above a uniform draw; all draws come from
     ``numpy.random.default_rng(seed)`` in a fixed order."""
     chain = mu.chain
+    src, dst = chain.graph.src, chain.graph.dst
     # successor tables, states x largest out-degree: cell (u, j) holds the
     # j-th edge out of u.  Cumulative probabilities read +inf from each row's
     # last edge on, so a draw at or above a row's float total (rows miss 1 by
     # rounding) takes the last edge and paths never leave the graph
-    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
-    degree = np.bincount(chain.src, minlength=chain.size)
+    slot = np.arange(len(src)) - np.searchsorted(src, src)
+    degree = np.bincount(src, minlength=chain.size)
     width = int(degree.max())
     cum_P = np.zeros((chain.size, width))
-    cum_P[chain.src, slot] = chain.edge_weights
+    cum_P[src, slot] = chain.edge_weights
     cum_P = np.cumsum(cum_P, axis=1)
     cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
     cum_flat = cum_P.ravel()
-    cell = chain.src * width + slot
+    cell = src * width + slot
     # a state is held as the first cell of its row
     succ = np.zeros(chain.size * width, dtype=np.intp)
-    succ[cell] = chain.dst * width
+    succ[cell] = dst * width
     step_of = np.zeros(chain.size * width, dtype=steps.dtype)
     step_of[cell] = steps
 

@@ -24,7 +24,7 @@ from .errors import (
     NoConvergence,
     WordTooShort,
 )
-from .sft import TransitionMatrix, Word, enumerate_words, require_same_space, state_graph
+from .sft import TransitionMatrix, Word, _frozen, enumerate_words, require_same_space, state_graph
 
 #: spread below which an observable is treated as cohomologous to a constant
 TOL_COB = 1e-9
@@ -36,6 +36,8 @@ _HOWARD_MAX_ROUNDS = 500
 class Potential:
     """Range-r potential: a value table on admissible r-words.
 
+    ``values`` holds them as an array over the r-words in order, which a
+    state graph reads by one gather through ``StateGraph.prefix``.
     ``sup_norm`` is max |value|; ``hoelder_seminorm`` is the largest
     ``var_k / theta**k`` over 0 <= k <= r-2 (zero for r = 1, since a range-1
     function cannot vary between points sharing their first coordinate);
@@ -54,6 +56,7 @@ class Potential:
     r: int
     theta: float
     table: dict
+    values: np.ndarray = field(repr=False)
     sup_norm: float
     hoelder_seminorm: float
     b: float
@@ -77,23 +80,8 @@ class Potential:
         return min(self.table.values())
 
 
-def prefix_runs(words) -> list:
-    """Start indices of the runs of words sharing a (j+1)-prefix, for each
-    depth j = 0..L-2 of a lexicographically ordered list of distinct L-words
-    (at depth L-1 every word would be its own run).  Ordered words keep each
-    prefix class contiguous, so a run starts where a word first differs from
-    its predecessor at or before position j."""
-    if len(words[0]) == 1:
-        return []
-    codes = np.array(words)
-    # where each word first differs from its predecessor; -1 for the first
-    split = np.full(len(words), -1)
-    split[1:] = (codes[1:] != codes[:-1]).argmax(axis=1)
-    return [(split <= j).nonzero()[0] for j in range(codes.shape[1] - 1)]
-
-
 def variations(values: np.ndarray, runs) -> list:
-    """var_j for each depth of ``runs`` (``prefix_runs``): the largest value
+    """var_j for each depth of ``runs`` (``StateGraph.prefix_runs``): the largest value
     gap within one run of ``values``.  Exhaustive over prefix classes, hence
     exact; 0.0 exactly when every run holds one value."""
     out = []
@@ -127,13 +115,14 @@ def make_potential(tm: TransitionMatrix, r: int, table: dict, theta: float) -> P
     for w in words:
         if w not in clean:
             raise MissingWord(f"table is missing admissible word {w}")
-    values = np.array([clean[w] for w in words])
-    semi = hoelder_seminorm(variations(values, prefix_runs(words)), theta)
+    values = _frozen(np.array([clean[w] for w in words]))
+    semi = hoelder_seminorm(variations(values, state_graph(tm, r).prefix_runs()), theta)
     return Potential(
         tm=tm,
         r=r,
         theta=theta,
         table=clean,
+        values=values,
         sup_norm=max(abs(v) for v in clean.values()),
         hoelder_seminorm=semi,
         b=max(1.0, semi),
@@ -152,13 +141,12 @@ def birkhoff_sum(g: Potential, w: Word, n: int) -> float:
 
 
 def affine_combine(phi: Potential, psi: Potential, q: float) -> Potential:
-    """The potential phi + q*psi on words of the larger range."""
+    """The potential phi + q*psi on words of the larger range, each read on
+    the words by one gather through their prefix maps."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
-    r = max(phi.r, psi.r)
-    table = {}
-    for w in enumerate_words(phi.tm, r):
-        table[w] = phi.table[w[: phi.r]] + q * psi.table[w[: psi.r]]
-    return make_potential(phi.tm, r, table, phi.theta)
+    graph = state_graph(phi.tm, max(phi.r, psi.r))
+    values = phi.values[graph.prefix(phi.r)] + q * psi.values[graph.prefix(psi.r)]
+    return make_potential(phi.tm, graph.k, dict(zip(graph.words, values.tolist())), phi.theta)
 
 
 def shift_nonnegative(psi: Potential) -> tuple:
@@ -205,18 +193,17 @@ class CohomologySpread:
 
 
 def _out_edges(psi: Potential) -> tuple:
-    """(words, heads, weights) of psi's word graph, whose states are
-    (r-1)-words (symbols when r = 1) and whose edge weights are the values of
-    psi on the overlap words: row
-    u of ``heads`` and ``weights`` holds the head and the weight of each edge
-    out of state u, padded by repeating its first."""
-    words, _, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
-    first = np.searchsorted(src, np.arange(len(words)))
-    degree = np.diff(first, append=len(src))
+    """(graph, heads, weights) of psi's word graph, whose states are
+    (r-1)-words (symbols when r = 1) and whose edge weights are psi on the
+    edge words: row u of ``heads`` and ``weights`` holds the head and the
+    weight of each edge out of state u, padded by repeating its first."""
+    graph = state_graph(psi.tm, max(1, psi.r - 1))
+    first = np.searchsorted(graph.src, np.arange(graph.size))
+    degree = np.diff(first, append=len(graph.src))
     j = np.arange(degree.max())
     cell = first[:, None] + np.where(j < degree[:, None], j, 0)
-    w = np.array([psi.table[ow[: psi.r]] for ow in overlaps])
-    return words, dst[cell], w[cell]
+    w = psi.values[graph.edge_prefix(psi.r)]
+    return graph, graph.dst[cell], w[cell]
 
 
 def _evaluate_policy(succ, cost) -> tuple:
@@ -300,15 +287,16 @@ def cohomology_spread(psi: Potential) -> CohomologySpread:
     their first symbols spell the orbit), and each endpoint is the plain
     mean of psi along its witness.  A solve that exhausts its round budget or
     fails its optimality certificate raises NoConvergence."""
-    words, heads, weights = _out_edges(psi)
+    graph, heads, weights = _out_edges(psi)
     lo, cyc_lo = _min_cycle_mean(heads, weights)
     hi_neg, cyc_hi = _min_cycle_mean(heads, -weights)
+    first = (graph.prefix(1) + 1).tolist()  # each state's first symbol
     return CohomologySpread(
         min_mean=lo,
         # 0.0 - x is x negated, except that it maps +0.0 to +0.0, not -0.0
         max_mean=0.0 - hi_neg,
-        witness_min=tuple(words[s][0] for s in cyc_lo),
-        witness_max=tuple(words[s][0] for s in cyc_hi),
+        witness_min=tuple(first[s] for s in cyc_lo),
+        witness_max=tuple(first[s] for s in cyc_hi),
     )
 
 

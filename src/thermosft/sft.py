@@ -1,15 +1,15 @@
 """One-sided shift spaces over a finite alphabet with transition constraints.
 
 Symbols are the 1-based integers ``1..s0``.  A word is a tuple of symbols
-whose consecutive pairs are allowed by a 0/1 transition matrix.  All state
-indices used downstream are positions in the lexicographic enumeration of
-admissible words of a fixed length, so every matrix and vector the toolkit
-emits is reproducible run to run.
+whose consecutive pairs are allowed by a 0/1 transition matrix.  Every layer
+numbers the admissible words of one length by their lexicographic positions,
+read off a ``StateGraph`` refined from the symbol graph symbol by symbol, so
+every matrix and vector the toolkit emits is reproducible run to run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,18 +143,102 @@ def cylinder_distance(w: Word, v: Word, theta: float) -> float:
     return theta**k
 
 
-def state_graph(tm: TransitionMatrix, k: int):
-    """State words of length k plus the overlap edges between them, as arrays.
+@dataclass(frozen=True, eq=False)
+class StateGraph:
+    """The graph of admissible k-words, as index arrays.
 
-    Returns (words, index, src, dst, overlaps).  Edge j is the admissible
-    (k+1)-word ``overlaps[j]``; it runs from state ``src[j]`` (its first k
-    symbols) to state ``dst[j]`` (its last k).  Edges are the (k+1)-words in
-    lexicographic order, so ``src`` is nondecreasing and, within one source,
-    ``dst`` increases.
+    State i is the i-th admissible k-word in lexicographic order.  Edge j is
+    the j-th admissible (k+1)-word, from state ``src[j]`` (its first k
+    symbols) to state ``dst[j]`` (its last k).  ``parent`` is the graph of
+    (k-1)-words whose edges are these states (None at k = 1), so a state's
+    prefixes compose the parents' ``src``.  ``words`` and ``index`` are
+    built on first read, where a word is an input or an output.
     """
-    words = enumerate_words(tm, k)
-    index = {w: i for i, w in enumerate(words)}
-    overlaps = [w + (b,) for w in words for b in tm.successors(w[-1])]
-    src = np.repeat(np.arange(len(words)), [len(tm.successors(w[-1])) for w in words])
-    dst = np.array([index[w[1:]] for w in overlaps], dtype=np.intp)
-    return words, index, src, dst, overlaps
+
+    tm: TransitionMatrix
+    k: int
+    src: np.ndarray
+    dst: np.ndarray
+    parent: "StateGraph | None" = field(repr=False)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.tm.size if self.parent is None else len(self.parent.src)
+
+    @cached_property
+    def words(self) -> tuple:
+        return tuple(enumerate_words(self.tm, self.k))
+
+    @cached_property
+    def index(self) -> dict:
+        return {w: i for i, w in enumerate(self.words)}
+
+    def refined(self) -> "StateGraph":
+        """The graph of (k+1)-words: its states are this graph's edges, in
+        order, and the edges out of e are the edges e' out of ``dst[e]``,
+        which are contiguous since ``src`` is nondecreasing."""
+        first = np.searchsorted(self.src, np.arange(self.size + 1))
+        # ufunc forms of diff and cumsum, without their Python-level wrappers
+        counts = (first[1:] - first[:-1])[self.dst]
+        new_src = np.repeat(np.arange(len(self.src)), counts)
+        # new edge i is edge i - start of e's run, start being e's first
+        ends = np.add.accumulate(counts)
+        new_dst = np.arange(ends[-1]) + np.repeat(first[self.dst] - (ends - counts), counts)
+        return StateGraph(self.tm, self.k + 1, _frozen(new_src), _frozen(new_dst), self)
+
+    def prefix(self, r: int) -> np.ndarray:
+        """Index among the r-words of the first r symbols of each state,
+        1 <= r <= k: the parents' ``src`` composed down to r symbols."""
+        if r == self.k:
+            return np.arange(self.size)
+        return self.parent.prefix(r)[self.parent.src]
+
+    def edge_prefix(self, r: int) -> np.ndarray:
+        """``prefix`` of each edge's (k+1)-word, 1 <= r <= k + 1: through
+        ``src``, but for the whole edge word, which is its own index."""
+        return np.arange(len(self.src)) if r == self.k + 1 else self.prefix(r)[self.src]
+
+    def prefix_runs(self) -> list:
+        """Start indices of the runs of states sharing a (j+1)-prefix, for
+        each depth j = 0..k-2 (at depth k-1 every state is its own run).
+        States are ordered, so each prefix class is contiguous, and its run
+        starts at the first state whose prefix index is the class's."""
+        runs, at, graph = [], np.arange(self.size), self
+        while graph.parent is not None:
+            at, graph = graph.parent.src[at], graph.parent
+            runs.append(np.searchsorted(at, np.arange(graph.size)))
+        return runs[::-1]
+
+    def stacked_edges(self, kinds: tuple) -> tuple:
+        """(gather, scatter) index arrays of a block whose row i steps
+        forward (kind 0: gather ``src``, scatter ``dst``) or backward (kind
+        1: the reverse), each offset by ``i * size`` into the flattened
+        block; built once per graph and tuple of kinds."""
+        edges = self._stacks.get(kinds)
+        if edges is None:
+            pick = np.array(kinds)
+            ends = np.array((self.src, self.dst))
+            offsets = np.arange(0, len(kinds) * self.size, self.size)[:, None]
+            gather = (ends[pick] + offsets).ravel()
+            scatter = (ends[1 - pick] + offsets).ravel()
+            edges = self._stacks[kinds] = (_frozen(gather), _frozen(scatter))
+        return edges
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def state_graph(tm: TransitionMatrix, k: int) -> StateGraph:
+    """The graph of admissible k-words: the symbol graph of ``tm``'s nonzero
+    entries (row-major, so its edges are the 2-words in order), refined
+    k - 1 times."""
+    if k < 1:
+        raise LengthMismatch(f"word length must be >= 1, got {k}")
+    src, dst = np.nonzero(tm.entries)
+    graph = StateGraph(tm, 1, _frozen(src), _frozen(dst), None)
+    for _ in range(k - 1):
+        graph = graph.refined()
+    return graph

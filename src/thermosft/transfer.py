@@ -7,24 +7,24 @@ to solver tolerance rather than by discretising anything.  The Perron triple
 feeds pressure, equilibrium Markov measures, potential normalisation and the
 numerical verification of the spectral convergence bounds.
 
-A matrix is held as its edge arrays only: one entry per admissible overlap
-of two states, at most s0 per row, so a mat-vec is a single
-``np.bincount``.  The tilted family ``phi + q*psi`` behind pressure curves,
-rate functions and the certificate is one ``TiltedFamily``, kept on phi: the
-state graph and both edge tables are made once per (phi, psi) and state
-length, the q = 0 solve once per phi and state length (``solve_potential``,
-which equilibrium measures read too), and each tilt only re-exponentiates
-``phi_e + q*psi_e``.  Independent tilts on one graph are solved as one
-block (``rpf_solve_block``, of which ``rpf_solve`` is the one-matrix case):
-a power step is one gather, product and bincount for every row of every
-tilt still running, and the gap estimates and bound reports of several
-solutions stack the same way.  An equilibrium Markov chain is a ``TransferMatrix``
-too, its edge weights the transition probabilities, so the deviation DP and
-the sampler walk the same edge arrays.  Measures work on edges as well: the
-(k+1)-word states of a refinement are the k-word chain's edges, so refining
-by one symbol multiplies ``pi`` by the edge probabilities and gathers them
-by edge index; a cylinder mass multiplies the probabilities of the edges its
-word walks.
+A matrix is a ``StateGraph`` plus one weight per edge, at most s0 per row,
+so a mat-vec is a single ``np.bincount``, and a potential is read on the
+edges by one gather of its values.  The tilted family ``phi + q*psi`` behind
+pressure curves, rate functions and the certificate is one ``TiltedFamily``,
+kept on phi: the state graph and both edge tables are made once per
+(phi, psi) and state length, the q = 0 solve once per phi and state length
+(``solve_potential``, which equilibrium measures read too), and each tilt
+only re-exponentiates ``phi_e + q*psi_e``.  Independent tilts on one graph
+are solved as one block (``rpf_solve_block``, of which ``rpf_solve`` is the
+one-matrix case): a power step is one gather, product and bincount for every
+row of every tilt still running, and the gap estimates and bound reports of
+several solutions stack the same way.  An equilibrium Markov chain is a
+``TransferMatrix`` too, its edge weights the transition probabilities, so
+the deviation DP and the sampler walk the same edge arrays.  Measures work
+on edges as well: the (k+1)-word states of a refinement are the k-word
+chain's edges, so refining by one symbol multiplies ``pi`` by the edge
+probabilities, and an integral of a longer potential sums those products
+without the last refinement.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolated, NoConvergence, ValidationError
-from .potentials import Potential, hoelder_seminorm, make_potential, prefix_runs, variations
-from .sft import TransitionMatrix, Word, enumerate_words, require_same_space, state_graph
+from .potentials import Potential, hoelder_seminorm, make_potential, variations
+from .sft import StateGraph, Word, _frozen, enumerate_words, require_same_space, state_graph
 
 #: relative residual at which the power iteration declares convergence
 RESIDUAL_TOL = 1e-13
@@ -58,73 +58,33 @@ GAP_MEASURE = 100
 CHECK_SLACK = 1e-10
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Weight matrix over k-word states, held as edge arrays.
+    """Weight matrix over the k-word states of ``graph``, held on its edges.
 
-    Edge j runs from state ``src[j]`` to state ``dst[j]`` (v extends u by one
-    symbol), the edges in the order of ``sft.state_graph``.  For the
-    transfer operator of f it carries ``edge_weights[j] = exp(f(w))`` for
-    the (k+1)-word w the two states overlap in; for an equilibrium chain,
-    the transition probability.  Applying the operator to a state vector g sums
-    over preimages, ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over
-    the edges into v; ``adjoint`` is the transposed action.  A step of many
-    rows at once (``_block_step``) gathers and scatters through the stacked
-    index arrays of ``stacked_edges``; they depend on the graph only, so they
-    are kept in ``stacks``, which every ``replace`` of the weights shares.
+    Edge j, the (k+1)-word w, carries ``exp(f(w))`` for the transfer
+    operator of f, or the transition probability for an equilibrium chain.
+    Applying the operator to a state vector g sums over preimages,
+    ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over the edges into
+    v; ``adjoint`` is the transposed action.  Matrices that differ only in
+    their weights (``replace``) share one graph, and with it the stacked
+    index arrays of ``_block_step``.
     """
 
-    tm: TransitionMatrix
-    k: int
-    state_words: tuple
-    index: dict
-    src: np.ndarray
-    dst: np.ndarray
+    graph: StateGraph
     edge_weights: np.ndarray
-    stacks: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.stacks is None:
-            object.__setattr__(self, "stacks", {})
 
     @property
     def size(self) -> int:
-        return len(self.state_words)
+        return self.graph.size
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return np.bincount(self.dst, weights=self.edge_weights * g[self.src], minlength=self.size)
+        graph = self.graph
+        return np.bincount(graph.dst, weights=self.edge_weights * g[graph.src], minlength=self.size)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.src, weights=self.edge_weights * x[self.dst], minlength=self.size)
-
-    def stacked_edges(self, kinds: tuple) -> tuple:
-        """(gather, scatter) index arrays of a block whose row i steps under
-        ``apply`` (kind 0: gather ``src``, scatter ``dst``) or ``adjoint``
-        (kind 1: the reverse), each offset by ``i * size`` into the
-        flattened block; built once per graph and tuple of kinds."""
-        edges = self.stacks.get(kinds)
-        if edges is None:
-            pick = np.array(kinds)
-            ends = np.array((self.src, self.dst))
-            offsets = np.arange(0, len(kinds) * self.size, self.size)[:, None]
-            gather = (ends[pick] + offsets).ravel()
-            scatter = (ends[1 - pick] + offsets).ravel()
-            edges = self.stacks[kinds] = (_frozen(gather), _frozen(scatter))
-        return edges
-
-    @cached_property
-    def _word_weights(self) -> dict:
-        """Edge weight by the (k+1)-word the edge's two states overlap in."""
-        words = self.state_words
-        return {
-            words[u] + words[v][-1:]: wt
-            for u, v, wt in zip(self.src.tolist(), self.dst.tolist(), self.edge_weights.tolist())
-        }
+        graph = self.graph
+        return np.bincount(graph.src, weights=self.edge_weights * x[graph.dst], minlength=self.size)
 
 
 def _block_step(Ts, tilts, kinds):
@@ -133,7 +93,7 @@ def _block_step(Ts, tilts, kinds):
     ``kinds[i]`` says.  One gather, one product and one bincount; each bin
     adds its terms in edge order, so every row is that of its own one-row
     step bit for bit."""
-    gather, scatter = Ts[0].stacked_edges(tuple(kinds))
+    gather, scatter = Ts[0].graph.stacked_edges(tuple(kinds))
     weights = np.concatenate([Ts[j].edge_weights for j in tilts])
     length, shape = len(kinds) * Ts[0].size, (len(kinds), -1)
     return lambda X: np.bincount(
@@ -149,32 +109,22 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _edge_matrix(f: Potential, k: int, *observables) -> tuple:
     """(transfer matrix of f on k-word states, f on its edges, [each
-    observable on its edges]); a potential is read on the edge's overlap
-    word.  A value whose exp is 0 or infinite is refused: the Perron solve
-    needs every edge weight positive and finite."""
-    words, index, src, dst, overlaps = state_graph(f.tm, k)
-    f_e, *obs_e = (
-        _frozen(np.array([g.table[w[: g.r]] for w in overlaps])) for g in (f, *observables)
-    )
+    observable on its edges]); a potential is read on the edge's word, by
+    one gather of its values.  A value whose exp is 0 or infinite is
+    refused: the Perron solve needs every edge weight positive and finite."""
+    graph = state_graph(f.tm, k)
+    f_e, *obs_e = (_frozen(g.values[graph.edge_prefix(g.r)]) for g in (f, *observables))
     with np.errstate(over="ignore"):
         weights = np.exp(f_e)
     bad = np.flatnonzero((weights == 0.0) | ~np.isfinite(weights))
     if bad.size:
         j = int(bad[0])
         raise ValidationError(
-            f"exp of potential value {float(f_e[j])!r} on word {overlaps[j]} is "
+            f"exp of potential value {float(f_e[j])!r} on word "
+            f"{enumerate_words(f.tm, k + 1)[j]} is "
             f"{float(weights[j])!r}: outside the float range"
         )
-    T = TransferMatrix(
-        tm=f.tm,
-        k=k,
-        state_words=tuple(words),
-        index=index,
-        src=_frozen(src),
-        dst=_frozen(dst),
-        edge_weights=_frozen(weights),
-    )
-    return T, f_e, obs_e
+    return TransferMatrix(graph=graph, edge_weights=_frozen(weights)), f_e, obs_e
 
 
 def build_transfer_matrix(f: Potential, k_min: int = 1) -> TransferMatrix:
@@ -512,7 +462,7 @@ class TiltedFamily:
 
     @property
     def zero(self) -> RpfSolution:
-        return _cold_solve(self.solves, self.base.k, lambda: self.base)
+        return _cold_solve(self.solves, self.base.graph.k, lambda: self.base)
 
     @cached_property
     def unit_row_error(self) -> float:
@@ -570,7 +520,7 @@ class TiltedFamily:
         equilibrium mass of edge u -> v is ``h[u] * w * nu[v]`` normalised,
         so the mean is one weighted sum over the edges."""
         T = sol.transfer
-        flow = sol.h[T.src] * T.edge_weights * sol.nu[T.dst]
+        flow = sol.h[T.graph.src] * T.edge_weights * sol.nu[T.graph.dst]
         return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum()), sol
 
 
@@ -606,15 +556,16 @@ def normalize_potential(f: Potential) -> Potential:
     T, f_e, _ = _edge_matrix(f, max(1, f.r - 1))
     sol = rpf_solve(T)
     log_h = np.log(sol.h)
-    # T's edges are the (k+1)-words, in this order
-    words = enumerate_words(f.tm, T.k + 1)
-    values = f_e + log_h[T.src] - log_h[T.dst] - sol.log_lambda
-    # trim to the least range whose deeper coordinates do not matter: the
-    # variations fall with depth and reach 0.0 at the whole words, each its
-    # own run
-    runs = prefix_runs(words) + [np.arange(len(words))]
+    graph = T.graph
+    values = f_e + log_h[graph.src] - log_h[graph.dst] - sol.log_lambda
+    # T's edges are the states of the refined graph, in order.  Trim to the
+    # least range whose deeper coordinates do not matter: the variations
+    # fall with depth and reach 0.0 at the whole words, each its own run
+    runs = graph.refined().prefix_runs() + [np.arange(len(values))]
     r_out = 1 + variations(values, runs).index(0.0)
-    table = {words[i][:r_out]: float(values[i]) for i in runs[r_out - 1].tolist()}
+    # every r_out-word extends to an edge, so the runs at that depth start
+    # at the r_out-words, in order
+    table = dict(zip(enumerate_words(f.tm, r_out), values[runs[r_out - 1]].tolist()))
     phi = make_potential(f.tm, r_out, table, f.theta)
     Tphi = build_transfer_matrix(phi)
     ones = np.ones(Tphi.size)
@@ -637,12 +588,11 @@ class MarkovMeasure:
     graph: edge u -> v of weight w gets ``w * nu[v] / (lam * nu[u])``, which
     sums to 1 over each row because nu is the right eigenvector of the
     forward weight matrix.  ``pi`` is the stationary vector proportional to
-    h * nu.  The state graph (``tm``, ``k``, ``state_words``, ``index``,
-    ``size``) is read from ``chain``.  ``_refined`` holds the refinements
-    ``refine_measure`` has built, by state length, so a measure is refined
-    once per length; ``_observed`` holds, per observable, what
-    ``deviations`` reads off the chain's edges, so that is built once too,
-    and the window DP ``deviations`` keeps between calls.
+    h * nu.  ``_refined`` holds the refinements ``refine_measure`` has built,
+    by state length, so a measure is refined once per length; ``_observed``
+    holds, per observable, what ``deviations`` reads off the chain's edges,
+    so that is built once too, and the window DP ``deviations`` keeps
+    between calls.
     """
 
     theta: float
@@ -656,7 +606,7 @@ def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
     """Equilibrium state of f as a Markov measure on k-word states."""
     T, sol = solve_potential(f, k_min=k)
     pi = sol.h * sol.nu
-    probs = T.edge_weights * sol.nu[T.dst] / (sol.lam * sol.nu[T.src])
+    probs = T.edge_weights * sol.nu[T.graph.dst] / (sol.lam * sol.nu[T.graph.src])
     return MarkovMeasure(
         theta=f.theta,
         pi=_frozen(pi / pi.sum()),
@@ -666,27 +616,19 @@ def equilibrium_measure(f: Potential, k: int = 1) -> MarkovMeasure:
 
 def refine_measure(mu: MarkovMeasure, k_new: int) -> MarkovMeasure:
     """Exact refinement to longer word states, one symbol at a time.  The
-    (k+1)-word states are the k-word chain's edges, in the same order: state
-    e gets the mass ``pi[src[e]] * p[e]`` of its coarse edge, and the fine
-    edge into e moves with the probability ``p[e]`` of that coarse edge.
-    Every length on the way is kept on ``mu`` and returned again by later
-    calls."""
-    if k_new <= mu.chain.k:
+    (k+1)-word states are the k-word chain's edges (``StateGraph.refined``):
+    state e gets the mass ``pi[src[e]] * p[e]`` of its coarse edge, and the
+    fine edge into e moves with the probability ``p[e]`` of that coarse
+    edge.  Every length on the way is kept on ``mu`` and returned again by
+    later calls."""
+    if k_new <= mu.chain.graph.k:
         return mu
     if k_new not in mu._refined:
         prev = refine_measure(mu, k_new - 1)
         coarse = prev.chain
-        words, index, src, dst, _ = state_graph(coarse.tm, k_new)
-        chain = TransferMatrix(
-            tm=coarse.tm,
-            k=k_new,
-            state_words=tuple(words),
-            index=index,
-            src=_frozen(src),
-            dst=_frozen(dst),
-            edge_weights=_frozen(coarse.edge_weights[dst]),
-        )
-        pi = prev.pi[coarse.src] * coarse.edge_weights
+        graph = coarse.graph.refined()
+        chain = TransferMatrix(graph=graph, edge_weights=_frozen(coarse.edge_weights[graph.dst]))
+        pi = prev.pi[coarse.graph.src] * coarse.edge_weights
         mu._refined[k_new] = MarkovMeasure(theta=mu.theta, pi=_frozen(pi), chain=chain)
     return mu._refined[k_new]
 
@@ -695,33 +637,39 @@ def cylinder_mass(mu: MarkovMeasure, w: Word) -> float:
     """Measure of the cylinder of w; 0 for inadmissible words by convention
     (that keeps window sums free of special cases).  Long products are summed
     in log space to survive hundreds of factors.  Step t multiplies by the
-    probability of the chain's edge whose overlap word is
-    ``w[t : t + k + 1]``."""
+    probability of the edge out of the state of ``w[t : t + k]`` at the
+    rank of ``w[t + k]`` among the successors of its last symbol."""
     w = tuple(w)
-    chain = mu.chain
-    k = chain.k
-    if not chain.tm.is_admissible(w):
+    graph = mu.chain.graph
+    k = graph.k
+    if not graph.tm.is_admissible(w):
         return 0.0
     if len(w) < k:
-        return float(sum(mu.pi[i] for i, sw in enumerate(chain.state_words) if sw[: len(w)] == w))
-    probs = chain._word_weights
-    log_mass = math.log(mu.pi[chain.index[w[:k]]])
+        return float(sum(mu.pi[i] for i, sw in enumerate(graph.words) if sw[: len(w)] == w))
+    u = graph.index[w[:k]]
+    log_mass = math.log(mu.pi[u])
     for t in range(len(w) - k):
-        p = probs[w[t : t + k + 1]]
+        e = np.searchsorted(graph.src, u) + graph.tm.successors(w[t + k - 1]).index(w[t + k])
+        p = mu.chain.edge_weights[e]
         if p <= 0.0:
             return 0.0
         log_mass += math.log(p)
+        u = graph.dst[e]
     return math.exp(log_mass)
 
 
 def integrate(mu: MarkovMeasure, g: Potential) -> float:
-    """Exact integral of a finite-range potential against the measure: a sum
-    over the states of the measure refined to ``g.r``-word states."""
-    require_same_space(mu.chain.tm, mu.theta, g, "measure and potential")
-    mu = refine_measure(mu, g.r)
-    return float(
-        sum(mu.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(mu.chain.state_words))
-    )
+    """Exact integral of a finite-range potential against the measure, summed
+    in order over the states, or, for a longer g, over the edges of the
+    measure refined to ``(g.r - 1)``-word states, weighted by ``pi[src] * p``."""
+    require_same_space(mu.chain.graph.tm, mu.theta, g, "measure and potential")
+    if g.r <= mu.chain.graph.k:
+        mass, at = mu.pi, mu.chain.graph.prefix(g.r)
+    else:
+        mu = refine_measure(mu, g.r - 1)
+        graph = mu.chain.graph
+        mass, at = mu.pi[graph.src] * mu.chain.edge_weights, graph.edge_prefix(g.r)
+    return float(sum((mass * g.values[at]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +677,14 @@ def integrate(mu: MarkovMeasure, g: Potential) -> float:
 # ---------------------------------------------------------------------------
 
 
-def state_norms(vec: np.ndarray, runs, theta: float) -> tuple:
-    """(sup, theta-seminorm) of a function given as a vector over k-word
-    states; the seminorm scans the variation within the prefix ``runs`` of
-    the state words (``potentials.prefix_runs``)."""
-    return _block_norms(vec[None], runs, (theta,))[0]
-
-
 def _block_norms(V: np.ndarray, runs, thetas) -> list:
-    """``state_norms`` of each row of the block V, row i with ``thetas[i]``,
-    from one reduction per prefix depth for all rows.  Maxima and minima
-    are exact and ``max(0.0, .)`` gives a zero variation one sign, so each
-    row's norms are those of ``potentials.variations`` on the row alone."""
+    """(sup, theta-seminorm) of each row of the block V, a function on
+    k-word states, row i with ``thetas[i]``; the seminorm scans the
+    variation within the prefix ``runs`` of the states
+    (``StateGraph.prefix_runs``), one reduction per prefix depth for all
+    rows.  Maxima and minima are exact and ``max(0.0, .)`` gives a zero
+    variation one sign, so each row's norms are those of
+    ``potentials.variations`` on the row alone."""
     sups = np.maximum.reduce(np.abs(V), axis=1).tolist()
     depths = [
         np.maximum.reduce(
@@ -800,15 +744,6 @@ def verify_rpf_bounds(f: Potential, n_max: int, test_g: Potential, consts=None) 
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     require_same_space(f.tm, f.theta, test_g, "potential and test function")
     _, sol = solve_potential(f, k_min=max(1, f.r - 1, test_g.r))
-    return _rpf_bound_report(sol, n_max, test_g, consts)
-
-
-def _rpf_bound_report(
-    sol: RpfSolution, n_max: int, test_g: Potential, consts=None
-) -> RpfBoundReport:
-    """``verify_rpf_bounds`` on a solved transfer matrix whose states are at
-    least ``test_g.r`` symbols long: the one-pair case of
-    ``_rpf_bound_reports``."""
     return _rpf_bound_reports(((sol, test_g),), n_max, consts)[0]
 
 
@@ -820,15 +755,14 @@ def _rpf_bound_reports(pairs, n_max: int, consts=None) -> list:
     the constant 1 for the eigenvalue sandwich.  At each n the pairs'
     envelopes are checked in order, then the sandwiches."""
     T = pairs[0][0].transfer
-    words = T.state_words
-    runs = prefix_runs(words)
+    runs = T.graph.prefix_runs()
     sols = list({id(sol): sol for sol, _ in pairs}.values())
     slot = {id(sol): j for j, sol in enumerate(sols)}
     tilts = [slot[id(sol)] for sol, _ in pairs] + list(range(len(sols)))
     step = _block_step([sol.transfer for sol in sols], tilts, (0,) * len(tilts))
     lams = np.array([sols[j].lam for j in tilts])[:, None]
 
-    G = np.array([[g.table[w[: g.r]] for w in words] for _, g in pairs])
+    G = np.array([g.values[T.graph.prefix(g.r)] for _, g in pairs])
     thetas = [g.theta for _, g in pairs]
     test_norms = [sup + semi for sup, semi in _block_norms(G, runs, thetas)]
     log_test_norms = [math.log(max(norm, 1e-300)) for norm in test_norms]

@@ -21,7 +21,6 @@ from thermosft import (
     validate_transitions,
 )
 from thermosft.cli import load_model
-from thermosft.sft import state_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,7 +103,7 @@ def dense(T):
     """The n x n matrix of a transfer matrix or chain held as edge arrays:
     entry (u, v) is the weight of edge u -> v, 0 where there is none."""
     out = np.zeros((T.size, T.size))
-    out[T.src, T.dst] = T.edge_weights
+    out[T.graph.src, T.graph.dst] = T.edge_weights
     return out
 
 
@@ -112,7 +111,7 @@ def potential_graph(psi):
     """Weighted digraph whose cycles carry the Birkhoff averages of psi:
     states are (r-1)-words (symbols when r = 1), the weight of an edge is the
     value of psi on the overlap word."""
-    words, index, src, dst, overlaps = state_graph(psi.tm, max(1, psi.r - 1))
+    words, index, src, dst, overlaps = reference_state_graph(psi.tm, max(1, psi.r - 1))
     weights = (psi.table[ow[: psi.r]] for ow in overlaps)
     return words, index, list(zip(src.tolist(), dst.tolist(), weights))
 
@@ -120,6 +119,32 @@ def potential_graph(psi):
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+
+def reference_state_graph(tm, k):
+    """(words, index, src, dst, overlaps) of the k-word graph by enumeration:
+    the k-words in order, each word's position, and per edge, the (k+1)-word
+    ``overlaps[j]``, whose first k symbols are state ``src[j]`` and whose
+    last k, looked up by word, are state ``dst[j]``."""
+    words = enumerate_words(tm, k)
+    index = {w: i for i, w in enumerate(words)}
+    overlaps = [w + (b,) for w in words for b in tm.successors(w[-1])]
+    src = np.repeat(np.arange(len(words)), [len(tm.successors(w[-1])) for w in words])
+    dst = np.array([index[w[1:]] for w in overlaps], dtype=np.intp)
+    return words, index, src, dst, overlaps
+
+
+def reference_prefix_runs(words):
+    """Start indices of the runs of words sharing a (j+1)-prefix, for each
+    depth j = 0..L-2 of a lexicographically ordered list of distinct
+    L-words, from where each word first differs from its predecessor."""
+    if len(words[0]) == 1:
+        return []
+    codes = np.array(words)
+    # where each word first differs from its predecessor; -1 for the first
+    split = np.full(len(words), -1)
+    split[1:] = (codes[1:] != codes[:-1]).argmax(axis=1)
+    return [(split <= j).nonzero()[0] for j in range(codes.shape[1] - 1)]
 
 
 def brute_variations(tm, r, table):

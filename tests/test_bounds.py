@@ -13,9 +13,11 @@ from thermosft import (
     ValidationError,
     constants_for,
     equilibrium_measure,
+    exact_window_mass,
     family_c0,
     ldp_scan,
     indicator_example,
+    integrate,
     make_potential,
     measured_rpf_constants,
     normalize_potential,
@@ -29,10 +31,11 @@ from thermosft import (
 from thermosft import bounds, potentials, transfer, validate_transitions
 from thermosft.bounds import D_INFLATION, RHO_MARGIN, RpfConstants
 from thermosft.cli import load_model
-from thermosft.potentials import affine_combine, prefix_runs
-from thermosft.transfer import _rpf_bound_report, solve_potential, state_norms
+from thermosft.potentials import affine_combine
+from thermosft.sft import StateGraph
+from thermosft.transfer import _block_norms, _rpf_bound_reports, solve_potential
 
-from conftest import FIXTURES, make_pot, random_potential
+from conftest import FIXTURES, make_pot, random_potential, reference_prefix_runs
 
 
 def injected(rho, D):
@@ -95,7 +98,7 @@ def test_paper_eigenfunction_bounds_hold(golden):
         b_f=max(1.0, f.hoelder_seminorm), f_inf=f.sup_norm,
     )
     T, sol = solve_potential(f)
-    sup, semi = state_norms(sol.h, prefix_runs(T.state_words), 0.5)
+    ((sup, semi),) = _block_norms(sol.h[None], reference_prefix_runs(T.graph.words), (0.5,))
     assert math.log(sup + semi) <= consts.log_h_norm_bound
     assert math.log(float(np.min(sol.h))) >= consts.log_h_min_bound
 
@@ -120,10 +123,10 @@ def _measured_by_tilt_potentials(phi, psi, q0_probe, n_max=24):
         f_q = affine_combine(phi, psi, q)
         T, sol = solve_potential(f_q)
         gap_max = max(gap_max, sol.gap_ratio)
-        sup, semi = state_norms(sol.h, prefix_runs(T.state_words), theta)
+        ((sup, semi),) = _block_norms(sol.h[None], reference_prefix_runs(T.graph.words), (theta,))
         h_norm_max = max(h_norm_max, sup + semi)
         h_min_min = min(h_min_min, float(np.min(sol.h)))
-        tilts.append((f_q, {T.k: sol}))
+        tilts.append((f_q, {T.graph.k: sol}))
     rho = min(max(gap_max, theta) + RHO_MARGIN, 1.0 - 1e-9)
     log_rho = math.log(rho)
     symbols = range(1, phi.tm.size + 1)
@@ -138,7 +141,7 @@ def _measured_by_tilt_potentials(phi, psi, q0_probe, n_max=24):
             k = max(1, f_q.r - 1, g.r)
             if k not in sols:
                 sols[k] = solve_potential(f_q, k_min=k)[1]
-            report = _rpf_bound_report(sols[k], n_max, g)
+            report = _rpf_bound_reports(((sols[k], g),), n_max)[0]
             if report.test_norm <= 0.0:
                 continue
             for n, dev in zip(report.n_values, report.deviation_norm):
@@ -465,6 +468,32 @@ def test_chi_k_certificate_ladder(full2):
     assert time.perf_counter() - start < 6.0
 
 
+def test_chi_k_layers_read_no_word_list_of_long_states(monkeypatch, full2):
+    """At chi_K pad 8 (states of up to 11 symbols), the tilted family, the
+    spread, rate levels, an exact window mass, the mean, measured constants
+    and the certificate read their potentials through prefix maps: none of
+    them builds the word list of a graph longer than two symbols."""
+    f = make_potential(full2, 1, {(1,): math.log(0.6), (2,): math.log(0.4)}, 0.5)
+    phi = normalize_potential(f)
+    psi = indicator_example(full2, [(1, 1, 1)], pad=8, theta=0.5)
+    built = []
+    words = StateGraph.words.func
+    monkeypatch.setattr(StateGraph, "words", property(lambda g: built.append(g.k) or words(g)))
+    grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    family = transfer.tilted_family(phi, psi)
+    spread = potentials.cohomology_spread(psi)
+    levels = rate_levels(phi, psi, grid, spread)
+    mu = equilibrium_measure(phi, k=1)
+    mass = exact_window_mass(mu, psi, 40, 0.9, 0.05)
+    mean = integrate(mu, psi)
+    consts = constants_for(phi, psi, "measured")
+    report = verify_bound(phi, psi, 0.05, grid, consts)
+    assert family.base.graph.k == psi.r - 1 == 10
+    assert all(rv.value >= 0.0 for rv in levels) and mass.method == "exact_dp"
+    assert report.all_pass and report.psi_tilde == mean
+    assert max(built, default=0) <= 2
+
+
 def test_family_c0(bernoulli):
     phi, psi = bernoulli
     assert family_c0(phi, psi) == pytest.approx(math.log(2) + 2.0, abs=1e-12)
@@ -589,7 +618,7 @@ def test_one_cold_solve_per_matrix_across_bound_and_ldp(stem, grid, window, monk
     def spy(Ts, starts=None):
         for T, start in zip(Ts, starts or (None,) * len(Ts)):
             if start is None:
-                key = (T.k, T.edge_weights.tobytes())
+                key = (T.graph.k, T.edge_weights.tobytes())
                 cold[key] = cold.get(key, 0) + 1
         return solve_block(Ts, starts)
 
@@ -602,7 +631,7 @@ def test_one_cold_solve_per_matrix_across_bound_and_ldp(stem, grid, window, monk
                     n_list, p, delta)
     assert [e.method for e in scan.entries] == ["exact_dp"] * len(n_list)
     base = transfer.tilted_family(phi, psi1).base
-    assert cold[(base.k, base.edge_weights.tobytes())] == 1
+    assert cold[(base.graph.k, base.edge_weights.tobytes())] == 1
     assert set(cold.values()) == {1}
 
 

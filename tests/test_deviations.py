@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from thermosft import deviations, transfer
+from thermosft import deviations
+from thermosft.sft import StateGraph
 from thermosft import (
     Infeasible,
     ValidationError,
@@ -346,7 +347,8 @@ def _full_width_dp(mu, steps, horizons):
     """Reference: the window-mass DP updating every key at every step."""
     chain = mu.chain
     n_keys = max(horizons) * max(steps) + 1
-    edges = list(zip(chain.src.tolist(), chain.dst.tolist(), steps, chain.edge_weights.tolist()))
+    graph = chain.graph
+    edges = list(zip(graph.src.tolist(), graph.dst.tolist(), steps, chain.edge_weights.tolist()))
     cur = np.zeros((chain.size, n_keys))
     cur[:, 0] = mu.pi
     out = {}
@@ -836,16 +838,16 @@ def _two_d_walk(mu, steps, n, trials, seed):
     """Reference: the sampler comparing each draw with its state's whole
     row of cumulative probabilities in one (trials x width) array."""
     chain = mu.chain
-    slot = np.arange(len(chain.src)) - np.searchsorted(chain.src, chain.src)
-    degree = np.bincount(chain.src, minlength=chain.size)
+    slot = np.arange(len(chain.graph.src)) - np.searchsorted(chain.graph.src, chain.graph.src)
+    degree = np.bincount(chain.graph.src, minlength=chain.size)
     width = int(degree.max())
     cum_P = np.zeros((chain.size, width))
-    cum_P[chain.src, slot] = chain.edge_weights
+    cum_P[chain.graph.src, slot] = chain.edge_weights
     cum_P = np.cumsum(cum_P, axis=1)
     cum_P[np.arange(width) >= degree[:, None] - 1] = np.inf
-    cell = chain.src * width + slot
+    cell = chain.graph.src * width + slot
     succ = np.zeros(chain.size * width, dtype=np.intp)
-    succ[cell] = chain.dst
+    succ[cell] = chain.graph.dst
     step_of = np.zeros(chain.size * width, dtype=steps.dtype)
     step_of[cell] = steps
     rng = np.random.default_rng(seed)
@@ -886,15 +888,15 @@ def test_chain_is_refined_once_per_measure(random_model, monkeypatch):
     psi = random_model.psi
     phi = normalize_potential(make_pot(psi.tm, 1, {"1": 0.2, "2": -0.1}, psi.theta))
     mu = equilibrium_measure(phi, k=1)
-    assert mu.chain.k == 1 and psi.r == 3
+    assert mu.chain.graph.k == 1 and psi.r == 3
     graphs = []
-    state_graph = transfer.state_graph
+    refined = StateGraph.refined
 
-    def counted(*args):
-        graphs.append(args)
-        return state_graph(*args)
+    def counted(graph):
+        graphs.append(graph.k)
+        return refined(graph)
 
-    monkeypatch.setattr(transfer, "state_graph", counted)
+    monkeypatch.setattr(StateGraph, "refined", counted)
     # the edge values and their lattice fit are kept with the refinement
     fits = []
     lattice_steps = deviations._lattice_steps

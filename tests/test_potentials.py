@@ -29,7 +29,8 @@ from thermosft import (
     verify_rpf_bounds,
 )
 from thermosft import potentials
-from thermosft.potentials import prefix_runs, variations
+from thermosft.potentials import variations
+from thermosft.sft import state_graph
 
 from conftest import (
     brute_cycle_means,
@@ -89,8 +90,7 @@ def test_cached_norms_match_brute_force():
         tm = random_aperiodic(rng, s0)
         g = random_potential(rng, tm, r)
         brute = brute_variations(tm, r, g.table)
-        words = enumerate_words(tm, r)
-        fast = variations(np.array([g.table[w] for w in words]), prefix_runs(words))
+        fast = variations(g.values, state_graph(tm, r).prefix_runs())
         assert brute == pytest.approx(fast, abs=0.0)
         semi = max((vk / g.theta**k for k, vk in enumerate(brute)), default=0.0)
         assert g.hoelder_seminorm == pytest.approx(semi, abs=0.0)

@@ -259,7 +259,7 @@ def _dense_tilt(phi, psi, q):
     h = np.abs(vecs_h[:, np.argmax(vals_h.real)].real)
     nu = np.abs(vecs_nu[:, np.argmax(vals_nu.real)].real)
     pi = h * nu / float(h @ nu)
-    psi_state = np.array([psi.table[w[: psi.r]] for w in T.state_words])
+    psi_state = np.array([psi.table[w[: psi.r]] for w in T.graph.words])
     return math.log(lam), float(pi @ psi_state)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from thermosft import (
+    BoundViolated,
     NoConvergence,
     ValidationError,
     build_transfer_matrix,
@@ -17,6 +18,7 @@ from thermosft import (
     cylinder_mass,
     enumerate_words,
     equilibrium_measure,
+    indicator_example,
     integrate,
     make_potential,
     normalize_potential,
@@ -25,15 +27,24 @@ from thermosft import (
     rpf_solve,
     rpf_solve_block,
     tilted_family,
+    validate_transitions,
     verify_rpf_bounds,
     verify_tilted_family,
 )
 from thermosft import transfer
+from thermosft.cli import load_model
 from thermosft.bounds import RpfConstants
-from thermosft.potentials import prefix_runs
-from thermosft.transfer import solve_potential, state_norms
+from thermosft.transfer import _block_norms, solve_potential
 
-from conftest import dense, make_pot, planted_potentials, random_aperiodic, random_potential
+from conftest import (
+    FIXTURES,
+    dense,
+    make_pot,
+    planted_potentials,
+    random_aperiodic,
+    random_potential,
+    reference_prefix_runs,
+)
 
 
 def test_weight_matrices(full2, golden):
@@ -56,13 +67,13 @@ def test_matrix_application_is_preimage_sum():
         T = build_transfer_matrix(f, k_min=k)
         g = rng.random(T.size)
         applied = T.apply(g)
-        for wi, w in enumerate(T.state_words):
+        for wi, w in enumerate(T.graph.words):
             expected = 0.0
             for a in range(1, tm.size + 1):
                 y = (a,) + w
                 if not tm.is_admissible(y[:2]):
                     continue
-                expected += math.exp(f.table[y[: f.r]]) * g[T.index[y[:k]]]
+                expected += math.exp(f.table[y[: f.r]]) * g[T.graph.index[y[:k]]]
             assert applied[wi] == pytest.approx(expected, abs=1e-12)
 
 
@@ -194,8 +205,8 @@ def test_cylinder_mass_through_an_edge_of_probability_zero(full2):
     mu = equilibrium_measure(make_pot(full2, 1, {"1": -math.log(2), "2": -math.log(2)}))
     chain = mu.chain
     probs = {(1, 1): 1.0, (1, 2): 0.0, (2, 1): 0.5, (2, 2): 0.5}
-    weights = np.array([probs[chain.state_words[u] + chain.state_words[v]]
-                        for u, v in zip(chain.src.tolist(), chain.dst.tolist())])
+    weights = np.array([probs[chain.graph.words[u] + chain.graph.words[v]]
+                        for u, v in zip(chain.graph.src.tolist(), chain.graph.dst.tolist())])
     pi = np.array([2.0 / 3.0, 1.0 / 3.0])
     cut = transfer.MarkovMeasure(
         theta=mu.theta, pi=pi, chain=replace(chain, edge_weights=weights)
@@ -232,10 +243,10 @@ def test_cylinder_mass_short_words_and_refinement(golden):
 def _dense_cylinder_mass(mu, P, w):
     """The cylinder mass as first written: a log-space walk over the dense
     transition matrix P."""
-    k = mu.chain.k
-    log_mass = math.log(mu.pi[mu.chain.index[w[:k]]])
+    k = mu.chain.graph.k
+    log_mass = math.log(mu.pi[mu.chain.graph.index[w[:k]]])
     for t in range(len(w) - k):
-        p = P[mu.chain.index[w[t : t + k]], mu.chain.index[w[t + 1 : t + 1 + k]]]
+        p = P[mu.chain.graph.index[w[t : t + k]], mu.chain.graph.index[w[t + 1 : t + 1 + k]]]
         if p <= 0.0:
             return 0.0
         log_mass += math.log(p)
@@ -257,15 +268,15 @@ def test_refinement_on_edges_matches_dense_gather():
         f = random_potential(rng, tm, int(rng.integers(1, 4)))
         mu = equilibrium_measure(f, k=max(1, f.r - 1))
         coarse, P = mu.chain, dense(mu.chain)
-        k, m = coarse.k, int(rng.integers(1, 4))
+        k, m = coarse.graph.k, int(rng.integers(1, 4))
         fine = refine_measure(mu, k + m)
         words = enumerate_words(tm, k + m)
-        tail = np.array([coarse.index[w[-k:]] for w in words], dtype=np.intp)
-        assert fine.chain.state_words == tuple(words)
-        gathered = P[tail[fine.chain.src], tail[fine.chain.dst]]
+        tail = np.array([coarse.graph.index[w[-k:]] for w in words], dtype=np.intp)
+        assert fine.chain.graph.words == tuple(words)
+        gathered = P[tail[fine.chain.graph.src], tail[fine.chain.graph.dst]]
         assert np.array_equal(fine.chain.edge_weights, gathered)
         for w, mass in zip(words, fine.pi.tolist()):
-            states = [coarse.index[w[t : t + k]] for t in range(m + 1)]
+            states = [coarse.graph.index[w[t : t + k]] for t in range(m + 1)]
             exact = Fraction(float(mu.pi[states[0]]))
             for u, v in zip(states, states[1:]):
                 exact *= Fraction(float(P[u, v]))
@@ -279,13 +290,13 @@ def _normalize_with_dict_trim(f):
     """Reference: the normalised table as first written, trimmed by grouping
     the words on their prefix one level at a time; returns (range, table)."""
     T, sol = solve_potential(f)
-    k = T.k
+    k = T.graph.k
     log_h = np.log(sol.h)
     r_out = max(f.r, k + 1)
     table = {}
     for w in enumerate_words(f.tm, r_out):
-        head = T.index[w[:k]]
-        tail = T.index[w[1 : k + 1]]
+        head = T.graph.index[w[:k]]
+        tail = T.graph.index[w[1 : k + 1]]
         table[w] = f.table[w[: f.r]] + float(log_h[head]) - float(log_h[tail]) - sol.log_lambda
     while r_out > 1:
         groups = {}
@@ -340,6 +351,118 @@ def test_integrate(full2):
     assert integrate(mu, wide) == pytest.approx(1 / 8, abs=1e-13)
 
 
+def _integrate_on_refined_states(mu, g):
+    """Reference: the integral as first written, a sum over the states of
+    the measure refined to ``g.r``-word states, each read by its word."""
+    fine = refine_measure(mu, g.r)
+    return float(sum(fine.pi[i] * g.table[sw[: g.r]] for i, sw in enumerate(fine.chain.graph.words)))
+
+
+def _integrate_cases():
+    """(phi, g): each fixture's normalised f against its psi, chi_K pads 0-10
+    against Bernoulli(0.6, 0.4) and 30 seeded models with g of range 1-5."""
+    for stem in ("bernoulli", "golden_mean", "random_range3"):
+        model = load_model(str(FIXTURES / f"{stem}.json"))
+        yield normalize_potential(model.f), model.psi
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    coin = normalize_potential(make_pot(full2, 1, {"1": math.log(0.6), "2": math.log(0.4)}))
+    for pad in range(11):
+        yield coin, indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        tm = random_aperiodic(rng, int(rng.integers(2, 4)))
+        phi = normalize_potential(random_potential(rng, tm, int(rng.integers(1, 4))))
+        yield phi, random_potential(rng, tm, int(rng.integers(1, 6)))
+
+
+def test_integrate_sums_the_edges_of_the_chain_one_symbol_short():
+    """A potential longer than the states by two or more symbols is summed
+    over the edges of the ``(g.r - 1)``-word chain the window DP uses, each
+    edge weighted by ``pi[src] * p``: the measure gains no ``g.r`` level, and
+    the value is that of the sum over the ``g.r``-word states bit for bit."""
+    longer = 0
+    for phi, g in _integrate_cases():
+        mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+        value = integrate(mu, g)
+        assert g.r not in mu._refined
+        assert set(mu._refined) == set(range(mu.chain.graph.k + 1, g.r))
+        longer += g.r > mu.chain.graph.k + 1
+        fresh = equilibrium_measure(phi, k=max(1, phi.r - 1))
+        assert value.hex() == _integrate_on_refined_states(fresh, g).hex()
+    assert longer >= 20
+
+
+def test_bound_report_refuses_a_deviation_above_its_envelope(golden):
+    """Constants too tight for the observed decay: the envelope check of
+    the bound report raises at the first step."""
+    f = make_pot(golden, 2, {"12": 0.0, "21": 0.0, "22": 0.2})
+    g = make_pot(golden, 1, {"1": 1.0, "2": 0.0})
+    tight = RpfConstants(
+        mode="measured", rho=0.1, log_rho=math.log(0.1), log_D=-50.0,
+        log_h_norm_bound=0.0, log_h_min_bound=0.0, source_params={},
+    )
+    with pytest.raises(BoundViolated, match="exceeds geometric envelope at n=1"):
+        verify_rpf_bounds(f, 5, g, consts=tight)
+
+
+def test_bound_report_refuses_a_sandwich_its_eigenfunction_misses(golden):
+    """A solution whose h is flattened to a constant pins the iterates of 1
+    to 1, which the matrix of a potential that is not normalised leaves at
+    the first step: the sandwich check raises."""
+    f = make_pot(golden, 2, {"12": 0.0, "21": 0.0, "22": 0.2})
+    g = make_pot(golden, 1, {"1": 1.0, "2": 0.0})
+    _, sol = solve_potential(f)
+    flat = replace(sol, h=np.ones_like(sol.h))
+    with pytest.raises(BoundViolated, match="eigenvalue sandwich for iterated 1 fails at n=1"):
+        transfer._rpf_bound_reports(((flat, g),), 5)[0]
+
+
+def test_tilted_family_refuses_a_pinch_tighter_than_the_tilt(full2):
+    """With c0 = 0 the pinch allows no eigenvalue off 1, which the tilt at
+    -q0 has: the pinch check raises there."""
+    phi = normalize_potential(make_pot(full2, 1, {"1": 0.0, "2": 0.0}))
+    psi = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
+    consts = RpfConstants(
+        mode="measured", rho=0.55, log_rho=math.log(0.55), log_D=0.0,
+        log_h_norm_bound=0.0, log_h_min_bound=0.0, source_params={},
+    )
+    with pytest.raises(BoundViolated, match="eigenvalue pinch fails at q=-0.5"):
+        verify_tilted_family(phi, psi, q0=0.5, c0=0.0, consts=consts, n_max=3)
+
+
+def test_tilted_family_refuses_an_eigenfunction_outside_its_envelope(golden_model):
+    """A kept q = 0 solve whose h is tilted by 10% across the states: the
+    eigenvalue still passes the pinch, and the envelope, which at q0 = 0 and
+    a vanishing decay term pins h to 1, raises."""
+    phi = normalize_potential(golden_model.f)
+    psi = golden_model.psi
+    family = tilted_family(phi, psi)
+    sol = family.zero
+    ramp = np.linspace(0.95, 1.05, sol.h.size)
+    phi._solves[family.base.graph.k] = replace(sol, h=sol.h * ramp)
+    consts = RpfConstants(
+        mode="measured", rho=0.5, log_rho=math.log(0.5), log_D=-800.0,
+        log_h_norm_bound=0.0, log_h_min_bound=0.0, source_params={},
+    )
+    with pytest.raises(BoundViolated, match="eigenfunction envelope fails at q=-0.0, n=1"):
+        verify_tilted_family(phi, psi, q0=0.0, c0=1.0, consts=consts, n_max=3)
+
+
+def test_normalize_refuses_a_table_without_unit_row_action(monkeypatch, random_model):
+    """A Perron solve whose h is tilted across the states corrects the
+    table by the wrong coboundary: the normalised matrix misses unit row
+    action and ``normalize_potential`` raises instead of returning it."""
+    solve = transfer.rpf_solve
+
+    def tilted(T, start=None):
+        sol = solve(T, start)
+        return replace(sol, h=sol.h * np.linspace(0.9, 1.1, sol.h.size))
+
+    monkeypatch.setattr(transfer, "rpf_solve", tilted)
+    with pytest.raises(NoConvergence, match="violates unit row action"):
+        normalize_potential(random_model.f)
+
+
 def test_one_step_convergence_for_range_one(full2):
     f = make_pot(full2, 1, {"1": 0.4, "2": -0.1})
     g = make_pot(full2, 1, {"1": 1.0, "2": 0.0})
@@ -369,7 +492,7 @@ def test_envelope_check_accepts_loose_constants(golden):
 def test_theta_seminorm_of_state_vectors(full2):
     words = enumerate_words(full2, 3)
     vec = np.array([1.0 if w == (1, 1, 1) else 0.0 for w in words])
-    sup, semi = state_norms(vec, prefix_runs(words), 0.5)
+    ((sup, semi),) = _block_norms(vec[None], reference_prefix_runs(words), (0.5,))
     assert sup == 1.0
     # variation 1 persists at depth 1, scaled by 1/theta
     assert semi == 2.0

@@ -54,12 +54,28 @@ The corpus of window masses:
   descending calls and as one ``ldp_scan``, each on a fresh measure, once at
   the default gather budget and once at ``FEW_KEY_GATHER_BYTES``, where a
   band takes several key blocks per step and its last block slides left.
+
+The corpus of other outputs, each float as ``float.hex``:
+
+- ``cohomology_spread`` endpoints and witnesses on each fixture's psi and
+  on the deviation-scan ``SPREAD_SHAPES`` observables at seeds 1-3;
+- ``normalize_potential`` tables, one record per word, of each fixture's
+  f, the deviation-scan phi at seeds 1-3 and the seeded models' phi;
+- ``integrate`` means of psi against the equilibrium measure of each of
+  those phi, and of chi_K pads 4-10 against Bernoulli(0.6, 0.4);
+- chi_K pads 4-10: the constants of both modes (``constants_for``) and the
+  certificate of ``verify_bound`` with delta0 0.05 on the grid 0.1:0.9:0.2,
+  its constants and each verdict;
+- the SHA-256 of the CSV of every CLI subcommand the fixtures-cli workload
+  runs, at its seed 1.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -70,6 +86,7 @@ import numpy as np  # noqa: E402
 from thermosft import (  # noqa: E402
     ValidationError,
     cohomology_spread,
+    constants_for,
     deviations,
     enumerate_words,
     equilibrium_measure,
@@ -82,14 +99,16 @@ from thermosft import (  # noqa: E402
     rate_function,
     rate_levels,
     sample_paths,
+    shift_nonnegative,
     validate_transitions,
+    verify_bound,
 )
-from thermosft.cli import _parse_range, load_model  # noqa: E402
+from thermosft.cli import _parse_range, load_model, run_command  # noqa: E402
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: fields compared as labels; every other field but the key is a number
-LABELS = ("status", "method")
+LABELS = ("status", "method", "witness_min", "witness_max", "rate_ok", "tilt_ok", "sha256")
 #: horizons of the seeded window-mass models
 MODEL_HORIZONS = (1, 3, 6, 10, 15)
 #: the models' second gather budget: blocks of 1 to 32 keys
@@ -281,6 +300,101 @@ def _window_corpus():
         yield from found
 
 
+def _hexed(**fields) -> dict:
+    """The fields, each float as ``float.hex``."""
+    return {name: v.hex() if isinstance(v, float) else v for name, v in fields.items()}
+
+
+def _spread_record(case: str, psi) -> dict:
+    spread = cohomology_spread(psi)
+    return {"key": f"spread {case}", **_hexed(
+        min_mean=spread.min_mean, max_mean=spread.max_mean,
+        witness_min=str(spread.witness_min), witness_max=str(spread.witness_max))}
+
+
+def _model_records(case: str, f, psi, normalize: bool = True):
+    """The normalised table of f, one record per word (f as it is when
+    ``normalize`` is off), then the mean of psi under its equilibrium
+    measure."""
+    phi = normalize_potential(f) if normalize else f
+    for w, v in phi.table.items():
+        yield {"key": f"normalize {case} {w}", **_hexed(entry=v)}
+    mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+    yield {"key": f"integrate {case}", **_hexed(mean=integrate(mu, psi))}
+
+
+def _cli_records():
+    """The SHA-256 of each CSV the fixtures-cli workload writes, at seed 1."""
+    seed = 1
+    with tempfile.TemporaryDirectory() as scratch:
+        for fi, (stem, (rate_grid, bound_grid, ldp, mc)) in enumerate(workloads.FIXTURES.items()):
+            cfg = ["--config", str(ROOT / "fixtures" / f"{stem}.json")]
+            q_min, q_max, q_step = workloads.Q_RANGE
+            runs = [("pressure", ["--q-min", q_min, "--q-max", q_max, "--q-step", q_step]),
+                    ("rate", ["--p-grid", rate_grid])]
+            for mode in ("measured", "paper"):
+                runs.append(("bound", ["--delta0", workloads.DELTA0, "--constants", mode,
+                                       "--p-grid", bound_grid]))
+                runs.append(("constants", ["--delta0", workloads.DELTA0, "--constants", mode]))
+            p, delta, horizons = ldp
+            runs.append(("ldp", ["--p", p, "--delta", delta, "--n", horizons]))
+            p, delta, horizons = mc
+            runs.append(("ldp", ["--p", p, "--delta", delta, "--n", horizons,
+                                 "--method", "monte_carlo", "--trials", str(workloads.CLI_TRIALS),
+                                 "--seed", str(seed * 100 + fi)]))
+            runs += [("spread", []), ("normalize", [])]
+            for sub, extra in runs:
+                out = Path(scratch) / "out.csv"
+                code = run_command([sub] + cfg + ["--out", str(out)] + extra)
+                digest = hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else None
+                yield {"key": f"cli {stem} {sub} {' '.join(extra)}", "exit": code,
+                       "sha256": digest}
+
+
+def _other_corpus():
+    """Every record of the other outputs, in a fixed order."""
+    for stem in ("bernoulli", "golden_mean", "random_range3"):
+        model = load_model(str(ROOT / "fixtures" / f"{stem}.json"))
+        yield _spread_record(f"fixture {stem}", model.psi)
+        yield from _model_records(f"fixture {stem}", model.f, model.psi)
+    for seed in (1, 2, 3):
+        for j, (s0, r) in enumerate(workloads.SPREAD_SHAPES):
+            _, obs_tab = workloads.planted_tables(np.random.default_rng([seed, 200 + j]), s0, r)
+            obs = make_potential(workloads._full_shift(s0), r, obs_tab, workloads.THETA)
+            yield _spread_record(f"deviation-scan seed {seed} {s0}^{r - 1}", obs)
+        f_tab, psi_tab = workloads._lattice_tables(np.random.default_rng([seed, 100]))
+        tm = workloads._full_shift(3)
+        yield from _model_records(f"deviation-scan seed {seed}",
+                                  make_potential(tm, 3, f_tab, workloads.THETA),
+                                  make_potential(tm, 4, psi_tab, workloads.THETA))
+    for case, phi, psi, _, _ in _window_models():
+        yield from _model_records(case, phi, psi, normalize=False)
+
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    coin = {(1,): math.log(0.6), (2,): math.log(0.4)}
+    phi = normalize_potential(make_potential(full2, 1, coin, 0.5))
+    mu = equilibrium_measure(phi, k=1)
+    for pad in range(4, 11):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        case = f"chi_K pad {pad}"
+        yield {"key": f"integrate {case}", **_hexed(mean=integrate(mu, psi))}
+        psi1, _ = shift_nonnegative(psi)
+        for mode in ("paper", "measured"):
+            c = constants_for(phi, psi1, mode)
+            yield {"key": f"constants {case} {mode}", **_hexed(
+                rho=c.rho, log_rho=c.log_rho, log_D=c.log_D,
+                log_h_norm_bound=c.log_h_norm_bound, log_h_min_bound=c.log_h_min_bound)}
+            report = verify_bound(phi, psi1, 0.05, (0.1, 0.3, 0.5, 0.7, 0.9), c)
+            yield {"key": f"certificate {case} {mode}", **_hexed(
+                C0=report.C0, B_psi=report.B_psi, psi_tilde=report.psi_tilde,
+                alpha=report.alpha, n0=report.n0, q0=report.q0, bound=report.bound)}
+            for v in report.verdicts:
+                yield {"key": f"verdict {case} {mode} p={v.p!r}", **_hexed(
+                    rate=v.rate, tilt_value=v.tilt_value, rate_ok=str(v.rate_ok),
+                    tilt_ok=str(v.tilt_ok), method=v.tilt_method)}
+    yield from _cli_records()
+
+
 def dump(path: str) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for case, rv in _corpus():
@@ -300,6 +414,8 @@ def dump(path: str) -> None:
                 "log_rate": wm.log_rate.hex(),
                 "method": wm.method,
             }
+            out.write(json.dumps(record) + "\n")
+        for record in _other_corpus():
             out.write(json.dumps(record) + "\n")
 
 
