@@ -24,10 +24,11 @@ from .errors import BadTheta, BoundViolated, Delta0OutOfRange, ValidationError
 from .potentials import (
     CohomologySpread,
     Potential,
-    make_potential,
+    _potential,
     require_not_constant,
 )
 from .rate import rate_levels
+from .sft import state_graph
 from .transfer import (
     _all_solved,
     _block_norms,
@@ -156,10 +157,10 @@ def measured_rpf_constants(
     # the same family, unless psi is longer than its states
     psi_family = tilted_family(phi, psi, k_min=psi.r)
     runs = family.base.graph.prefix_runs()
-    symbols = range(1, phi.tm.size + 1)
+    symbols = state_graph(phi.tm, 1)
     battery = (
-        make_potential(phi.tm, 1, {(a,): float(a == 1) for a in symbols}, theta),
-        make_potential(phi.tm, 1, {(a,): 1.0 for a in symbols}, theta),
+        _potential(symbols, (np.arange(symbols.size) == 0).astype(float), theta),
+        _potential(symbols, np.ones(symbols.size), theta),
     )
     # the probes ±q0 are one block solve per family, their gap estimates
     # one block, and the reports one block per state graph; of failed

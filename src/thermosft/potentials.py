@@ -1,8 +1,12 @@
 """Finite-range potentials on a shift space with exactly computed norms.
 
-Only locally constant functions are representable: a range-r potential is a
-table on admissible r-words.  That restriction is what makes every quantity
+Only locally constant functions are representable: a range-r potential is
+one value per admissible r-word, held as an array over the states of its
+r-word ``StateGraph``.  That restriction is what makes every quantity
 downstream (norms, transfer matrices, cylinder masses) exactly computable.
+A word-keyed table is an input (``make_potential`` validates it) or an
+output (``Potential.table``, a view built on read); every potential the
+library derives is built from arrays on a graph it already holds.
 A general Hoelder function must be truncated externally; conditioning it on
 its first r coordinates moves values by at most ``|g|_theta * theta**(r-1)``,
 which callers can use to size r.  The toolkit reports this tail bound but does
@@ -11,8 +15,10 @@ not propagate it into certificates.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +28,18 @@ from .errors import (
     InadmissibleWord,
     MissingWord,
     NoConvergence,
+    ValidationError,
     WordTooShort,
 )
-from .sft import TransitionMatrix, Word, _frozen, enumerate_words, require_same_space, state_graph
+from .sft import (
+    StateGraph,
+    TransitionMatrix,
+    Word,
+    _frozen,
+    enumerate_words,
+    require_same_space,
+    state_graph,
+)
 
 #: spread below which an observable is treated as cohomologous to a constant
 TOL_COB = 1e-9
@@ -34,10 +49,13 @@ _HOWARD_MAX_ROUNDS = 500
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Range-r potential: a value table on admissible r-words.
+    """Range-r potential: one value per admissible r-word.
 
-    ``values`` holds them as an array over the r-words in order, which a
-    state graph reads by one gather through ``StateGraph.prefix``.
+    ``graph`` is the r-word ``StateGraph`` and ``values`` the values as an
+    array over its states in order, which another state graph reads by one
+    gather through ``StateGraph.prefix``; the array is the potential.  ``tm``
+    and ``r`` are read off the graph, and ``table``, the values keyed by
+    word, is a view built on first read for word-level callers.
     ``sup_norm`` is max |value|; ``hoelder_seminorm`` is the largest
     ``var_k / theta**k`` over 0 <= k <= r-2 (zero for r = 1, since a range-1
     function cannot vary between points sharing their first coordinate);
@@ -52,11 +70,9 @@ class Potential:
     ``require_not_constant`` has computed it, and is empty before.
     """
 
-    tm: TransitionMatrix
-    r: int
-    theta: float
-    table: dict
+    graph: StateGraph = field(repr=False)
     values: np.ndarray = field(repr=False)
+    theta: float
     sup_norm: float
     hoelder_seminorm: float
     b: float
@@ -65,6 +81,18 @@ class Potential:
     )
     _solves: dict = field(default_factory=dict, init=False, repr=False)
     _spread: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def tm(self) -> TransitionMatrix:
+        return self.graph.tm
+
+    @property
+    def r(self) -> int:
+        return self.graph.k
+
+    @cached_property
+    def table(self) -> dict:
+        return dict(zip(enumerate_words(self.tm, self.r), self.values.tolist()))
 
     @property
     def norm(self) -> float:
@@ -77,19 +105,35 @@ class Potential:
         return self.hoelder_seminorm * self.theta ** (self.r - 1)
 
     def min_value(self) -> float:
-        return min(self.table.values())
+        return float(self.values.min())
 
 
-def variations(values: np.ndarray, runs) -> list:
-    """var_j for each depth of ``runs`` (``StateGraph.prefix_runs``): the largest value
-    gap within one run of ``values``.  Exhaustive over prefix classes, hence
-    exact; 0.0 exactly when every run holds one value."""
-    out = []
-    for starts in runs:
-        gaps = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+def variations(V: np.ndarray, runs) -> list:
+    """var_j for each depth j of ``runs`` (``StateGraph.prefix_runs``): the
+    largest value gap within one run, of a vector, or of each row of a block
+    (then one list per row).  Exhaustive over prefix classes, hence exact;
+    0.0 exactly when every run holds one value.
+
+    The deepest runs' maxima and minima are taken over the values, and each
+    shallower depth's over the next depth's, whose runs split its own.  A
+    depth whose runs have at most m members takes m column gathers, member
+    i of each run (its last when it has fewer), which beats a ``reduceat``
+    over runs of a few members each."""
+    hi = lo = np.atleast_2d(V)
+    var = np.zeros((len(runs), len(hi)))
+    for j in range(len(runs) - 1, -1, -1):
+        # a depth's runs start at some of the next depth's run starts
+        starts = runs[j] if j == len(runs) - 1 else np.searchsorted(runs[j + 1], runs[j])
+        last = np.concatenate((starts[1:], [hi.shape[1]])) - 1
+        run_hi, run_lo = hi.take(starts, axis=1), lo.take(starts, axis=1)
+        for i in range(1, int((last - starts).max()) + 1):
+            at = np.minimum(starts + i, last)
+            np.maximum(run_hi, hi.take(at, axis=1), out=run_hi)
+            np.minimum(run_lo, lo.take(at, axis=1), out=run_lo)
+        hi, lo = run_hi, run_lo
         # +0.0, not -0.0, where a run holds both zeros
-        out.append(max(0.0, float(gaps.max())))
-    return out
+        var[j] = np.maximum(0.0, np.maximum.reduce(hi - lo, axis=1))
+    return var[:, 0].tolist() if np.ndim(V) == 1 else var.T.tolist()
 
 
 def hoelder_seminorm(var, theta: float) -> float:
@@ -97,36 +141,43 @@ def hoelder_seminorm(var, theta: float) -> float:
     return max((vj / theta**j for j, vj in enumerate(var)), default=0.0)
 
 
+def _potential(graph: StateGraph, values: np.ndarray, theta: float) -> Potential:
+    """The potential of ``values`` on the states of ``graph``, its norms
+    computed exactly from the array."""
+    semi = hoelder_seminorm(variations(values, graph.prefix_runs()), theta)
+    return Potential(
+        graph=graph,
+        values=_frozen(values),
+        theta=theta,
+        sup_norm=float(np.abs(values).max()),
+        hoelder_seminorm=semi,
+        b=max(1.0, semi),
+    )
+
+
 def make_potential(tm: TransitionMatrix, r: int, table: dict, theta: float) -> Potential:
-    """Build a Potential, validating the table against the admissible r-words
-    and computing its norms exactly."""
+    """Build a Potential from a table keyed by words, validating it against
+    the admissible r-words (every key one of them, each of them a key, every
+    value finite) and computing its norms exactly.  The entry point for
+    tables from outside the library."""
     if not 0.0 < theta < 1.0:
         raise BadTheta(f"theta must lie in (0, 1), got {theta}")
     if r < 1:
         raise InadmissibleWord(f"range must be >= 1, got {r}")
     words = enumerate_words(tm, r)
-    admissible = set(words)
-    clean = {}
+    index = dict(zip(words, range(len(words))))
+    values = [None] * len(words)
     for key, val in table.items():
         word = tuple(key)
-        if word not in admissible:
+        at = index.get(word)
+        if at is None:
             raise InadmissibleWord(f"word {word} is not an admissible {r}-word")
-        clean[word] = float(val)
-    for w in words:
-        if w not in clean:
-            raise MissingWord(f"table is missing admissible word {w}")
-    values = _frozen(np.array([clean[w] for w in words]))
-    semi = hoelder_seminorm(variations(values, state_graph(tm, r).prefix_runs()), theta)
-    return Potential(
-        tm=tm,
-        r=r,
-        theta=theta,
-        table=clean,
-        values=values,
-        sup_norm=max(abs(v) for v in clean.values()),
-        hoelder_seminorm=semi,
-        b=max(1.0, semi),
-    )
+        values[at] = float(val)
+        if not math.isfinite(values[at]):
+            raise ValidationError(f"value {values[at]!r} on word {word} is not finite")
+    if None in values:
+        raise MissingWord(f"table is missing admissible word {words[values.index(None)]}")
+    return _potential(state_graph(tm, r), np.array(values), theta)
 
 
 def birkhoff_sum(g: Potential, w: Word, n: int) -> float:
@@ -141,12 +192,12 @@ def birkhoff_sum(g: Potential, w: Word, n: int) -> float:
 
 
 def affine_combine(phi: Potential, psi: Potential, q: float) -> Potential:
-    """The potential phi + q*psi on words of the larger range, each read on
-    the words by one gather through their prefix maps."""
+    """The potential phi + q*psi on the graph of the longer operand, each
+    read on its words by one gather through their prefix maps."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
-    graph = state_graph(phi.tm, max(phi.r, psi.r))
+    graph = (psi if psi.r > phi.r else phi).graph
     values = phi.values[graph.prefix(phi.r)] + q * psi.values[graph.prefix(psi.r)]
-    return make_potential(phi.tm, graph.k, dict(zip(graph.words, values.tolist())), phi.theta)
+    return _potential(graph, values, phi.theta)
 
 
 def shift_nonnegative(psi: Potential) -> tuple:
@@ -159,8 +210,7 @@ def shift_nonnegative(psi: Potential) -> tuple:
     if lo >= 0.0:
         return psi, 0.0
     c = -lo
-    table = {w: v + c for w, v in psi.table.items()}
-    return make_potential(psi.tm, psi.r, table, psi.theta), c
+    return _potential(psi.graph, psi.values + c, psi.theta), c
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +247,7 @@ def _out_edges(psi: Potential) -> tuple:
     (r-1)-words (symbols when r = 1) and whose edge weights are psi on the
     edge words: row u of ``heads`` and ``weights`` holds the head and the
     weight of each edge out of state u, padded by repeating its first."""
-    graph = state_graph(psi.tm, max(1, psi.r - 1))
+    graph = psi.graph.parent or psi.graph
     first = np.searchsorted(graph.src, np.arange(graph.size))
     degree = np.diff(first, append=len(graph.src))
     j = np.arange(degree.max())
@@ -347,26 +397,27 @@ def indicator_example(tm: TransitionMatrix, targets: list, pad: int, theta: floa
         if not tm.is_admissible(t):
             raise InadmissibleWord(f"target cylinder {t} is not admissible")
     r = max(len(t) for t in cyl) + pad
+    graph = state_graph(tm, r)
+    digits = _digits(graph)
+    # a target within the first pad shifts; r - len(t) >= pad, so it fits
+    core = np.zeros(graph.size, dtype=bool)
+    for t in cyl:
+        for j in range(pad + 1):
+            core |= (digits[:, j : j + len(t)] == t).all(axis=1)
+    deficit = np.min(
+        [len(t) - np.logical_and.accumulate(digits[:, : len(t)] == t, axis=1).sum(axis=1)
+         for t in cyl],
+        axis=0,
+    )
+    deficit[core] = 0
+    return _potential(graph, np.maximum(0.0, 1.0 - deficit / (pad + 1)), theta)
 
-    def distance(word):
-        for t in cyl:
-            span = len(word) - len(t)
-            for j in range(0, min(pad, span) + 1):
-                if word[j : j + len(t)] == t:
-                    return 0
-        best = None
-        for t in cyl:
-            lcp = 0
-            for a, b in zip(word, t):
-                if a != b:
-                    break
-                lcp += 1
-            d = len(t) - lcp
-            best = d if best is None else min(best, d)
-        return best
 
-    table = {}
-    for w in enumerate_words(tm, r):
-        d = distance(w)
-        table[w] = max(0.0, 1.0 - d / (pad + 1))
-    return make_potential(tm, r, table, theta)
+def _digits(graph: StateGraph) -> np.ndarray:
+    """The symbols of each state of ``graph``, one row per state: a state's
+    row is its parent edge's source row plus the last symbol of its head."""
+    if graph.parent is None:
+        return np.arange(1, graph.size + 1, dtype=np.min_scalar_type(graph.size))[:, None]
+    parent = graph.parent
+    rows = _digits(parent)
+    return np.column_stack((rows[parent.src], rows[parent.dst, -1]))

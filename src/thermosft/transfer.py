@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolated, NoConvergence, ValidationError
-from .potentials import Potential, hoelder_seminorm, make_potential, variations
+from .potentials import Potential, _potential, hoelder_seminorm, variations
 from .sft import StateGraph, Word, _frozen, enumerate_words, require_same_space, state_graph
 
 #: relative residual at which the power iteration declares convergence
@@ -551,8 +551,9 @@ def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamil
 def normalize_potential(f: Potential) -> Potential:
     """Cohomologous potential with unit row action: the transfer operator of
     the result fixes the constant 1, its eigenvalue is 1 and the equilibrium
-    state is unchanged.  The table is built on the minimal sufficient range
-    (the eigenfunction correction cancels where it is constant)."""
+    state is unchanged.  The result lives on the minimal sufficient range
+    (the eigenfunction correction cancels where it is constant), on an
+    ancestor of the graph whose states are the matrix's edges."""
     T, f_e, _ = _edge_matrix(f, max(1, f.r - 1))
     sol = rpf_solve(T)
     log_h = np.log(sol.h)
@@ -561,12 +562,14 @@ def normalize_potential(f: Potential) -> Potential:
     # T's edges are the states of the refined graph, in order.  Trim to the
     # least range whose deeper coordinates do not matter: the variations
     # fall with depth and reach 0.0 at the whole words, each its own run
-    runs = graph.refined().prefix_runs() + [np.arange(len(values))]
+    out = graph.refined()
+    runs = out.prefix_runs() + [np.arange(len(values))]
     r_out = 1 + variations(values, runs).index(0.0)
     # every r_out-word extends to an edge, so the runs at that depth start
-    # at the r_out-words, in order
-    table = dict(zip(enumerate_words(f.tm, r_out), values[runs[r_out - 1]].tolist()))
-    phi = make_potential(f.tm, r_out, table, f.theta)
+    # at the r_out-words, in order: the states of that ancestor
+    while out.k > r_out:
+        out = out.parent
+    phi = _potential(out, values[runs[r_out - 1]], f.theta)
     Tphi = build_transfer_matrix(phi)
     ones = np.ones(Tphi.size)
     err = np.max(np.abs(Tphi.apply(ones) - 1.0))
@@ -681,20 +684,12 @@ def _block_norms(V: np.ndarray, runs, thetas) -> list:
     """(sup, theta-seminorm) of each row of the block V, a function on
     k-word states, row i with ``thetas[i]``; the seminorm scans the
     variation within the prefix ``runs`` of the states
-    (``StateGraph.prefix_runs``), one reduction per prefix depth for all
-    rows.  Maxima and minima are exact and ``max(0.0, .)`` gives a zero
-    variation one sign, so each row's norms are those of
-    ``potentials.variations`` on the row alone."""
+    (``StateGraph.prefix_runs``) by ``potentials.variations`` on the whole
+    block, so each row's norms are those of the row alone."""
     sups = np.maximum.reduce(np.abs(V), axis=1).tolist()
-    depths = [
-        np.maximum.reduce(
-            np.maximum.reduceat(V, starts, axis=1) - np.minimum.reduceat(V, starts, axis=1), axis=1
-        ).tolist()
-        for starts in runs
-    ]
     return [
-        (sup, hoelder_seminorm([max(0.0, var[i]) for var in depths], theta))
-        for i, (sup, theta) in enumerate(zip(sups, thetas))
+        (sup, hoelder_seminorm(var, theta))
+        for sup, var, theta in zip(sups, variations(V, runs), thetas)
     ]
 
 

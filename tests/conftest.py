@@ -160,6 +160,34 @@ def brute_variations(tm, r, table):
     return out
 
 
+def reference_indicator_values(tm, targets, pad):
+    """The values of ``indicator_example`` on the admissible r-words in
+    order, r the longest target plus pad, by a loop over the words: 0
+    distance when a target occurs within the first pad shifts, else the
+    least prefix-agreement deficit over the targets."""
+    cyl = [tuple(t) for t in targets]
+    r = max(len(t) for t in cyl) + pad
+
+    def distance(word):
+        for t in cyl:
+            span = len(word) - len(t)
+            for j in range(0, min(pad, span) + 1):
+                if word[j : j + len(t)] == t:
+                    return 0
+        best = None
+        for t in cyl:
+            lcp = 0
+            for a, b in zip(word, t):
+                if a != b:
+                    break
+                lcp += 1
+            d = len(t) - lcp
+            best = d if best is None else min(best, d)
+        return best
+
+    return [max(0.0, 1.0 - distance(w) / (pad + 1)) for w in enumerate_words(tm, r)]
+
+
 def simple_cycles(num_states, edges):
     """All simple cycles of a digraph as (total weight, length), each anchored
     at its smallest state.  Totals start from the integer 0, so Fraction

@@ -299,6 +299,27 @@ def test_potential_outside_the_float_range_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["potential_f", "observable_psi"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_potential_value_exits_2(tmp_path, capsys, field, value):
+    """A value JSON spells NaN, Infinity or -Infinity (which Python's json
+    reads as a float) is refused as the model is loaded, naming the field
+    and the word: ``normalize`` writes nothing, and no solver sees it."""
+    raw = (FIXTURES / "bernoulli.json").read_text()
+    model = json.loads(raw)
+    model[field]["values"]["1"] = float(value)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(model))
+    assert value in cfg.read_text()
+    out = tmp_path / "out.json"
+    for command in (["normalize"], ["spread"], ["rate", "--p-grid", "0.2:0.8:0.2"],
+                    ["pressure", "--q-min", -1, "--q-max", 1, "--q-step", 1]):
+        assert run(command + ["--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: value {float(value)!r} on word (1,) is not finite" in err
+        assert not out.exists()
+
+
 def test_overflowing_pressure_tilt_exits_4(tmp_path, capsys):
     """exp(phi + 1000*psi) overflows on the golden-mean fixture: the tilt is
     refused as ``NoConvergence`` naming q, with no numpy warning."""

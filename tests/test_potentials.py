@@ -39,6 +39,7 @@ from conftest import (
     potential_graph,
     random_aperiodic,
     random_potential,
+    reference_indicator_values,
     simple_cycles,
 )
 
@@ -90,8 +91,12 @@ def test_cached_norms_match_brute_force():
         tm = random_aperiodic(rng, s0)
         g = random_potential(rng, tm, r)
         brute = brute_variations(tm, r, g.table)
-        fast = variations(g.values, state_graph(tm, r).prefix_runs())
+        runs = state_graph(tm, r).prefix_runs()
+        fast = variations(g.values, runs)
         assert brute == pytest.approx(fast, abs=0.0)
+        # a block's rows are reduced together, each as on its own
+        block = np.array([g.values, -g.values, np.zeros(len(g.values))])
+        assert variations(block, runs) == [fast, fast, [0.0] * (r - 1)]
         semi = max((vk / g.theta**k for k, vk in enumerate(brute)), default=0.0)
         assert g.hoelder_seminorm == pytest.approx(semi, abs=0.0)
         assert g.sup_norm == max(abs(v) for v in g.table.values())
@@ -387,6 +392,60 @@ def test_indicator_seminorm_grows_with_depth(full2):
         semis.append(psi.hoelder_seminorm)
         assert psi.hoelder_seminorm == pytest.approx(0.5 ** (2 - depth), abs=1e-12)
     assert semis == sorted(semis)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 1]],
+    [[0, 1], [1, 1]],
+    [[1, 1, 0], [0, 1, 1], [1, 1, 1]],
+])
+@pytest.mark.parametrize("targets", [
+    [(1, 2), (2, 2, 2)],  # two targets of different lengths
+    [(1, 2), (1, 2, 2)],  # one a prefix of the other
+    [(2,)],  # one symbol
+])
+def test_indicator_values_match_the_word_loop_reference(rows, targets):
+    """On the full 2-shift, the golden mean and a 3-symbol shift, at pads
+    0-8, the indicator's values equal the word loop's bit for bit, and its
+    norms those of a ``make_potential`` of that loop's table."""
+    tm = validate_transitions(rows)
+    for pad in range(9):
+        psi = indicator_example(tm, targets, pad=pad, theta=0.5)
+        want = reference_indicator_values(tm, targets, pad)
+        assert psi.values.tobytes() == np.array(want).tobytes()
+        built = make_potential(tm, psi.r, dict(zip(enumerate_words(tm, psi.r), want)), 0.5)
+        assert (psi.sup_norm.hex(), psi.hoelder_seminorm.hex()) == (
+            built.sup_norm.hex(), built.hoelder_seminorm.hex())
+
+
+def test_derived_potentials_equal_their_make_potential_rebuilds(
+    bernoulli_model, golden_model, random_model, full2
+):
+    """``affine_combine``, ``shift_nonnegative`` and ``normalize_potential``
+    build their results from arrays on a graph they hold; a
+    ``make_potential`` of each result's ``table`` view has the same value
+    bits and the same norms."""
+    derived = []
+    for model in (bernoulli_model, golden_model, random_model):
+        f, psi = model.f, model.psi
+        for q in (-0.7, 0.7):
+            # on the graph of the longer operand, the first on a tie
+            derived.append(affine_combine(f, psi, q))
+            assert derived[-1].graph is (psi if psi.r > f.r else f).graph
+            derived.append(affine_combine(psi, f, q))
+            assert derived[-1].graph is (f if f.r > psi.r else psi).graph
+        combined = derived[-1]
+        derived.append(shift_nonnegative(combined)[0])
+        assert derived[-1].graph is combined.graph and derived[-1].min_value() == 0.0
+        derived.append(shift_nonnegative(model.psi)[0])
+        derived.append(normalize_potential(model.f))
+    psi = indicator_example(full2, [(1, 1, 1)], pad=4, theta=0.5)
+    derived.append(shift_nonnegative(affine_combine(psi, psi, -3.0))[0])
+    for g in derived:
+        again = make_potential(g.tm, g.r, g.table, g.theta)
+        assert again.values.tobytes() == g.values.tobytes()
+        assert (again.sup_norm.hex(), again.hoelder_seminorm.hex(), again.b.hex()) == (
+            g.sup_norm.hex(), g.hoelder_seminorm.hex(), g.b.hex())
 
 
 def test_indicator_rejects_inadmissible(golden):

@@ -63,6 +63,12 @@ The corpus of other outputs, each float as ``float.hex``:
   f, the deviation-scan phi at seeds 1-3 and the seeded models' phi;
 - ``integrate`` means of psi against the equilibrium measure of each of
   those phi, and of chi_K pads 4-10 against Bernoulli(0.6, 0.4);
+- the potentials the library derives, each as the SHA-256 of its value
+  array with its ``sup_norm`` and ``hoelder_seminorm``: chi_K pads 0-12,
+  the ``INDICATOR_CASES`` at pads 0-6, and on each fixture
+  ``affine_combine`` of f and psi at q = -0.7 and 0.7 and the
+  ``shift_nonnegative`` of each (with its shift; every fixture's psi is
+  nonnegative already);
 - chi_K pads 4-10: the constants of both modes (``constants_for``) and the
   certificate of ``verify_bound`` with delta0 0.05 on the grid 0.1:0.9:0.2,
   its constants and each verdict;
@@ -85,6 +91,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from thermosft import (  # noqa: E402
     ValidationError,
+    affine_combine,
     cohomology_spread,
     constants_for,
     deviations,
@@ -109,6 +116,17 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: fields compared as labels; every other field but the key is a number
 LABELS = ("status", "method", "witness_min", "witness_max", "rate_ok", "tilt_ok", "sha256")
+#: indicator targets beyond chi_K's 111: (transitions, targets) of two
+#: targets of different lengths, a target that is a prefix of another and
+#: one-symbol targets, on the full 2-shift, the golden mean and 3 symbols
+INDICATOR_CASES = (
+    ([[1, 1], [1, 1]], [(1, 2), (2, 2, 1)]),
+    ([[1, 1], [1, 1]], [(1, 2), (1, 2, 2)]),
+    ([[0, 1], [1, 1]], [(2,)]),
+    ([[0, 1], [1, 1]], [(2, 1, 2), (1, 2)]),
+    ([[1, 1, 0], [0, 1, 1], [1, 1, 1]], [(1, 2), (3,), (2, 3, 3)]),
+    ([[1, 1, 0], [0, 1, 1], [1, 1, 1]], [(3, 1), (3, 1, 1, 2)]),
+)
 #: horizons of the seeded window-mass models
 MODEL_HORIZONS = (1, 3, 6, 10, 15)
 #: the models' second gather budget: blocks of 1 to 32 keys
@@ -312,6 +330,12 @@ def _spread_record(case: str, psi) -> dict:
         witness_min=str(spread.witness_min), witness_max=str(spread.witness_max))}
 
 
+def _potential_record(case: str, g, **fields) -> dict:
+    """The SHA-256 of g's value array, its norms and any other fields."""
+    return {"key": f"potential {case}", "sha256": hashlib.sha256(g.values.tobytes()).hexdigest(),
+            **_hexed(sup_norm=g.sup_norm, hoelder_seminorm=g.hoelder_seminorm, **fields)}
+
+
 def _model_records(case: str, f, psi, normalize: bool = True):
     """The normalised table of f, one record per word (f as it is when
     ``normalize`` is off), then the mean of psi under its equilibrium
@@ -357,6 +381,20 @@ def _other_corpus():
         model = load_model(str(ROOT / "fixtures" / f"{stem}.json"))
         yield _spread_record(f"fixture {stem}", model.psi)
         yield from _model_records(f"fixture {stem}", model.f, model.psi)
+        for q in (-0.7, 0.7):
+            combined = affine_combine(model.f, model.psi, q)
+            yield _potential_record(f"fixture {stem} affine_combine q={q!r}", combined)
+            shifted, c = shift_nonnegative(combined)
+            yield _potential_record(f"fixture {stem} shift_nonnegative q={q!r}", shifted, shift=c)
+    full2 = validate_transitions([[1, 1], [1, 1]])
+    for pad in range(13):
+        psi = indicator_example(full2, [(1, 1, 1)], pad=pad, theta=0.5)
+        yield _potential_record(f"chi_K pad {pad}", psi)
+    for rows, targets in INDICATOR_CASES:
+        tm = validate_transitions(rows)
+        for pad in range(7):
+            psi = indicator_example(tm, targets, pad=pad, theta=0.5)
+            yield _potential_record(f"indicator {rows} {targets} pad {pad}", psi)
     for seed in (1, 2, 3):
         for j, (s0, r) in enumerate(workloads.SPREAD_SHAPES):
             _, obs_tab = workloads.planted_tables(np.random.default_rng([seed, 200 + j]), s0, r)
@@ -370,7 +408,6 @@ def _other_corpus():
     for case, phi, psi, _, _ in _window_models():
         yield from _model_records(case, phi, psi, normalize=False)
 
-    full2 = validate_transitions([[1, 1], [1, 1]])
     coin = {(1,): math.log(0.6), (2,): math.log(0.4)}
     phi = normalize_potential(make_potential(full2, 1, coin, 0.5))
     mu = equilibrium_measure(phi, k=1)
