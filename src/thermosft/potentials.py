@@ -192,10 +192,10 @@ def birkhoff_sum(g: Potential, w: Word, n: int) -> float:
 
 
 def affine_combine(phi: Potential, psi: Potential, q: float) -> Potential:
-    """The potential phi + q*psi on the graph of the longer operand, each
-    read on its words by one gather through their prefix maps."""
+    """The potential phi + q*psi on the words of the longer operand, each
+    read on them by one gather through their prefix maps."""
     require_same_space(phi.tm, phi.theta, psi, "potentials")
-    graph = (psi if psi.r > phi.r else phi).graph
+    graph = state_graph(phi.tm, max(phi.r, psi.r))
     values = phi.values[graph.prefix(phi.r)] + q * psi.values[graph.prefix(psi.r)]
     return _potential(graph, values, phi.theta)
 
@@ -247,7 +247,7 @@ def _out_edges(psi: Potential) -> tuple:
     (r-1)-words (symbols when r = 1) and whose edge weights are psi on the
     edge words: row u of ``heads`` and ``weights`` holds the head and the
     weight of each edge out of state u, padded by repeating its first."""
-    graph = psi.graph.parent or psi.graph
+    graph = state_graph(psi.tm, max(1, psi.r - 1))
     first = np.searchsorted(graph.src, np.arange(graph.size))
     degree = np.diff(first, append=len(graph.src))
     j = np.arange(degree.max())

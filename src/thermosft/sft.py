@@ -5,10 +5,16 @@ whose consecutive pairs are allowed by a 0/1 transition matrix.  Every layer
 numbers the admissible words of one length by their lexicographic positions,
 read off a ``StateGraph`` refined from the symbol graph symbol by symbol, so
 every matrix and vector the toolkit emits is reproducible run to run.
+
+This module owns every graph: ``state_graph(tm, k)`` returns the one graph
+of (tm, k) while anything holds it, so potentials, tilted families and
+equilibrium measures of one matrix share a single tower of graphs, and a
+layer asks for the length it needs instead of building or finding one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +48,14 @@ class TransitionMatrix:
 
     def successors(self, a: int) -> tuple:
         return self._successors[a - 1]
+
+    @cached_property
+    def symbol_graph(self) -> "StateGraph":
+        """The graph of 1-words: the symbol graph of the nonzero entries,
+        row-major, so its edges are the 2-words in order.  The root of every
+        graph ``state_graph`` returns for this matrix."""
+        src, dst = np.nonzero(self.entries)
+        return StateGraph(self, 1, _frozen(src), _frozen(dst), None)
 
     def is_admissible(self, word: Word) -> bool:
         if len(word) == 0:
@@ -161,6 +175,7 @@ class StateGraph:
     dst: np.ndarray
     parent: "StateGraph | None" = field(repr=False)
     _stacks: dict = field(default_factory=dict, init=False, repr=False)
+    _child: "weakref.ref | None" = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -177,7 +192,12 @@ class StateGraph:
     def refined(self) -> "StateGraph":
         """The graph of (k+1)-words: its states are this graph's edges, in
         order, and the edges out of e are the edges e' out of ``dst[e]``,
-        which are contiguous since ``src`` is nondecreasing."""
+        which are contiguous since ``src`` is nondecreasing.  The child
+        built before is returned while anything holds it; two threads may
+        both build it, and the equal graph stored last is the one kept."""
+        child = self._child and self._child()
+        if child is not None:
+            return child
         first = np.searchsorted(self.src, np.arange(self.size + 1))
         # ufunc forms of diff and cumsum, without their Python-level wrappers
         counts = (first[1:] - first[:-1])[self.dst]
@@ -185,7 +205,9 @@ class StateGraph:
         # new edge i is edge i - start of e's run, start being e's first
         ends = np.add.accumulate(counts)
         new_dst = np.arange(ends[-1]) + np.repeat(first[self.dst] - (ends - counts), counts)
-        return StateGraph(self.tm, self.k + 1, _frozen(new_src), _frozen(new_dst), self)
+        child = StateGraph(self.tm, self.k + 1, _frozen(new_src), _frozen(new_dst), self)
+        object.__setattr__(self, "_child", weakref.ref(child))
+        return child
 
     def prefix(self, r: int) -> np.ndarray:
         """Index among the r-words of the first r symbols of each state,
@@ -232,13 +254,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def state_graph(tm: TransitionMatrix, k: int) -> StateGraph:
-    """The graph of admissible k-words: the symbol graph of ``tm``'s nonzero
-    entries (row-major, so its edges are the 2-words in order), refined
-    k - 1 times."""
+    """The graph of admissible k-words of ``tm``: its ``symbol_graph``
+    refined k - 1 times, so every caller holding the graph of (tm, k) holds
+    the same object."""
     if k < 1:
         raise LengthMismatch(f"word length must be >= 1, got {k}")
-    src, dst = np.nonzero(tm.entries)
-    graph = StateGraph(tm, 1, _frozen(src), _frozen(dst), None)
+    graph = tm.symbol_graph
     for _ in range(k - 1):
         graph = graph.refined()
     return graph

@@ -9,14 +9,16 @@ numerical verification of the spectral convergence bounds.
 
 A matrix is a ``StateGraph`` plus one weight per edge, at most s0 per row,
 so a mat-vec is a single ``np.bincount``, and a potential is read on the
-edges by one gather of its values.  The tilted family ``phi + q*psi`` behind
-pressure curves, rate functions and the certificate is one ``TiltedFamily``,
-kept on phi: the state graph and both edge tables are made once per
-(phi, psi) and state length, the q = 0 solve once per phi and state length
-(``solve_potential``, which equilibrium measures read too), and each tilt
-only re-exponentiates ``phi_e + q*psi_e``.  Independent tilts on one graph
-are solved as one block (``rpf_solve_block``, of which ``rpf_solve`` is the
-one-matrix case): a power step is one gather, product and bincount for every
+edges by one gather of its values.  The graph is the one ``sft`` keeps for
+the transition matrix and state length, so a potential, its tilted
+families, its equilibrium measures and their refinements share it.  The
+tilted family ``phi + q*psi`` behind pressure curves, rate functions and
+the certificate is one ``TiltedFamily``, kept on phi: both edge tables are
+made once per (phi, psi) and state length, the q = 0 solve once per phi and
+state length (``solve_potential``, which equilibrium measures read too), and
+each tilt only re-exponentiates ``phi_e + q*psi_e``.  Independent tilts on
+one graph are solved as one block (``rpf_solve_block``, of which
+``rpf_solve`` is the one-matrix case): a power step is one gather, product and bincount for every
 row of every tilt still running, and the gap estimates and bound reports of
 several solutions stack the same way.  An equilibrium Markov chain is a
 ``TransferMatrix`` too, its edge weights the transition probabilities, so
@@ -66,9 +68,9 @@ class TransferMatrix:
     operator of f, or the transition probability for an equilibrium chain.
     Applying the operator to a state vector g sums over preimages,
     ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over the edges into
-    v; ``adjoint`` is the transposed action.  Matrices that differ only in
-    their weights (``replace``) share one graph, and with it the stacked
-    index arrays of ``_block_step``.
+    v; ``adjoint`` is the transposed action.  Every matrix on the k-word
+    states of one transition matrix holds the one graph ``state_graph``
+    returns, and with it the stacked index arrays of ``_block_step``.
     """
 
     graph: StateGraph
@@ -353,7 +355,8 @@ def rpf_solve_block(Ts, starts=None) -> list:
     it.  Each row iterates as it would alone, so every matrix gets the
     solution of its own solve bit for bit, or, where that solve fails, the
     ``NoConvergence`` it raises in place of the solution; a failure stops
-    only its own matrix's rows."""
+    only its own matrix's rows.  A failure is one of the iteration or one of
+    the Perron quotient of the converged vectors (``_solution``)."""
     n = Ts[0].size
     X = np.empty((2 * len(Ts), n))
     for j, start in enumerate(starts or (None,) * len(Ts)):
@@ -373,12 +376,24 @@ def rpf_solve_block(Ts, starts=None) -> list:
 
 
 def _solution(T: TransferMatrix, h_raw: np.ndarray, nu_raw: np.ndarray, iterations: int):
+    """The ``RpfSolution`` of T's converged vectors, or the ``NoConvergence``
+    of a Perron quotient that is not finite and positive: h and nu without
+    common support, an image of h or a lambda that overflows, or rounding
+    that puts lambda - 1 at or below -1."""
     nu = nu_raw / nu_raw.sum()
-    h = h_raw / float(h_raw @ nu)
-    z = T.apply(h)
-    denom = float(nu @ h)
-    lam = float(nu @ z) / denom
-    delta = float(nu @ (z - h)) / denom
+    scale = float(h_raw @ nu)
+    if not 0.0 < scale < math.inf:
+        return NoConvergence(f"converged vectors have h @ nu = {scale!r}: no Perron quotient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = h_raw / scale
+        z = T.apply(h)
+        denom = float(nu @ h)
+        lam = float(nu @ z) / denom
+        delta = float(nu @ (z - h)) / denom
+    if not (0.0 < lam < math.inf and -1.0 < delta < math.inf):
+        return NoConvergence(
+            f"Perron quotient lambda = {lam!r}, lambda - 1 = {delta!r}: log lambda is not finite"
+        )
     return RpfSolution(
         lam=lam,
         log_lambda=math.log1p(delta),
@@ -511,17 +526,26 @@ class TiltedFamily:
         a tilt whose solve fails gives its ``NoConvergence`` in place of the
         tuple."""
         return [
-            sol if isinstance(sol, NoConvergence) else self.tilt_of(sol)
+            sol if isinstance(sol, NoConvergence) else self._tilt_of(sol)
             for sol in rpf_solve_block([self._finite_at(q) for q in qs], starts)
         ]
 
     def tilt_of(self, sol: RpfSolution) -> tuple:
         """``tilt`` of a solution of one of this family's matrices.  The
         equilibrium mass of edge u -> v is ``h[u] * w * nu[v]`` normalised,
-        so the mean is one weighted sum over the edges."""
+        so the mean is one weighted sum over the edges; a mean that is not
+        finite raises ``NoConvergence``."""
+        return _all_solved((self._tilt_of(sol),))[0]
+
+    def _tilt_of(self, sol: RpfSolution):
+        """``tilt_of``, its failure returned in place of the tuple."""
         T = sol.transfer
-        flow = sol.h[T.graph.src] * T.edge_weights * sol.nu[T.graph.dst]
-        return sol.log_lambda, float(flow @ self.psi_e) / float(flow.sum()), sol
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            flow = sol.h[T.graph.src] * T.edge_weights * sol.nu[T.graph.dst]
+            mean = float((flow @ self.psi_e) / flow.sum())
+        if not math.isfinite(mean):
+            return NoConvergence(f"mean of psi under the tilted equilibrium state is {mean!r}")
+        return sol.log_lambda, mean, sol
 
 
 def tilted_family(phi: Potential, psi: Potential, k_min: int = 1) -> TiltedFamily:
@@ -552,8 +576,7 @@ def normalize_potential(f: Potential) -> Potential:
     """Cohomologous potential with unit row action: the transfer operator of
     the result fixes the constant 1, its eigenvalue is 1 and the equilibrium
     state is unchanged.  The result lives on the minimal sufficient range
-    (the eigenfunction correction cancels where it is constant), on an
-    ancestor of the graph whose states are the matrix's edges."""
+    (the eigenfunction correction cancels where it is constant)."""
     T, f_e, _ = _edge_matrix(f, max(1, f.r - 1))
     sol = rpf_solve(T)
     log_h = np.log(sol.h)
@@ -562,14 +585,11 @@ def normalize_potential(f: Potential) -> Potential:
     # T's edges are the states of the refined graph, in order.  Trim to the
     # least range whose deeper coordinates do not matter: the variations
     # fall with depth and reach 0.0 at the whole words, each its own run
-    out = graph.refined()
-    runs = out.prefix_runs() + [np.arange(len(values))]
+    runs = graph.refined().prefix_runs() + [np.arange(len(values))]
     r_out = 1 + variations(values, runs).index(0.0)
     # every r_out-word extends to an edge, so the runs at that depth start
-    # at the r_out-words, in order: the states of that ancestor
-    while out.k > r_out:
-        out = out.parent
-    phi = _potential(out, values[runs[r_out - 1]], f.theta)
+    # at the r_out-words, in order
+    phi = _potential(state_graph(f.tm, r_out), values[runs[r_out - 1]], f.theta)
     Tphi = build_transfer_matrix(phi)
     ones = np.ones(Tphi.size)
     err = np.max(np.abs(Tphi.apply(ones) - 1.0))

@@ -331,6 +331,32 @@ def test_overflowing_pressure_tilt_exits_4(tmp_path, capsys):
     assert err.startswith("error: tilt q = 1000.0 overflows")
 
 
+@pytest.mark.parametrize("stem, grid, cause", [
+    ("a", "187.5:437.5:62.5", "log lambda is not finite"),
+    ("b", "0.002457678126788043:0.002457678126788043:1", None),
+    ("c", "333.3333333333333:1000.0:83.33333333333334", "h @ nu = 0.0: no Perron quotient"),
+    ("d", "-1.5520498876493318:1.5524665679968663:0.3880645569557748", None),
+])
+def test_perron_quotient_failures_exit_4_without_warnings(tmp_path, capsys, stem, grid, cause):
+    """Small stress models whose tilts converge to vectors without a finite
+    positive Perron quotient: an interior level that meets one (a, c) exits
+    4 with one ``error:`` line naming the cause and writes no CSV, an
+    endpoint sweep ends at that probe (b), and an overflowing image of h in
+    a sweep (d) is a failed probe.  Under pytest's RuntimeWarning filter no
+    numpy warning escapes, and no exception but ``NoConvergence``."""
+    out = tmp_path / "rate.csv"
+    code = run(["rate", "--config", FIXTURES / "stress" / f"{stem}.json",
+                f"--p-grid={grid}", "--out", out])
+    err = capsys.readouterr().err
+    if cause is None:
+        assert code == 0 and err == ""
+        assert out.read_text().splitlines()[1].endswith(",nan,boundary")
+    else:
+        assert code == 4 and not out.exists()
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and cause in line
+
+
 @pytest.mark.parametrize("config, argv, message", [
     (lambda raw: {**raw, "observable_psi": {"range": 1, "values": {"1": 1.0, "x": 0.0}}},
      [], "word key 'x' is not a symbol string"),

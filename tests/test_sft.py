@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from thermosft import (
     enumerate_words,
     equilibrium_measure,
     make_potential,
+    normalize_potential,
     refine_measure,
+    tilted_family,
     validate_transitions,
 )
 from thermosft.cli import load_model
@@ -155,6 +160,8 @@ def test_admissibility_from_successors_matches_the_matrix(fixture, request):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: enumerate_words(validate_transitions([[1, 1], [1, 1]]), 0), LengthMismatch,
      "word length must be >= 1"),
+    (lambda: state_graph(validate_transitions([[1, 1], [1, 1]]), 0), LengthMismatch,
+     "word length must be >= 1, got 0"),
     (lambda: validate_transitions([[1]]), NotZeroOne, "alphabet size must be at least 2"),
 ])
 def test_shift_helpers_refuse_bad_arguments(call, error, message):
@@ -212,3 +219,72 @@ def test_prefix_reads_and_runs_match_word_reads():
                 if r <= k + 1:
                     want = np.array([g.table[w[:r]] for w in edge_words])
                     assert g.values[graph.edge_prefix(r)].tobytes() == want.tobytes()
+
+
+def test_state_graph_is_one_object_per_matrix_and_length():
+    """``state_graph(tm, k)`` is the same object on every call, and every
+    layer that holds a k-word graph of tm holds that one: a range-k
+    potential, a tilted family on k-word states, the refinement of an
+    equilibrium measure to k-word states and the potential
+    ``normalize_potential`` returns on k-words."""
+    rng = np.random.default_rng(97)
+    tm = random_aperiodic(rng, 3)
+    assert state_graph(tm, 3) is state_graph(tm, 3)
+    assert state_graph(tm, 1) is tm.symbol_graph
+    f = random_potential(rng, tm, 2)
+    psi = random_potential(rng, tm, 1)
+    phi = normalize_potential(f)
+    assert phi.r == 2
+    graph = state_graph(tm, 2)
+    assert f.graph is graph and phi.graph is graph
+    assert tilted_family(phi, psi, k_min=2).base.graph is graph
+    assert refine_measure(equilibrium_measure(phi, k=1), 2).chain.graph is graph
+    assert state_graph(tm, 4).parent.parent is graph
+
+
+def test_a_graph_nobody_holds_is_freed():
+    """The symbol graph lives on its matrix, and a longer graph as long as
+    something holds it or a refinement of it: once nothing does, it is
+    freed, and the next call builds an equal graph."""
+    tm = validate_transitions([[0, 1, 1], [1, 1, 0], [1, 1, 1]])
+    graph = state_graph(tm, 4)
+    parent = weakref.ref(graph.parent)
+    arrays = graph.src.copy(), graph.dst.copy()
+    gone = weakref.ref(graph)
+    del graph
+    assert gone() is None and parent() is None
+    again = state_graph(tm, 4)
+    assert np.array_equal(again.src, arrays[0]) and np.array_equal(again.dst, arrays[1])
+    assert state_graph(tm, 1) is again.parent.parent.parent
+
+
+def test_graphs_built_from_threads_at_once_are_equal():
+    """Eight threads ask for the 8-word graph of one fresh matrix at once,
+    with a short switch interval, so several may build the same refinement:
+    every graph they get equals the serial one, and the graph kept for later
+    calls is one of theirs."""
+    rows = [[1, 1, 0], [1, 1, 1], [1, 0, 1]]
+    want = state_graph(validate_transitions(rows), 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            tm = validate_transitions(rows)
+            got = []
+            barrier = threading.Barrier(8)
+
+            def build(tm=tm, got=got, barrier=barrier):
+                barrier.wait(timeout=30.0)
+                got.append(state_graph(tm, 8))
+
+            workers = [threading.Thread(target=build) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30.0)
+            assert not any(w.is_alive() for w in workers) and len(got) == 8
+            for graph in got:
+                assert np.array_equal(graph.src, want.src) and np.array_equal(graph.dst, want.dst)
+            assert any(state_graph(tm, 8) is graph for graph in got)
+    finally:
+        sys.setswitchinterval(interval)

@@ -666,6 +666,35 @@ def test_block_solve_equals_one_solve_per_tilt(bernoulli_model, golden_model, ra
     assert isinstance(lost, NoConvergence) and str(lost) == str(solo.value)
 
 
+def test_block_tilt_whose_perron_quotient_fails(full2):
+    """On a stress model a tilt's vectors can converge with no finite
+    positive Perron quotient: at q = -512 h and nu have no common support,
+    and at q = 256 lambda underflows until lambda - 1 rounds to -1.  Each
+    gets in the block the ``NoConvergence`` its lone solve raises, and the
+    tilts beside them are their lone solves bit for bit.  A mean of psi that
+    overflows is refused by ``tilt_of`` and given in place by ``tilts``."""
+    model = load_model(str(FIXTURES / "stress" / "b.json"))
+    family = tilted_family(normalize_potential(model.f), model.psi)
+    qs = (-512.0, -1.0, 256.0, 2.0)
+    block = rpf_solve_block([family.at(q) for q in qs])
+    for q, sol, cause in zip(qs, block, ("h @ nu = 0.0", None, "log lambda is not finite", None)):
+        if cause is None:
+            _assert_same_solve(sol, family.solve(q))
+            continue
+        with pytest.raises(NoConvergence, match=cause) as solo:
+            family.solve(q)
+        assert isinstance(sol, NoConvergence) and str(sol) == str(solo.value)
+    # psi of 1e300 on symbol 2: at q = 1e-298 lambda is about e^100, and
+    # the flow's weighted sum overflows
+    phi = make_pot(full2, 1, {"1": 0.0, "2": 0.0})
+    family = tilted_family(phi, make_pot(full2, 1, {"1": 0.0, "2": 1e300}))
+    kept, lost = family.tilts((0.0, 1e-298))
+    assert kept[:2] == family.tilt_of(family.zero)[:2]
+    with pytest.raises(NoConvergence, match="mean of psi .* is inf") as solo:
+        family.tilt(1e-298)
+    assert isinstance(lost, NoConvergence) and str(lost) == str(solo.value)
+
+
 def test_families_go_with_their_observable(bernoulli_model):
     """phi keeps a family, its q = 0 solve, its centred family and the
     doubling probes kept on it for as long as their observable lives, and

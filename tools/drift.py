@@ -73,7 +73,13 @@ The corpus of other outputs, each float as ``float.hex``:
   certificate of ``verify_bound`` with delta0 0.05 on the grid 0.1:0.9:0.2,
   its constants and each verdict;
 - the SHA-256 of the CSV of every CLI subcommand the fixtures-cli workload
-  runs, at its seed 1.
+  runs, at its seed 1;
+- the rate levels of the stress models of ``fixtures/stress`` (``PINNED``),
+  each level a ``rate_function`` call on the normalised f: its ``value``
+  as ``float.hex`` and ``status``, or the class of the exception it raised
+  (``error``), so a tree whose solver crashes on them still dumps.  Models
+  a-d are those of the Perron quotient test; on e, ``rate`` reports
+  I(2/3) = 175.2 where the exact value is 0.3937.
 """
 
 import argparse
@@ -115,7 +121,47 @@ from thermosft.cli import _parse_range, load_model, run_command  # noqa: E402
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 #: fields compared as labels; every other field but the key is a number
-LABELS = ("status", "method", "witness_min", "witness_max", "rate_ok", "tilt_ok", "sha256")
+LABELS = ("status", "method", "witness_min", "witness_max", "rate_ok", "tilt_ok", "sha256",
+          "error")
+#: the stress models of ``fixtures/stress``, each its file's JSON (copied
+#: here, so a checkout without those files dumps them too), and its grid
+PINNED = (
+    ("a", "187.5:437.5:62.5",
+     '{"schema_version":1,"theta":0.5,"transitions":[[1,1,0],[1,0,1],[1,1,0]],'
+     '"potential_f":{"range":3,"values":{"111":0.0028,"112":0.1052,"121":-0.0183,'
+     '"123":-0.0762,"211":-0.097,"212":-0.0222,"231":-0.075,"232":0.1881,"311":-0.1179,'
+     '"312":-0.1082,"321":-0.0306,"323":0.065}},"observable_psi":{"range":1,'
+     '"values":{"1":0.0,"2":0.0,"3":1000.0}}}'),
+    ("b", "0.002457678126788043:0.002457678126788043:1",
+     '{"schema_version":1,"theta":0.5,"transitions":[[0,1,0],[1,0,1],[1,0,0]],'
+     '"potential_f":{"range":3,"values":{"121":-7.5886,"123":-3.1006,"212":-5.7343,'
+     '"231":7.2185,"312":1.6114}},"observable_psi":{"range":2,'
+     '"values":{"12":-0.7082746784670266,"21":0.7131900347206027,"23":1.9445045519534288,'
+     '"31":-0.9627354962136402}}}'),
+    ("c", "333.3333333333333:1000.0:83.33333333333334",
+     '{"schema_version":1,"theta":0.5,"transitions":[[1,1,1],[1,0,0],[1,1,1]],'
+     '"potential_f":{"range":3,"values":{"111":-5.8122,"112":8.5571,"113":-4.024,'
+     '"121":-2.8718,"131":1.766,"132":11.7035,"133":-0.3274,"211":1.0796,"212":-11.2071,'
+     '"213":4.5826,"311":-1.5468,"312":3.4345,"313":8.6988,"321":-8.3118,"331":-1.6857,'
+     '"332":6.0809,"333":7.0064}},"observable_psi":{"range":3,"values":{"111":1000.0,'
+     '"112":0.0,"113":1000.0,"121":1000.0,"131":1000.0,"132":1000.0,"133":0.0,'
+     '"211":1000.0,"212":0.0,"213":1000.0,"311":0.0,"312":0.0,"313":0.0,"321":1000.0,'
+     '"331":1000.0,"332":0.0,"333":1000.0}}}'),
+    ("d", "-1.5520498876493318:1.5524665679968663:0.3880645569557748",
+     '{"schema_version":1,"theta":0.5,"transitions":[[1,1,1,1],[1,1,1,1],[1,1,1,1],[1,1,1,'
+     '1]],"potential_f":{"range":1,"values":{"1":0.3623,"2":0.2581,"3":-1.6394,'
+     '"4":0.3602}},"observable_psi":{"range":2,"values":{"11":-0.11849769951697288,'
+     '"12":-0.23974784920156203,"13":-0.15530166200229314,"14":0.21897170507821917,'
+     '"21":-1.8163956614546406,"22":1.5524665679968663,"23":-0.8614416732885682,'
+     '"24":-2.2413678581872873,"31":-0.08197449383484104,"32":1.4574804175244145,'
+     '"33":-0.5186009711032398,"34":1.5512756209056682,"41":1.5569420010285768,'
+     '"42":-0.8627319171113763,"43":-2.4651208152773547,"44":-1.2351827568078488}}}'),
+    ("e", "0.6666666666666666:2.0:0.6666666666666667",
+     '{"schema_version":1,"theta":0.5,"transitions":[[0,0,1],[1,0,0],[1,1,1]],'
+     '"potential_f":{"range":1,"values":{"1":0.5492,"2":0.9281,"3":-0.0366}},'
+     '"observable_psi":{"range":3,"values":{"131":2,"132":0,"133":1,"213":0,"313":1,'
+     '"321":2,"331":2,"332":0,"333":2}}}'),
+)
 #: indicator targets beyond chi_K's 111: (transitions, targets) of two
 #: targets of different lengths, a target that is a prefix of another and
 #: one-symbol targets, on the full 2-shift, the golden mean and 3 symbols
@@ -375,6 +421,24 @@ def _cli_records():
                        "sha256": digest}
 
 
+def _pinned_records():
+    """Each stress model's levels, one ``rate_function`` call per level;
+    any exception is recorded by its class."""
+    for stem, grid, text in PINNED:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / f"{stem}.json"
+            path.write_text(text, encoding="utf-8")
+            model = load_model(str(path))
+        for p in _parse_range(grid):
+            key = f"pinned {stem} p={p!r}"
+            try:
+                rv = rate_function(normalize_potential(model.f), model.psi, p)
+            except Exception as err:  # an older solver may crash with any error here
+                yield {"key": key, "error": type(err).__name__}
+            else:
+                yield {"key": key, "status": rv.status, **_hexed(value=rv.value)}
+
+
 def _other_corpus():
     """Every record of the other outputs, in a fixed order."""
     for stem in ("bernoulli", "golden_mean", "random_range3"):
@@ -430,6 +494,7 @@ def _other_corpus():
                     rate=v.rate, tilt_value=v.tilt_value, rate_ok=str(v.rate_ok),
                     tilt_ok=str(v.tilt_ok), method=v.tilt_method)}
     yield from _cli_records()
+    yield from _pinned_records()
 
 
 def dump(path: str) -> None:
