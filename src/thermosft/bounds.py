@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -316,6 +317,8 @@ def certificate_constants(
     alpha = -max(consts.log_rho, math.log(phi.theta))
     log_ratio = math.log(delta0) - (math.log(16.0) + math.log(c0) + consts.log_D)
     x = -log_ratio / alpha
+    if not math.isfinite(x):  # the quotient leaves the float range: take it exactly
+        x = Fraction(-log_ratio) / Fraction(alpha)
     n0 = math.floor(x) + 1
     if not (n0 - 1 <= x < n0):  # exact int/float comparison
         raise BoundViolated(f"integer sandwich failed: x={x!r}, n0={n0}")

@@ -174,7 +174,6 @@ class StateGraph:
     src: np.ndarray
     dst: np.ndarray
     parent: "StateGraph | None" = field(repr=False)
-    _stacks: dict = field(default_factory=dict, init=False, repr=False)
     _child: "weakref.ref | None" = field(default=None, init=False, repr=False)
 
     @property
@@ -231,21 +230,6 @@ class StateGraph:
             at, graph = graph.parent.src[at], graph.parent
             runs.append(np.searchsorted(at, np.arange(graph.size)))
         return runs[::-1]
-
-    def stacked_edges(self, kinds: tuple) -> tuple:
-        """(gather, scatter) index arrays of a block whose row i steps
-        forward (kind 0: gather ``src``, scatter ``dst``) or backward (kind
-        1: the reverse), each offset by ``i * size`` into the flattened
-        block; built once per graph and tuple of kinds."""
-        edges = self._stacks.get(kinds)
-        if edges is None:
-            pick = np.array(kinds)
-            ends = np.array((self.src, self.dst))
-            offsets = np.arange(0, len(kinds) * self.size, self.size)[:, None]
-            gather = (ends[pick] + offsets).ravel()
-            scatter = (ends[1 - pick] + offsets).ravel()
-            edges = self._stacks[kinds] = (_frozen(gather), _frozen(scatter))
-        return edges
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ class TransferMatrix:
     ``apply(g)[v] = sum of edge_weights[j] * g[src[j]]`` over the edges into
     v; ``adjoint`` is the transposed action.  Every matrix on the k-word
     states of one transition matrix holds the one graph ``state_graph``
-    returns, and with it the stacked index arrays of ``_block_step``.
+    returns.
     """
 
     graph: StateGraph
@@ -92,12 +92,22 @@ class TransferMatrix:
 def _block_step(Ts, tilts, kinds):
     """The map of a block X, on the state graph of the matrices ``Ts``, to
     its images: row i under ``Ts[tilts[i]]``, by ``apply`` or ``adjoint`` as
-    ``kinds[i]`` says.  One gather, one product and one bincount; each bin
-    adds its terms in edge order, so every row is that of its own one-row
-    step bit for bit."""
-    gather, scatter = Ts[0].graph.stacked_edges(tuple(kinds))
+    ``kinds[i]`` says.  Row i gathers from the edge end its kind reads
+    (``src`` for 0, ``dst`` for 1) and scatters to the other, both offset by
+    ``i * size`` into the flattened block; the index arrays live as long as
+    the step.  One gather, one product and one bincount; each bin adds its
+    terms in edge order, so every row is that of its own one-row step bit
+    for bit."""
+    graph = Ts[0].graph
+    size = graph.size
+
+    def stacked(ends):
+        # row 0 reads the graph's own array, so a one-row block adds nothing
+        return np.concatenate([ends[k] + i * size if i else ends[k] for i, k in enumerate(kinds)])
+
+    gather, scatter = stacked((graph.src, graph.dst)), stacked((graph.dst, graph.src))
     weights = np.concatenate([Ts[j].edge_weights for j in tilts])
-    length, shape = len(kinds) * Ts[0].size, (len(kinds), -1)
+    length, shape = len(kinds) * size, (len(kinds), -1)
     return lambda X: np.bincount(
         scatter, weights=weights * X.ravel()[gather], minlength=length
     ).reshape(shape)

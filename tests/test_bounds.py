@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +297,24 @@ def test_integer_sandwich(bernoulli):
         assert delta0 / (16 * rep.C0 * D) <= math.exp(-(rep.n0 - 1) * rep.alpha)
 
 
+def test_integer_sandwich_past_the_float_range(full2):
+    """Paper constants of the fair coin against psi {1: 0, 2: 5e6}: C0 is
+    about 1e7, log D about 1.13e9 and log rho -1e-300, so the quotient x
+    overflows a float.  n0 comes from the exact quotient of the two floats
+    and satisfies the sandwich on it, and q0 comes from logs (n0 > 1e15)."""
+    phi = normalize_potential(make_potential(full2, 1, {(1,): 0.0, (2,): 0.0}, 0.5))
+    psi = make_potential(full2, 1, {(1,): 0.0, (2,): 5e6}, 0.5)
+    delta0 = 1e6
+    rep = certificate_constants(phi, psi, delta0, constants_for(phi, psi, "paper"))
+    log_ratio = math.log(delta0) - (math.log(16.0) + math.log(rep.C0) + rep.log_D)
+    assert rep.log_rho == -1e-300 and math.isinf(-log_ratio / rep.alpha)
+    x = Fraction(-log_ratio) / Fraction(rep.alpha)
+    assert rep.n0 - 1 <= x < rep.n0 and rep.n0 > 10**308
+    log_q0 = math.log(delta0) - math.log(100.0) - 2.0 * math.log(rep.C0) - math.log(rep.n0)
+    assert rep.q0 == min(math.exp(log_q0), 1.0 / psi.b) > 0.0
+    assert rep.bound == delta0 * rep.q0 / 2.0
+
+
 def test_q0_monotonicity(bernoulli):
     phi, psi = bernoulli
     for delta0 in (0.05, 0.1, 0.2):
@@ -498,6 +519,28 @@ def test_chi_k_layers_read_no_word_list_of_long_states(monkeypatch, full2):
     assert all(rv.value >= 0.0 for rv in levels) and mass.method == "exact_dp"
     assert report.all_pass and report.psi_tilde == mean
     assert built and max(built) <= 1
+
+
+def test_measured_constants_leave_no_index_arrays_on_the_graphs(full2):
+    """At chi_K pad 8, measured constants leave allocated only what phi
+    keeps (its tilted families' edge tables, about 0.2 MB) while phi, psi
+    and their graphs stay alive: no block's gather and scatter arrays
+    outlive its step, where keeping them on the graphs held 1.7 MB."""
+    f = make_potential(full2, 1, {(1,): math.log(0.6), (2,): math.log(0.4)}, 0.5)
+    phi = normalize_potential(f)
+    psi = indicator_example(full2, [(1, 1, 1)], pad=8, theta=0.5)
+    graphs = [sft.state_graph(full2, k) for k in range(1, psi.r + 1)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        consts = constants_for(phi, psi, "measured")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert consts.rho < 1.0 and graphs[-1] is psi.graph
+    assert kept < 1_000_000
 
 
 def test_family_c0(bernoulli):

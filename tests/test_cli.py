@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,26 @@ def test_constants_command_paper_mode(tmp_path):
     assert float(rows["C0"]) == pytest.approx(math.log(2) + 2, abs=1e-12)
     assert float(rows["q0"]) > 0.0
     assert float(rows["bound"]) == pytest.approx(0.1 * float(rows["q0"]) / 2, rel=1e-12)
+
+
+def test_constants_command_with_n0_past_the_float_range(tmp_path):
+    """Paper constants of the fair coin against psi {1: 0, 2: 5e6}, whose
+    quotient |log(delta0/(16*C0*D))|/alpha overflows a float: the command
+    exits 0 and writes an n0 that satisfies the sandwich on the exact
+    quotient of the two floats."""
+    model = json.loads((FIXTURES / "bernoulli.json").read_text())
+    model["observable_psi"]["values"] = {"1": 0.0, "2": 5e6}
+    cfg = tmp_path / "huge_psi.json"
+    cfg.write_text(json.dumps(model))
+    out = tmp_path / "consts.csv"
+    assert run(["constants", "--config", cfg, "--delta0", 1e6, "--constants", "paper",
+                "--out", out]) == 0
+    rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+    c0, log_d = float(rows["C0"]), float(rows["log_D"])
+    log_ratio = math.log(1e6) - (math.log(16.0) + math.log(c0) + log_d)
+    x = Fraction(-log_ratio) / Fraction(float(rows["alpha"]))
+    n0 = int(rows["n0"])
+    assert n0 - 1 <= x < n0 and n0 > 10**308
 
 
 def test_ldp_command_exact(tmp_path):

@@ -79,7 +79,15 @@ The corpus of other outputs, each float as ``float.hex``:
   as ``float.hex`` and ``status``, or the class of the exception it raised
   (``error``), so a tree whose solver crashes on them still dumps.  Models
   a-d are those of the Perron quotient test; on e, ``rate`` reports
-  I(2/3) = 175.2 where the exact value is 0.3937.
+  I(2/3) = 175.2 where the exact value is 0.3937;
+- forced budget splits: the 40 seeded window models and 16 more on a 1e-4
+  lattice, with ``DP_BUDGET_BYTES`` cut to the table of n = 6, as
+  ascending ``exact_window_mass`` calls and as one ``ldp_scan``: each mass
+  (lattice or binned) or the error class (``Infeasible``);
+- ``cohomology_spread`` of seeded spread graphs: 60 random observables on
+  2-5 symbols, half on a 1/4 lattice, and 36 coboundary inputs
+  ``g(w[1:]) - g(w[:-1]) + u(w)`` on full shifts, g of scale 1 or 1e8, u
+  uniform or constant.
 """
 
 import argparse
@@ -247,13 +255,14 @@ def _seeded_potential(rng, tm, r: int, lo: float, hi: float, lattice=None):
     return make_potential(tm, r, table, 0.5)
 
 
-def _window_models():
-    """(case, phi, psi, p, delta) of the 40 seeded window-mass models: on 2
-    or 3 symbols, phi of range 1-2 in [-1, 1], psi of range 1-3 in [0, 1],
-    and a window about the mean of psi."""
-    for i in range(40):
-        lattice = (None, 4, 10, 64)[i % 4]
-        rng = np.random.default_rng([i, 300])
+def _window_models(count: int = 40, stream: int = 300, lattices=(None, 4, 10, 64)):
+    """(case, phi, psi, p, delta) of the seeded window-mass models: on 2 or
+    3 symbols, phi of range 1-2 in [-1, 1], psi of range 1-3 in [0, 1] on
+    the lattices in turn, and a window about the mean of psi; model i is
+    drawn from the seed [i, stream]."""
+    for i in range(count):
+        lattice = lattices[i % len(lattices)]
+        rng = np.random.default_rng([i, stream])
         tm = _aperiodic(rng, int(rng.integers(2, 4)))
         phi = normalize_potential(_seeded_potential(rng, tm, int(rng.integers(1, 3)), -1.0, 1.0))
         psi = _seeded_potential(rng, tm, int(rng.integers(1, 4)), 0.0, 1.0, lattice)
@@ -362,6 +371,93 @@ def _window_corpus():
         finally:
             deviations._GATHER_BLOCK_BYTES = gather
         yield from found
+
+
+def _budget_split_records():
+    """The seeded window models, and 16 more on a 1e-4 lattice (finer than
+    the bins), with ``DP_BUDGET_BYTES`` cut to the table of n = 6: the
+    lattice table on a lattice, else the binned one.  ``MODEL_HORIZONS`` as
+    ascending calls on one measure, then as one ``ldp_scan`` on a fresh
+    one; each mass, or the class of the error a call raised (``Infeasible``
+    where a horizon's table fits no method)."""
+    budget = deviations.DP_BUDGET_BYTES
+    models = [*_window_models(), *_window_models(16, 400, (10**4,))]
+    try:
+        for case, phi, psi, p, delta in models:
+            mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+            fine, values, lattice = deviations._edge_data(mu, psi)
+            if lattice is None:
+                quant = [round(v / (delta / deviations.BINS_PER_DELTA)) for v in values]
+                top = max(quant) - min(quant)
+            else:
+                top = max(lattice[0])
+            deviations.DP_BUDGET_BYTES = fine.chain.size * 8 * (6 * top + 1)
+            window = f"p={p!r} delta={delta!r}"
+            for n in MODEL_HORIZONS:
+                try:
+                    wm = exact_window_mass(mu, psi, n, p, delta)
+                except ValidationError as err:
+                    yield {"key": f"{case} budget split n={n} {window}",
+                           "error": type(err).__name__}
+                else:
+                    yield _mass_record(f"{case} budget split", wm)
+            mu = equilibrium_measure(phi, k=max(1, phi.r - 1))
+            try:
+                scan = ldp_scan(mu, psi, lambda level: SimpleNamespace(value=0.0),
+                                MODEL_HORIZONS, p, delta)
+            except ValidationError as err:
+                yield {"key": f"{case} budget split ldp_scan {window}",
+                       "error": type(err).__name__}
+            else:
+                for wm in scan.entries:
+                    yield _mass_record(f"{case} budget split ldp_scan", wm)
+    finally:
+        deviations.DP_BUDGET_BYTES = budget
+
+
+def _coboundary(rng, s0: int, r: int, scale: float, constant: bool):
+    """g(w[1:]) - g(w[:-1]) + u(w) on the r-words of the full s0-shift, g
+    uniform in [-scale, scale] on (r-1)-words and u uniform in [0, 1], or
+    0.5 everywhere (cohomologous to that constant) when ``constant``."""
+    tm = validate_transitions(np.ones((s0, s0), dtype=int))
+    g = {w: float(rng.uniform(-scale, scale)) for w in enumerate_words(tm, r - 1)}
+    table = {w: g[w[1:]] - g[w[:-1]] + (0.5 if constant else float(rng.uniform(0.0, 1.0)))
+             for w in enumerate_words(tm, r)}
+    return make_potential(tm, r, table, 0.5)
+
+
+def _spread_graph_records():
+    """``cohomology_spread`` of 60 seeded observables on 2-5 symbols with
+    ranges 1-3, every other one on a 1/4 lattice (ties), and of coboundary
+    inputs on the full shifts of 2^2-2^4, 3^2, 3^3 and 4^2 word states at
+    two seeds each: g of scale 1 and of scale 1e8 (whose biases dwarf the
+    means) plus uniform u, and g of scale 1 plus a constant.  A spread that
+    raises is recorded by its error class."""
+    cases = []
+    for i in range(60):
+        rng = np.random.default_rng([i, 500])
+        s0 = int(rng.integers(2, 6))
+        tm = _aperiodic(rng, s0)
+        r = int(rng.integers(1, 3 if s0 >= 4 else 4))
+        cases.append((f"seeded graph {i}",
+                      _seeded_potential(rng, tm, r, -1.0, 1.0, 4 if i % 2 else None)))
+    for s0, r in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)):
+        for seed in (1, 2):
+            for scale, constant in ((1.0, False), (1e8, False), (1.0, True)):
+                rng = np.random.default_rng([seed, s0, r, 600])
+                cases.append((f"coboundary {s0}^{r - 1} seed {seed} scale {scale!r}"
+                              f"{' constant' if constant else ''}",
+                              _coboundary(rng, s0, r, scale, constant)))
+    for case, psi in cases:
+        try:
+            yield _spread_record(case, psi)
+        except Exception as err:  # an older solver may fail with any error here
+            yield {"key": f"spread {case}", "error": type(err).__name__}
+
+
+def _mass_record(case: str, wm) -> dict:
+    return {"key": f"{case} n={wm.n} p={wm.p!r} delta={wm.delta!r}",
+            **_hexed(mass=wm.mass, slack=wm.slack, log_rate=wm.log_rate), "method": wm.method}
 
 
 def _hexed(**fields) -> dict:
@@ -495,6 +591,8 @@ def _other_corpus():
                     tilt_ok=str(v.tilt_ok), method=v.tilt_method)}
     yield from _cli_records()
     yield from _pinned_records()
+    yield from _budget_split_records()
+    yield from _spread_graph_records()
 
 
 def dump(path: str) -> None:
@@ -509,14 +607,7 @@ def dump(path: str) -> None:
             }
             out.write(json.dumps(record) + "\n")
         for case, wm in _window_corpus():
-            record = {
-                "key": f"{case} n={wm.n} p={wm.p!r} delta={wm.delta!r}",
-                "mass": wm.mass.hex(),
-                "slack": wm.slack.hex(),
-                "log_rate": wm.log_rate.hex(),
-                "method": wm.method,
-            }
-            out.write(json.dumps(record) + "\n")
+            out.write(json.dumps(_mass_record(case, wm)) + "\n")
         for record in _other_corpus():
             out.write(json.dumps(record) + "\n")
 
